@@ -9,8 +9,9 @@ fresh worker process before any backend or suite is built.
 
 A layer's self time is its wrapped time minus the wrapped time of the
 calls it makes into other wrapped functions, so the self times of one
-traced step add up to the step's wall time less the code no wrapper
-covers (reported as ``unattributed_s``).
+traced step add up to the step's wall time.  The self time of a root
+(:data:`ROOTS`) is the code no narrower wrapper covers; it is reported
+as ``unattributed_s`` together with the time outside every wrapper.
 """
 
 from __future__ import annotations
@@ -63,6 +64,12 @@ WRAPPED: tuple[tuple[str, str, str], ...] = (
     ("repro.fleet.coordinator", "FleetCoordinator.survey", "fleet.coordinator"),
     ("repro.fleet.worker", "FleetWorker.on_message", "fleet.worker"),
 )
+
+
+#: Outermost entry points of the workloads.  Their self time is the code
+#: between the wrapped layers, so the layer closure counts it as
+#: unattributed rather than letting it absorb every gap.
+ROOTS = frozenset({"core.suite", "workload.coschedule", "fleet.coordinator"})
 
 
 class LayerTimer:

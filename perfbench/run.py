@@ -9,8 +9,9 @@ Usage (from the repository root)::
 and reports the end-to-end metrics of ``BENCHMARK.json`` as medians
 over the iterations.  ``--trace 1`` alternates untraced and traced
 iterations (the order flips every pair, so neither side always runs
-first), reports the per-layer self-time table from the traced ones and
-the tracing overhead with its quartiles from the pairs.  Every
+first) for at least ``MIN_PAIRS`` pairs, even past ``--seconds``, and
+reports the per-layer self-time table from the traced ones and the
+tracing overhead with its quartiles from the pairs.  Every
 iteration checks its outputs; each check is one attempted operation.
 The last stdout line is the JSON result; everything above it is for
 people.  ``--record`` (with ``--trace 1``) stores the exact simulated
@@ -52,7 +53,15 @@ WORK_DIR = ROOT / ".perfbench"
 #: Every run must end within this many seconds.
 DEADLINE_S = 170.0
 
-#: Self-description of each workload: seed defaults, what it loads.
+#: The benchmark's own definition: workload names and whys, metric names
+#: and units.  ``WORKLOADS`` below adds only what the file cannot hold.
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+END_TO_END: dict[str, str] = {m["name"]: m["unit"] for m in SPEC["end_to_end"]}
+#: Every workload reports all of them; a layer it does not load reads 0.
+PER_LAYER: dict[str, str] = {m["name"]: m["unit"] for m in SPEC["per_layer"]}
+WHY: dict[str, str] = {w["name"]: w["why"] for w in SPEC["workloads"]}
+
+#: Seeds, passes and the layers each workload loads and bypasses.
 WORKLOADS: dict[str, dict] = {
     "suite-dunnington": {
         "seed": 42,
@@ -60,8 +69,6 @@ WORKLOADS: dict[str, dict] = {
         "passes": "cold suite, warm suite, cold co_schedule, warm co_schedule",
         "loads": "core, planner, backends, memsim (pairwise traversals), workload",
         "bypasses": "simmpi (about 3%), fleet, service, serviced",
-        "why": "memsim's pairwise traversals and the reuse recorder dominate; "
-        "the warm repeat replays the outcome cache instead of filling it",
     },
     "suite-ft8": {
         "seed": 42,
@@ -69,8 +76,6 @@ WORKLOADS: dict[str, dict] = {
         "passes": "cold suite, warm suite",
         "loads": "core, planner, backends, simmpi + netsim (communication_costs)",
         "bypasses": "memsim mostly, workload, fleet, service, serviced",
-        "why": "mirrors suite-dunnington: simmpi ping-pong and concurrent "
-        "exchanges over 128 cores are two thirds of the wall time",
     },
     "fleet-survey": {
         "seed": 42,
@@ -78,8 +83,6 @@ WORKLOADS: dict[str, dict] = {
         "passes": "cold survey, warm survey",
         "loads": "fleet coordinator, protocol, dedup; memsim on non-paper shapes",
         "bypasses": "workload, service, serviced",
-        "why": "50 machines in 10 hardware classes, deduplicated 5x, surveyed "
-        "fault-free in process",
     },
     "daemon-zipf": {
         "seed": 42,
@@ -87,16 +90,7 @@ WORKLOADS: dict[str, dict] = {
         "passes": "cold load with 3 hot reloads, warm load",
         "loads": "serviced (framing, batching, snapshot swap), service cache",
         "bypasses": "core, planner, backends, memsim, simmpi, workload, fleet",
-        "why": "2 pipelined connections, closed loop, zipf s=1.1 queries; "
-        "reloads add snapshot swaps beside the reads",
     },
-}
-
-END_TO_END: dict[str, str] = {
-    "setup_s": "s",
-    "cold_s": "s",
-    "warm_s": "s",
-    "peak_rss_mb": "MB",
 }
 
 PHASES = (
@@ -112,74 +106,6 @@ BACKEND_METHODS = (
     "message_latency",
     "concurrent_message_latency",
 )
-
-#: Per-layer metrics: name -> unit.  Every workload reports all of them;
-#: a layer the workload does not load reads 0.
-PER_LAYER: dict[str, str] = {
-    "setup.import_s": "s",
-    "setup.build_s": "s",
-    "core.suite_s": "s",
-    **{f"core.{phase}_s": "s" for phase in PHASES},
-    "suite_virtual_s": "sim_s",
-    "planner.probes_issued": "count",
-    "planner.probes_saved": "count",
-    "planner.self_s": "s",
-    **{
-        key: unit
-        for method in BACKEND_METHODS
-        for key, unit in ((f"backends.{method}.calls", "count"), (f"backends.{method}_s", "s"))
-    },
-    "backends.self_s": "s",
-    "memsim.traversal.calls": "count",
-    "memsim.traversal_s": "s",
-    "memsim.us_per_traversal": "us",
-    "memsim.stream_s": "s",
-    "memsim.outcome.hits": "count",
-    "memsim.outcome.misses": "count",
-    "memsim.outcome.hit_ratio": "ratio",
-    "simmpi.pingpong.calls": "count",
-    "simmpi.concurrent.calls": "count",
-    "simmpi_s": "s",
-    "simmpi.events": "count",
-    "simmpi.us_per_event": "us",
-    "simmpi.comm_cache.hits": "count",
-    "simmpi.comm_cache.misses": "count",
-    "workload.recorder.accesses": "count",
-    "workload.recorder_s": "s",
-    "workload.ns_per_access": "ns",
-    "workload.profile_s": "s",
-    "workload.rank_s": "s",
-    "workload.coschedule_s": "s",
-    "fleet.suite_runs": "count",
-    "fleet.dedup_ratio": "ratio",
-    "fleet.suite_s": "s",
-    "fleet.coordinator_self_s": "s",
-    "fleet.worker_self_s": "s",
-    "fleet.messages": "count",
-    "fleet.dispatches": "count",
-    "fleet.degraded": "count",
-    "service.cache.hits": "count",
-    "service.cache.misses": "count",
-    "service.cache.hit_ratio": "ratio",
-    "serviced.qps": "1/s",
-    "serviced.latency_p50_ms": "ms",
-    "serviced.latency_p99_ms": "ms",
-    "serviced.latency_samples": "count",
-    "serviced.warm_latency_p99_ms": "ms",
-    "serviced.batch_size_mean": "count",
-    "serviced.coalesced": "count",
-    "serviced.reloads": "count",
-    "serviced.server_latency_p50_ms": "ms",
-    "serviced.server_latency_p99_ms": "ms",
-    "serviced.wire_p50_ms": "ms",
-    "serviced.client_encode_s": "s",
-    "serviced.client_decode_s": "s",
-    "obs.trace_overhead": "ratio",
-    "obs.trace_overhead_q1": "ratio",
-    "obs.trace_overhead_q3": "ratio",
-    "obs.spans": "count",
-    "unattributed_s": "s",
-}
 
 #: Exact simulated counts compared against ``expected.json``.
 EXACT_COUNTS = (
@@ -197,8 +123,13 @@ EXACT_COUNTS = (
 )
 
 #: The layer self times of a traced step must add up to its wall time
-#: within this share.
+#: within this share.  A root layer's self time (see ``layers.ROOTS``)
+#: is not in the sum: it is whatever no other wrapper covers.
 CLOSURE = 0.05
+
+#: Traced/untraced pairs a traced run makes at least, so that the
+#: quartiles of ``obs.trace_overhead`` are read between measured values.
+MIN_PAIRS = 5
 
 
 class Tally:
@@ -229,9 +160,11 @@ def host_stamp() -> str:
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """Quartiles that never leave the range of ``values`` (``inclusive``:
+    the default ``exclusive`` method extrapolates on few samples)."""
     if len(values) < 2:
         return values[0], values[0], values[0]
-    q1, q2, q3 = statistics.quantiles(values, n=4)
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q2, q3
 
 
@@ -244,6 +177,20 @@ def stop(start: float, rounds: int, seconds: float, enough: bool = True) -> bool
 
 def median_metrics(rows: list[dict]) -> dict[str, float]:
     return {key: statistics.median(row[key] for row in rows) for key in rows[0]}
+
+
+def declared(row: dict[str, float]) -> dict[str, float]:
+    """``row`` if it holds exactly the per-layer metrics of BENCHMARK.json."""
+    if set(row) != set(PER_LAYER):
+        raise KeyError(f"per-layer row differs from BENCHMARK.json: {set(row) ^ set(PER_LAYER)}")
+    return row
+
+
+def unattributed(layers: dict, wall: float) -> float:
+    """Traced wall time that no non-root layer's self time accounts for."""
+    from layers import ROOTS  # the script's directory is on sys.path
+
+    return wall - sum(v for k, v in layers["self_s"].items() if k not in ROOTS)
 
 
 def src_env() -> dict:
@@ -327,8 +274,8 @@ def layer_row(out: dict, workload: str) -> dict[str, float]:
         for key in ("fleet.dedup_ratio", "fleet.messages", "fleet.dispatches", "fleet.degraded"):
             row[key] = extra[key]
     row["obs.spans"] = sum(calls.values())
-    row["unattributed_s"] = out["total_s"] - sum(own.values())
-    return row
+    row["unattributed_s"] = unattributed(layers, out["total_s"])
+    return declared(row)
 
 
 def in_process(args, tally: Tally) -> tuple[list[dict], dict, list[dict]]:
@@ -352,7 +299,7 @@ def in_process(args, tally: Tally) -> tuple[list[dict], dict, list[dict]]:
             overheads.append(pair[True]["total_s"] / pair[False]["total_s"] - 1.0)
         else:
             plain.append(run_worker(args.workload, args.seed, False, deadline))
-        if stop(start, len(plain), args.seconds, enough=len(overheads) >= 2 or not args.trace):
+        if stop(start, len(plain), args.seconds, enough=len(overheads) >= MIN_PAIRS or not args.trace):
             break
 
     for out in plain + traced:
@@ -360,11 +307,11 @@ def in_process(args, tally: Tally) -> tuple[list[dict], dict, list[dict]]:
             tally.add(name, ok, detail)
     for out in traced:
         wall = out["total_s"]
-        unattributed = wall - sum(out["layers"]["self_s"].values())
+        gap = unattributed(out["layers"], wall)
         tally.add(
             "layer self times add up to the traced wall time",
-            abs(unattributed) <= CLOSURE * wall,
-            f"{unattributed:.3f} s of {wall:.3f} s unattributed",
+            abs(gap) <= CLOSURE * wall,
+            f"{gap:.3f} s of {wall:.3f} s unattributed",
         )
     check_counts(args, plain, traced, tally)
 
@@ -385,6 +332,8 @@ def in_process(args, tally: Tally) -> tuple[list[dict], dict, list[dict]]:
         layers["obs.trace_overhead"] = q2
         layers["obs.trace_overhead_q1"] = q1
         layers["obs.trace_overhead_q3"] = q3
+        layers["obs.trace_pairs"] = len(overheads)
+        print("trace overhead per pair: " + ", ".join(f"{v:+.3f}" for v in overheads))
     return rows, layers, plain + traced
 
 
@@ -424,7 +373,9 @@ def load_expected() -> dict:
     return json.loads(EXPECTED.read_text()) if EXPECTED.exists() else {}
 
 
-def record_expected(args, outs: list[dict]) -> None:
+def record_expected(args, outs: list[dict], tally: Tally) -> None:
+    if tally.failed:
+        raise SystemExit(f"error: not recording seed {args.seed}: {tally.failed} checks failed")
     data = load_expected()
     merged: dict = {}
     for out in outs:
@@ -499,7 +450,7 @@ def daemon_workload(args, tally: Tally) -> tuple[list[dict], dict, list[dict]]:
                 "serviced.client_decode_s": cold["result"].decode_s,
             }
         )
-        layer_rows.append(row)
+        layer_rows.append(declared(row))
     return rows, median_metrics(layer_rows), outs
 
 
@@ -531,7 +482,7 @@ def print_report(args, rows: list[dict], layers: dict, tally: Tally) -> None:
     info = WORKLOADS[args.workload]
     print(f"workload {args.workload} (seed {args.seed}; default {info['seed']}, "
           f"held out {info['held_out_seed']})")
-    print(f"  why: {info['why']}")
+    print(f"  why: {WHY[args.workload]}")
     print(f"  passes: {info['passes']}")
     print(f"  loads: {info['loads']}; bypasses: {info['bypasses']}")
     print(f"  host: {host_stamp()}")
@@ -567,6 +518,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.record and not args.trace:
         parser.error("--record needs --trace 1 (the traced run has every count)")
+    if set(WORKLOADS) != set(WHY):
+        print("error: run.py and BENCHMARK.json name different workloads", file=sys.stderr)
+        return 2
     if args.seed is None:
         args.seed = WORKLOADS[args.workload]["seed"]
     if not (ROOT / "src" / "repro").is_dir():
@@ -587,7 +541,7 @@ def main(argv: list[str] | None = None) -> int:
         except OSError:
             pass
     if args.record and args.workload != "daemon-zipf":
-        record_expected(args, outs)
+        record_expected(args, outs, tally)
     print_report(args, rows, layers, tally)
     e2e = median_metrics(rows)
     metrics = (
