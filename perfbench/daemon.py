@@ -11,6 +11,8 @@ One iteration:
   next), while connection 0 publishes ``RELOADS`` new registry versions
   of the same report at fixed query offsets and asks for each ``reload``;
 * warm pass: the same load again on the now warm daemon, no reloads;
+* before the cold pass and after each pass, the client times the
+  ``hostref.roundtrip`` reference, which ``cold_rel``/``warm_rel`` use;
 * ``stats``, peak RSS (``VmHWM``), ``drain``, and the process exit.
 
 Every answer is compared with the uncached ``repro.service.server.answer``
@@ -33,6 +35,8 @@ import tempfile
 import threading
 import time
 from pathlib import Path
+
+from hostref import HostClock, roundtrip  # the script's directory is on sys.path
 
 CONNECTIONS = 2
 #: Requests in flight per connection.  The workload models autotuners,
@@ -279,13 +283,17 @@ def iteration(root: Path, env: dict, seed: int, iteration_index: int) -> dict:
             refs[version] = reference
 
         out = {"setup_s": setup_s}
+        host = HostClock(roundtrip)
+        host.mark()
         for label in ("cold", "warm"):
             wall, res = run_pass(
                 conns, pool, refs, passes[label], publish,
                 reload_at if label == "cold" else (),
             )
             stats = conns[0].control("stats")["stats"]
-            out[label] = {"wall": wall, "result": res, "stats": stats}
+            host.mark()
+            out[label] = {"wall": wall, "rel": host.rel(wall), "result": res, "stats": stats}
+        out["ref_s"] = host.ref_s()
         final = out["warm"]["stats"]
         reloads = out["cold"]["stats"]["daemon"]["counters"].get("serviced.reloads", 0)
         checks.append((

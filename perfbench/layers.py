@@ -61,21 +61,19 @@ WRAPPED: tuple[tuple[str, str, str], ...] = (
     ("repro.workload.coschedule", "profile_workload", "workload.profile"),
     ("repro.workload.coschedule", "CoScheduler.rank", "workload.rank"),
     ("repro.workload.recorder", "ReuseDistanceRecorder.observe", "workload.recorder"),
-    ("repro.fleet.coordinator", "FleetCoordinator.survey", "fleet.coordinator"),
-    ("repro.fleet.worker", "FleetWorker.on_message", "fleet.worker"),
 )
 
 
 #: Outermost entry points of the workloads.  Their self time is the code
 #: between the wrapped layers, so the layer closure counts it as
 #: unattributed rather than letting it absorb every gap.
-ROOTS = frozenset({"core.suite", "workload.coschedule", "fleet.coordinator"})
+ROOTS = frozenset({"core.suite", "workload.coschedule"})
 
 
 class LayerTimer:
     """Self time, inclusive time and call counts per layer.
 
-    Single-threaded by design: the suite, co-schedule and fleet steps
+    Single-threaded by design: the suite and co-schedule steps
     all run on the worker's main thread.
     """
 

@@ -1,4 +1,4 @@
-"""The repository benchmark: four workloads, end-to-end and per-layer.
+"""The repository benchmark: three workloads, end-to-end and per-layer.
 
 Usage (from the repository root)::
 
@@ -20,17 +20,24 @@ counts and report digests of the given seed in ``expected.json``.
 End-to-end metrics, per workload (a median over iterations):
 
 ==============  ==============================  ============================
-metric          suite-dunnington / suite-ft8     fleet-survey / daemon-zipf
+metric          suite-dunnington / suite-ft8     daemon-zipf
 ==============  ==============================  ============================
 setup_s         process start to ready: imports, machine build (daemon:
                 registry + ``servet serve --listen`` until ``listening on``)
-cold_s          first ``ServetSuite.run()`` in   first survey / first load
-                a fresh process (dunnington:     pass (with hot reloads) on a
-                plus the first ``co_schedule``)  fresh daemon
-warm_s          the same, repeated in-process    the same, repeated
+cold_rel        first ``ServetSuite.run()`` in   first load pass (with hot
+                a fresh process (dunnington:     reloads) on a fresh daemon
+                plus the first ``co_schedule``)
+warm_rel        the same, repeated in-process    the same, repeated
 peak_rss_mb     peak RSS of the process doing the work (the daemon for
                 daemon-zipf)
 ==============  ==============================  ============================
+
+``cold_rel`` and ``warm_rel`` are the wall times ``cold_s`` and
+``warm_s`` in units of a fixed reference computation (``hostref.py``)
+timed in the same process just before and just after each pass, so the
+host's drifting speed cancels out.  The human table prints ``cold_s``,
+``warm_s`` and ``ref_s`` (the reference's median time) in seconds
+beside them.
 """
 
 from __future__ import annotations
@@ -77,13 +84,6 @@ WORKLOADS: dict[str, dict] = {
         "loads": "core, planner, backends, simmpi + netsim (communication_costs)",
         "bypasses": "memsim mostly, workload, fleet, service, serviced",
     },
-    "fleet-survey": {
-        "seed": 42,
-        "held_out_seed": 7,
-        "passes": "cold survey, warm survey",
-        "loads": "fleet coordinator, protocol, dedup; memsim on non-paper shapes",
-        "bypasses": "workload, service, serviced",
-    },
     "daemon-zipf": {
         "seed": 42,
         "held_out_seed": 7,
@@ -117,8 +117,6 @@ EXACT_COUNTS = (
     "memsim.outcome.misses",
     "simmpi.events",
     "workload.recorder.accesses",
-    "fleet.logical_s",
-    "fleet.dispatches",
     "report_digest",
 )
 
@@ -220,13 +218,14 @@ def run_worker(workload: str, seed: int, traced: bool, deadline: float) -> dict:
     return out
 
 
-def layer_row(out: dict, workload: str) -> dict[str, float]:
+def layer_row(out: dict) -> dict[str, float]:
     """Per-layer metrics of one traced iteration."""
     layers = out["layers"]
     own, total, calls = layers["self_s"], layers["total_s"], layers["calls"]
     tallies, cold = layers["tallies"], out["cold_layers"]
     extra, counts = out["extra"], out["counts"]
     row = dict.fromkeys(PER_LAYER, 0.0)
+    row["host.ref_s"] = out["ref_s"]
     row["setup.import_s"] = out["import_s"]
     row["setup.build_s"] = out["build_s"]
     row["core.suite_s"] = own.get("core.suite", 0.0)
@@ -266,20 +265,13 @@ def layer_row(out: dict, workload: str) -> dict[str, float]:
     row["workload.profile_s"] = own.get("workload.profile", 0.0)
     row["workload.rank_s"] = own.get("workload.rank", 0.0)
     row["workload.coschedule_s"] = own.get("workload.coschedule", 0.0)
-    if workload == "fleet-survey":
-        row["fleet.suite_runs"] = calls.get("core.suite", 0)
-        row["fleet.suite_s"] = total.get("core.suite", 0.0)
-        row["fleet.coordinator_self_s"] = own.get("fleet.coordinator", 0.0)
-        row["fleet.worker_self_s"] = own.get("fleet.worker", 0.0)
-        for key in ("fleet.dedup_ratio", "fleet.messages", "fleet.dispatches", "fleet.degraded"):
-            row[key] = extra[key]
     row["obs.spans"] = sum(calls.values())
     row["unattributed_s"] = unattributed(layers, out["total_s"])
     return declared(row)
 
 
 def in_process(args, tally: Tally) -> tuple[list[dict], dict, list[dict]]:
-    """Iterations of a suite or fleet workload.
+    """Iterations of a suite workload.
 
     Returns the end-to-end values of each untraced iteration, the
     per-layer medians of the traced ones, and every worker's output.
@@ -320,14 +312,14 @@ def in_process(args, tally: Tally) -> tuple[list[dict], dict, list[dict]]:
             "setup_s": out["setup_s"],
             "peak_rss_mb": out["peak_rss_mb"],
             **out["steps"],
+            "ref_s": out["ref_s"],
             "suite_virtual_s": out["counts"].get("suite_virtual_s", 0.0),
-            "machines_per_s": 50 / out["steps"]["cold_s"],
         }
         for out in plain
     ]
     layers = {}
     if traced:
-        layers = median_metrics([layer_row(out, args.workload) for out in traced])
+        layers = median_metrics([layer_row(out) for out in traced])
         q1, q2, q3 = quartiles(overheads)
         layers["obs.trace_overhead"] = q2
         layers["obs.trace_overhead_q1"] = q1
@@ -414,6 +406,9 @@ def daemon_workload(args, tally: Tally) -> tuple[list[dict], dict, list[dict]]:
                 "setup_s": out["setup_s"],
                 "cold_s": cold["wall"],
                 "warm_s": warm["wall"],
+                "cold_rel": cold["rel"],
+                "warm_rel": warm["rel"],
+                "ref_s": out["ref_s"],
                 "peak_rss_mb": out["peak_rss_mb"],
                 "qps": len(lat) / cold["wall"],
                 "warm_qps": len(warm_lat) / warm["wall"],
@@ -432,6 +427,7 @@ def daemon_workload(args, tally: Tally) -> tuple[list[dict], dict, list[dict]]:
         row = dict.fromkeys(PER_LAYER, 0.0)
         row.update(
             {
+                "host.ref_s": out["ref_s"],
                 "service.cache.hits": service["hits"],
                 "service.cache.misses": service["misses"],
                 "service.cache.hit_ratio": service["hit_rate"],
@@ -459,18 +455,26 @@ def daemon_workload(args, tally: Tally) -> tuple[list[dict], dict, list[dict]]:
 #: Human table: the issue's metric names per workload, with units.
 NAMED = {
     "suite-dunnington": (
+        ("cold_s", "s"),
+        ("warm_s", "s"),
+        ("ref_s", "s"),
         ("suite_cold_s", "s"),
         ("suite_warm_s", "s"),
         ("coschedule_cold_s", "s"),
         ("suite_virtual_s", "simulated s"),
     ),
     "suite-ft8": (
+        ("cold_s", "s"),
+        ("warm_s", "s"),
+        ("ref_s", "s"),
         ("suite_cold_s", "s"),
         ("suite_warm_s", "s"),
         ("suite_virtual_s", "simulated s"),
     ),
-    "fleet-survey": (("machines_per_s", "1/s"),),
     "daemon-zipf": (
+        ("cold_s", "s"),
+        ("warm_s", "s"),
+        ("ref_s", "s"),
         ("qps", "1/s"),
         ("latency_p50_ms", "ms"),
         ("latency_p99_ms", "ms"),

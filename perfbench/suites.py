@@ -1,4 +1,4 @@
-"""One fresh-process iteration of an in-process workload.
+"""One fresh-process iteration of a suite workload.
 
 Run by ``run.py`` as ``python3 perfbench/suites.py WORKLOAD SEED TRACE``
 with ``src`` on ``PYTHONPATH``.  A fresh interpreter is the only way to
@@ -36,7 +36,7 @@ COSCHEDULE_MIX = (
 GOLDEN_SEED = 42
 
 #: Warm repeats per iteration; ``warm_s`` is their median.
-WARM_REPEATS = 3
+WARM_REPEATS = 7
 
 
 def canonical(data) -> str:
@@ -135,7 +135,7 @@ def run_suite(checks: Checks, backend, cold: bool) -> dict:
     }
 
 
-def suite_workload(name: str, seed: int, checks: Checks, timer) -> dict:
+def suite_workload(name: str, seed: int, checks: Checks, timer, host) -> dict:
     from repro import SimulatedBackend, dunnington, finis_terrae
     import repro.workload
 
@@ -144,7 +144,10 @@ def suite_workload(name: str, seed: int, checks: Checks, timer) -> dict:
     backend = SimulatedBackend(machine, seed=seed, noise=0.0)
     out = {"build_s": time.perf_counter() - start, "ready": time.monotonic()}
 
+    host.mark()
     cold = run_suite(checks, backend, cold=True)
+    host.mark()
+    rel = {"cold": host.rel(cold["wall"])}
     out["cold_layers"] = timer.snapshot() if timer is not None else None
     # The warm repeats build a new backend with the same seed, so every
     # traversal key recurs; they are timed separately and the median kept.
@@ -152,6 +155,12 @@ def suite_workload(name: str, seed: int, checks: Checks, timer) -> dict:
         run_suite(checks, SimulatedBackend(machine, seed=seed, noise=0.0), cold=False)
         for _ in range(WARM_REPEATS)
     ]
+    steps = {
+        "suite_cold_s": cold["wall"],
+        "suite_warm_s": statistics.median(run["wall"] for run in warm),
+    }
+    host.mark()
+    rel["warm"] = host.rel(steps["suite_warm_s"])
     report = cold["report"]
     check_detection(checks, report, backend.machine)
     measured = report.measurement_dict()
@@ -168,21 +177,17 @@ def suite_workload(name: str, seed: int, checks: Checks, timer) -> dict:
             canonical(measured) == golden,
             "measurement_dict() diverged from the golden",
         )
-    steps = {
-        "suite_cold_s": cold["wall"],
-        "suite_warm_s": statistics.median(run["wall"] for run in warm),
-    }
     total = cold["wall"] + sum(run["wall"] for run in warm)
 
     if name == "suite-dunnington":
         golden = (GOLDEN_DIR / "dunnington_coschedule.json").read_text()
-        walls = []
-        for _ in range(1 + WARM_REPEATS):
+
+        def advise() -> float:
             start = time.perf_counter()
             advice = repro.workload.co_schedule(
                 report, COSCHEDULE_MIX, seed=0, level=2, instances=2, top=3
             ).to_dict()
-            walls.append(time.perf_counter() - start)
+            wall = time.perf_counter() - start
             if seed == GOLDEN_SEED:
                 same = canonical(advice) == golden
             else:
@@ -194,11 +199,19 @@ def suite_workload(name: str, seed: int, checks: Checks, timer) -> dict:
                 same,
                 "co_schedule() ranking diverged from the golden",
             )
-        steps["coschedule_cold_s"] = walls[0]
-        steps["coschedule_warm_s"] = statistics.median(walls[1:])
-        total += sum(walls)
+            return wall
+
+        steps["coschedule_cold_s"] = advise()
+        host.mark()
+        rel["cold"] += host.rel(steps["coschedule_cold_s"])
+        walls = [advise() for _ in range(WARM_REPEATS)]
+        steps["coschedule_warm_s"] = statistics.median(walls)
+        host.mark()
+        rel["warm"] += host.rel(steps["coschedule_warm_s"])
+        total += steps["coschedule_cold_s"] + sum(walls)
     steps["cold_s"] = steps["suite_cold_s"] + steps.get("coschedule_cold_s", 0.0)
     steps["warm_s"] = steps["suite_warm_s"] + steps.get("coschedule_warm_s", 0.0)
+    steps["cold_rel"], steps["warm_rel"] = rel["cold"], rel["warm"]
     out.update(
         steps=steps,
         total_s=total,
@@ -217,76 +230,17 @@ def suite_workload(name: str, seed: int, checks: Checks, timer) -> dict:
     return out
 
 
-def fleet_workload(seed: int, checks: Checks, timer) -> dict:
-    from repro.fleet import FleetCoordinator, generate_fleet
-    from repro.memsim.outcome import GLOBAL_OUTCOME_CACHE
-
-    start = time.perf_counter()
-    spec = generate_fleet(50, 10, seed=seed)
-    out = {"build_s": time.perf_counter() - start, "ready": time.monotonic()}
-    walls, reports, outcome = [], [], []
-    for index in range(1 + WARM_REPEATS):
-        hits0, misses0 = outcome_counts(GLOBAL_OUTCOME_CACHE)
-        start = time.perf_counter()
-        reports.append(FleetCoordinator(spec).survey())
-        walls.append(time.perf_counter() - start)
-        hits1, misses1 = outcome_counts(GLOBAL_OUTCOME_CACHE)
-        outcome.append((hits1 - hits0, misses1 - misses0))
-        if index == 0:
-            out["cold_layers"] = timer.snapshot() if timer is not None else None
-    cold = reports[0]
-    checks.add("fleet report is complete", cold.complete, f"counts {cold.counts}")
-    # The survey is fault-free, so every machine of every survey must come
-    # back "ok": a degraded one (a phase that failed) is a failed operation.
-    for report in reports:
-        for machine, status in sorted(report.machines.items()):
-            checks.add("machine surveyed ok", status == "ok", f"{machine} is {status}")
-    checks.add(
-        "cold survey simulates every traversal",
-        outcome[0][0] == 0 and outcome[0][1] > 0,
-        f"cold (hits, misses) = {outcome[0]}",
-    )
-    survey = cold.survey_dict()
-    for report, counts in zip(reports[1:], outcome[1:]):
-        checks.add(
-            "warm survey replays every traversal",
-            counts == (outcome[0][1], 0),
-            f"warm (hits, misses) = {counts}, cold = {outcome[0]}",
-        )
-        checks.add(
-            "cold and warm surveys are identical",
-            survey == report.survey_dict(),
-            "survey_dict() differs between the cold and a warm survey",
-        )
-    out.update(
-        steps={"cold_s": walls[0], "warm_s": statistics.median(walls[1:])},
-        total_s=sum(walls),
-        counts={
-            "fleet.logical_s": cold.timing["logical_seconds"],
-            "fleet.dispatches": cold.protocol["dispatches"],
-            "memsim.outcome.misses": outcome[0][1],
-            "report_digest": digest(survey),
-        },
-        extra={
-            "outcome_hits": sum(hits for hits, _ in outcome),
-            "outcome_misses": sum(misses for _, misses in outcome),
-            "fleet.dedup_ratio": cold.dedup["ratio"],
-            "fleet.messages": sum(cold.protocol["messages"].values()),
-            "fleet.dispatches": cold.protocol["dispatches"],
-            "fleet.degraded": cold.counts.get("degraded", 0),
-        },
-    )
-    return out
-
-
 def main(argv: list[str]) -> int:
     workload, seed, trace = argv[0], int(argv[1]), argv[2] == "1"
     start = time.perf_counter()
     import repro.cli  # noqa: F401  (the import graph `servet` pays)
-    import repro.fleet  # noqa: F401
     import repro.workload  # noqa: F401
 
     import_s = time.perf_counter() - start
+    # The script's directory is on sys.path.  Imported after the timed
+    # imports so that numpy's import stays in ``setup.import_s``.
+    from hostref import HostClock, compute
+
     timer = None
     if trace:
         from layers import LayerTimer  # the script's directory is on sys.path
@@ -294,14 +248,13 @@ def main(argv: list[str]) -> int:
         timer = LayerTimer()
         timer.install()
     checks = Checks()
-    if workload == "fleet-survey":
-        out = fleet_workload(seed, checks, timer)
-    else:
-        out = suite_workload(workload, seed, checks, timer)
+    host = HostClock(compute)
+    out = suite_workload(workload, seed, checks, timer, host)
     out["extra"].update(comm_counts())
     out.update(
         import_s=import_s,
         peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        ref_s=host.ref_s(),
         checks=checks.results,
     )
     if timer is not None:
