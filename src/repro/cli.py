@@ -69,9 +69,9 @@ from .service import (
     TuningService,
     fingerprint_of,
     incremental_refresh,
-    query_from_spec,
     run_harness,
 )
+from .service.server import QUERY_KINDS, QueryKind
 from .serviced import ServicedClient, TuningDaemon
 from .zoo import (
     generate_machine,
@@ -94,6 +94,19 @@ from .topology import (
 DEFAULT_REGISTRY = os.environ.get(
     "SERVET_REGISTRY", str(Path.home() / ".servet" / "registry")
 )
+
+
+def _add_query_options(parser: argparse.ArgumentParser, kind: QueryKind) -> None:
+    """The flags of one query kind, generated from its table entry."""
+    for option in kind.options:
+        parser.add_argument(
+            option.flag,
+            dest=option.dest,
+            type=None if option.sep else option.type,
+            default=option.default,
+            metavar=option.metavar,
+            help=option.help,
+        )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -283,31 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="report file for 'advise co-schedule'",
     )
-    adv.add_argument(
-        "--workloads",
-        default=None,
-        metavar="SPEC[;SPEC...]",
-        help="';'-separated workload specs to place, e.g. "
-        "'streaming;zipf:s=1.3' (co-schedule)",
-    )
-    adv.add_argument(
-        "--seed", type=int, default=0, help="workload stream seed (co-schedule)"
-    )
-    adv.add_argument(
-        "--cache-level",
-        type=int,
-        default=None,
-        help="shared cache level to model (default: outermost shared)",
-    )
-    adv.add_argument(
-        "--instances",
-        type=int,
-        default=None,
-        help="shared-cache instances available (default: all detected)",
-    )
-    adv.add_argument(
-        "--top", type=int, default=3, help="ranked placements to show"
-    )
+    _add_query_options(adv, QUERY_KINDS["co-schedule"])
     adv.add_argument(
         "--json",
         action="store_true",
@@ -394,20 +383,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "path",
         help="report file (with --registry: digest/prefix or 'latest')",
     )
-    qry.add_argument(
-        "kind",
-        choices=[
-            "tile",
-            "matmul-tile",
-            "streaming-cores",
-            "aggregate",
-            "bcast",
-            "latency",
-            "co-schedule",
-        ],
-        help="which question to ask",
-    )
-    qry.add_argument(
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument(
         "--registry",
         nargs="?",
         const=DEFAULT_REGISTRY,
@@ -415,67 +392,20 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="read from this report registry instead of a file path",
     )
-    qry.add_argument(
+    source.add_argument(
         "--remote",
         default=None,
         metavar="HOST:PORT",
         help="ask a running 'servet serve --listen' daemon instead of "
         "loading a report (the positional path is ignored; pass '-')",
     )
-    qry.add_argument("--level", type=int, default=1, help="cache level (tiling)")
-    qry.add_argument(
-        "--arrays", type=int, default=1, help="arrays sharing the tile (tiling)"
+    kinds = qry.add_subparsers(
+        dest="kind", required=True, metavar="KIND", help="which question to ask"
     )
-    qry.add_argument(
-        "--elem", type=int, default=8, help="element size in bytes (tiling)"
-    )
-    qry.add_argument(
-        "--group", type=int, default=0, help="overhead group (streaming-cores)"
-    )
-    qry.add_argument(
-        "--pair",
-        default=None,
-        metavar="A,B",
-        help="core pair (aggregate/latency), e.g. 0,12",
-    )
-    qry.add_argument(
-        "--messages", type=int, default=16, help="message count (aggregate)"
-    )
-    qry.add_argument(
-        "--size", type=int, default=4096, help="message size in bytes"
-    )
-    qry.add_argument(
-        "--placement",
-        default=None,
-        metavar="C0,C1,...",
-        help="rank-to-core placement (bcast)",
-    )
-    qry.add_argument("--root", type=int, default=0, help="broadcast root rank")
-    qry.add_argument(
-        "--workloads",
-        default=None,
-        metavar="SPEC[;SPEC...]",
-        help="';'-separated workload specs (co-schedule)",
-    )
-    qry.add_argument(
-        "--seed", type=int, default=0, help="workload stream seed (co-schedule)"
-    )
-    qry.add_argument(
-        "--cache-level",
-        type=int,
-        default=None,
-        help="shared cache level to model (co-schedule; default: "
-        "outermost shared)",
-    )
-    qry.add_argument(
-        "--instances",
-        type=int,
-        default=None,
-        help="shared-cache instances available (co-schedule)",
-    )
-    qry.add_argument(
-        "--top", type=int, default=3, help="ranked placements (co-schedule)"
-    )
+    for kind in QUERY_KINDS.values():
+        _add_query_options(
+            kinds.add_parser(kind.name, help=kind.help, parents=[source]), kind
+        )
 
     wkl = sub.add_parser(
         "workload", help="inspect the synthetic workload generators"
@@ -871,19 +801,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _split_workloads(spec: str | None) -> list[str]:
-    if not spec:
-        raise ReproError(
-            "co-schedule needs --workloads 'SPEC;SPEC;...' "
-            "(see 'servet workload list')"
-        )
-    workloads = [w.strip() for w in spec.split(";") if w.strip()]
-    if not workloads:
-        raise ReproError("--workloads named no workloads")
-    return workloads
-
-
 def _cmd_advise_coschedule(args: argparse.Namespace) -> int:
+    query = QUERY_KINDS["co-schedule"].from_options(vars(args))
     if args.report is not None:
         report = ServetReport.load(args.report)
     elif args.registry is not None:
@@ -893,13 +812,7 @@ def _cmd_advise_coschedule(args: argparse.Namespace) -> int:
             "'advise co-schedule' needs the report via --report PATH "
             "or --registry [DIR]"
         )
-    advice = Advisor(report).co_schedule(
-        _split_workloads(args.workloads),
-        seed=args.seed,
-        level=args.cache_level,
-        instances=args.instances,
-        top=args.top,
-    )
+    advice = Advisor(report).co_schedule(**vars(query))
     if args.json:
         print(json.dumps(advice.to_dict(), indent=2, sort_keys=True))
         return 0
@@ -1123,35 +1036,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    params: dict = {
-        "level": args.level,
-        "n_arrays": args.arrays,
-        "elem_size": args.elem,
-        "group_index": args.group,
-        "n_messages": args.messages,
-        "message_size": args.size,
-        "nbytes": args.size,
-        "root": args.root,
-    }
-    if args.pair is not None:
-        core_a, core_b = (int(c) for c in args.pair.split(","))
-        params["core_a"], params["core_b"] = core_a, core_b
-    if args.placement is not None:
-        params["placement"] = [int(c) for c in args.placement.split(",")]
-    if args.kind == "co-schedule":
-        params["workloads"] = _split_workloads(args.workloads)
-        params["seed"] = args.seed
-        params["level"] = args.cache_level
-        params["instances"] = args.instances
-        params["top"] = args.top
+    query = QUERY_KINDS[args.kind].from_options(vars(args))
     if args.remote is not None:
         host, port = _parse_hostport(args.remote)
         with ServicedClient(host, port) as client:
-            result = client.query(query_from_spec(args.kind, None, **params))
+            result = client.query(query)
     else:
-        report = _load_report_arg(args.path, args.registry)
-        service = TuningService(report)
-        result = service.query(query_from_spec(args.kind, report, **params))
+        result = TuningService(_load_report_arg(args.path, args.registry)).query(query)
     print(json.dumps(result, indent=2, sort_keys=True))
     return 0
 

@@ -258,12 +258,20 @@ class ReportRegistry:
         return entries[-1]
 
     def get(self, spec: str = "latest", version: int | None = None) -> ServetReport:
+        """Load a report (see :meth:`get_with_entry`)."""
+        return self.get_with_entry(spec, version)[0]
+
+    def get_with_entry(
+        self, spec: str = "latest", version: int | None = None
+    ) -> tuple[ServetReport, RegistryEntry]:
         """Load a report, verifying integrity and migrating its schema.
 
         A version file that is unreadable or fails its checksum is
         quarantined (renamed ``*.quarantined``) and the next-newest
         intact version is tried; only when none survives is
-        :class:`RegistryError` raised.
+        :class:`RegistryError` raised.  The entry is that of the file
+        the report came from, read with it, so a concurrent ``put``
+        cannot pair one version's report with the next version's number.
         """
         digest = self.resolve(spec)
         digest_dir = self.root / digest
@@ -277,9 +285,9 @@ class ReportRegistry:
                 )
         quarantined: list[str] = []
         for path in reversed(candidates):
-            report = self._load_verified(path, quarantined)
-            if report is not None:
-                return report
+            loaded = self._load_verified(path, quarantined)
+            if loaded is not None:
+                return loaded
         detail = f" (quarantined: {', '.join(quarantined)})" if quarantined else ""
         raise RegistryError(
             f"registry has no intact report for {digest[:12]}{detail}"
@@ -348,7 +356,9 @@ class ReportRegistry:
 
     # -- internals ----------------------------------------------------------
 
-    def _load_verified(self, path: Path, quarantined: list[str]) -> ServetReport | None:
+    def _load_verified(
+        self, path: Path, quarantined: list[str]
+    ) -> tuple[ServetReport, RegistryEntry] | None:
         try:
             data = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError):
@@ -369,7 +379,8 @@ class ReportRegistry:
             self._quarantine(path, quarantined)
             return None
         try:
-            return ServetReport.from_dict(envelope["report"])
+            report = ServetReport.from_dict(envelope["report"])
+            return report, self._entry_from_envelope(path.parent.name, path, data)
         except Exception:
             self._quarantine(path, quarantined)
             return None

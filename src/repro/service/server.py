@@ -1,13 +1,12 @@
 """In-process tuning service: cached answers to ``Advisor`` queries.
 
 LIKWID-style always-available query layer over one stored report.
-Applications ask typed, hashable :class:`Query` value objects — tile
-size, streaming-core throttling, message aggregation, collective
-choice, point-to-point latency — and the service answers through an
-LRU+TTL cache in front of the (comparatively expensive) autotuning
-helpers.  Every answer is a plain dict of JSON scalars, so results can
-be cached, compared, and shipped over any transport without caring
-about the advisor's internal dataclasses.
+Applications ask typed, hashable :class:`Query` value objects, one
+dataclass per kind in the :data:`QUERY_KINDS` table, and the service
+answers through an LRU+TTL cache in front of the (comparatively
+expensive) autotuning helpers.  Every answer is a plain dict of JSON
+scalars, so results can be cached, compared, and shipped over any
+transport without caring about the advisor's internal dataclasses.
 
 Observability: per-query hit/miss/eviction/expiration counters and
 latency percentiles (:meth:`TuningService.metrics`).
@@ -21,9 +20,11 @@ hit rate — the bench and the integration tests pin a warm hit rate
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import threading
 import time
+import typing
 from collections import OrderedDict
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
@@ -34,7 +35,6 @@ from ..core.report import ServetReport
 from ..errors import ServiceError
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer
-from .fingerprint import normalize_options
 
 #: Union of the query value objects the service answers.
 Query = object
@@ -44,7 +44,7 @@ Query = object
 class TileQuery:
     """Elements per tile for ``n_arrays`` arrays in cache ``level``."""
 
-    level: int
+    level: int = 1
     n_arrays: int = 1
     elem_size: int = 8
 
@@ -53,7 +53,7 @@ class TileQuery:
 class MatmulTileQuery:
     """Blocked-matmul tile side for one cache level."""
 
-    level: int
+    level: int = 1
     elem_size: int = 8
 
 
@@ -71,8 +71,8 @@ class AggregationQuery:
 
     core_a: int
     core_b: int
-    n_messages: int
-    message_size: int
+    n_messages: int = 16
+    message_size: int = 4096
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ class BcastQuery:
     """Flat vs hierarchical broadcast for a placement and size."""
 
     placement: tuple[int, ...]
-    nbytes: int
+    nbytes: int = 64 * 1024
     root: int = 0
 
 
@@ -109,65 +109,295 @@ class CoScheduleQuery:
     top: int = 3
 
 
+# -- the query-kind table ------------------------------------------------
+#
+# Strict converters for the field annotations the query dataclasses use.
+# Wire and Python input alike pass through them: a bool or a fractional
+# float is not an integer, and a string is not a sequence (iterating
+# "0123" would invent a placement).
+
+
+def _as_int(value) -> int:
+    if type(value) is int:
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise TypeError(f"expected an integer, got {value!r}")
+
+
+def _as_float(value) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise TypeError(f"expected a number, got {value!r}")
+
+
+def _as_str(value) -> str:
+    if isinstance(value, str):
+        return value
+    raise TypeError(f"expected a string, got {value!r}")
+
+
+_SCALARS = {int: _as_int, float: _as_float, str: _as_str}
+
+
+def _scalar_type(hint) -> type:
+    """The scalar inside ``X``, ``X | None`` or ``tuple[X, ...]``."""
+    return next((a for a in typing.get_args(hint) if a is not type(None)), hint)
+
+
+def _converter(hint) -> Callable[[object], object]:
+    item = _SCALARS[_scalar_type(hint)]
+    if typing.get_origin(hint) is tuple:
+
+        def as_tuple(value) -> tuple:
+            if not isinstance(value, (list, tuple)):
+                raise TypeError(f"expected an array, got {value!r}")
+            return tuple(item(v) for v in value)
+
+        return as_tuple
+    if type(None) in typing.get_args(hint):
+        return lambda value: None if value is None else item(value)
+    return item
+
+
+class QueryOption(typing.NamedTuple):
+    """One generated CLI flag of a query kind.
+
+    A flag feeds one field, or every field sharing its spelling
+    (``--pair 0,12`` feeds ``core_a`` and ``core_b``).  argparse applies
+    ``type`` to a one-field scalar flag; a flag with a ``sep`` keeps its
+    text for :meth:`QueryKind.from_options` to split, so a malformed
+    value ends in a :class:`ServiceError`.  Sequences of strings split
+    on ``;`` because workload specs contain commas.
+    """
+
+    flag: str
+    dest: str
+    fields: tuple[str, ...]
+    type: type
+    sep: str | None
+    default: object
+    required: bool
+    metavar: str | None
+    help: str
+
+
+def _option(flag: str, group: list, hints: dict) -> QueryOption:
+    fields = tuple(f.name for f in group)
+    hint, default = hints[fields[0]], group[0].default
+    item = _scalar_type(hint)
+    if len(fields) > 1:
+        sep, metavar = ",", ",".join(name.upper() for name in fields)
+    elif typing.get_origin(hint) is tuple:
+        sep = ";" if item is str else ","
+        metavar = f"{fields[0].upper()}[{sep}...]"
+    else:
+        sep = metavar = None
+    required = default is dataclasses.MISSING
+    state = "required" if required else f"default: {default}"
+    dest = flag.lstrip("-").replace("-", "_")
+    default = None if required else default
+    help = f"{', '.join(fields)} ({state})"
+    return QueryOption(flag, dest, fields, item, sep, default, required, metavar, help)
+
+
+class QueryKind:
+    """One tuning query kind: its name, dataclass, answer and help.
+
+    The wire codec, :func:`query_from_spec`, the ``servet query`` flags
+    and :func:`answer` all derive from these and the dataclass fields,
+    once, at import; defaults live only on the dataclass.  ``flags``
+    gives a field a CLI spelling other than ``--field-name`` (fields
+    sharing a spelling take one comma-separated value); ``None`` keeps
+    a field off the CLI.
+    """
+
+    def __init__(self, name, cls, answer, help, flags=None) -> None:
+        self.name, self.cls, self.answer, self.help = name, cls, answer, help
+        hints = typing.get_type_hints(cls)
+        fields = dataclasses.fields(cls)
+        self.converters = tuple((f.name, _converter(hints[f.name])) for f in fields)
+        self.required = {f.name for f in fields if f.default is dataclasses.MISSING}
+        by_flag: dict[str, list] = {}
+        for f in fields:
+            flag = (flags or {}).get(f.name, "--" + f.name.replace("_", "-"))
+            if flag is not None:
+                by_flag.setdefault(flag, []).append(f)
+        self.options = tuple(
+            _option(flag, group, hints) for flag, group in by_flag.items()
+        )
+
+    def build(self, data, noun: str = "parameter") -> Query:
+        """The query a field mapping describes, every value checked.
+
+        Absent fields take the dataclass defaults; keys that name no
+        field (the wire ``kind``) are ignored.
+        """
+        values = {}
+        for name, convert in self.converters:
+            if name in data:
+                try:
+                    values[name] = convert(data[name])
+                except (TypeError, ValueError) as exc:
+                    raise ServiceError(
+                        f"query {self.name!r} has a bad {noun} {name!r}: {exc}"
+                    ) from None
+            elif name in self.required:
+                raise ServiceError(f"query {self.name!r} needs {noun} {name!r}")
+        return self.cls(**values)
+
+    def from_options(self, values) -> Query:
+        """The query parsed CLI flags describe (``values`` keyed by dest)."""
+        data = {}
+        for opt in self.options:
+            text = values.get(opt.dest)
+            if text is None:
+                if opt.required:
+                    raise ServiceError(f"query {self.name!r} needs {opt.flag}")
+                continue
+            if opt.sep is None:
+                data[opt.fields[0]] = text
+                continue
+            try:
+                items = [opt.type(p.strip()) for p in text.split(opt.sep) if p.strip()]
+            except ValueError as exc:
+                raise ServiceError(f"{opt.flag} {text!r}: {exc}") from None
+            if not items or len(opt.fields) > 1 and len(items) != len(opt.fields):
+                raise ServiceError(f"{opt.flag} takes {opt.metavar}, got {text!r}")
+            data.update(zip(opt.fields, items if len(opt.fields) > 1 else [items]))
+        return self.build(data)
+
+    def to_dict(self, query: Query) -> dict:
+        """The wire form: ``{"kind": ..., <fields>}``, tuples as lists."""
+        fields = {
+            name: (list(value) if isinstance(value, tuple) else value)
+            for name, value in vars(query).items()
+        }
+        return {"kind": self.name, **fields}
+
+
+def _answer_aggregate(advisor: Advisor, q: AggregationQuery) -> dict:
+    advice = advisor.should_aggregate(q.core_a, q.core_b, q.n_messages, q.message_size)
+    return {
+        "aggregate": bool(advice.aggregate),
+        "speedup": float(advice.speedup),
+        "separate_time": float(advice.separate_time),
+        "aggregated_time": float(advice.aggregated_time),
+        "layer_index": int(advice.layer_index),
+    }
+
+
+def _answer_bcast(advisor: Advisor, q: BcastQuery) -> dict:
+    choice = advisor.choose_bcast(list(q.placement), q.nbytes, root=q.root)
+    return {
+        "algorithm": str(choice.algorithm),
+        "flat_time": float(choice.flat_time),
+        "hierarchical_time": float(choice.hierarchical_time),
+        "predicted_speedup": float(choice.predicted_speedup),
+    }
+
+
+def _answer_latency(advisor: Advisor, q: CommLatencyQuery) -> dict:
+    layer = advisor.report.comm_layer_of(q.core_a, q.core_b)
+    return {
+        "latency": float(layer.estimate_latency(q.nbytes)),
+        "layer_index": int(layer.index),
+    }
+
+
+_PAIR = {"core_a": "--pair", "core_b": "--pair"}
+
+#: Every query kind the service answers, by name.  Adding a kind means
+#: adding one entry here.
+QUERY_KINDS: dict[str, QueryKind] = {
+    kind.name: kind
+    for kind in (
+        QueryKind(
+            "tile",
+            TileQuery,
+            lambda a, q: {
+                "elements": int(a.tile_elements(q.level, q.n_arrays, q.elem_size))
+            },
+            "elements per tile for arrays sharing one cache level",
+            {"n_arrays": "--arrays", "elem_size": "--elem"},
+        ),
+        QueryKind(
+            "matmul-tile",
+            MatmulTileQuery,
+            lambda a, q: {"side": int(a.matmul_tile(q.level, q.elem_size))},
+            "blocked-matmul tile side for one cache level",
+            {"elem_size": "--elem"},
+        ),
+        QueryKind(
+            "streaming-cores",
+            StreamingCoresQuery,
+            lambda a, q: {
+                "cores": int(
+                    a.max_useful_streaming_cores(q.group_index, q.efficiency_floor)
+                )
+            },
+            "cores of a memory-overhead group worth streaming from",
+            {"group_index": "--group", "efficiency_floor": None},
+        ),
+        QueryKind(
+            "aggregate",
+            AggregationQuery,
+            _answer_aggregate,
+            "whether to aggregate N messages between two cores",
+            {**_PAIR, "n_messages": "--messages", "message_size": "--size"},
+        ),
+        QueryKind(
+            "bcast",
+            BcastQuery,
+            _answer_bcast,
+            "flat or hierarchical broadcast for a placement",
+            {"nbytes": "--size"},
+        ),
+        QueryKind(
+            "latency",
+            CommLatencyQuery,
+            _answer_latency,
+            "point-to-point latency between two cores",
+            {**_PAIR, "nbytes": "--size"},
+        ),
+        QueryKind(
+            "co-schedule",
+            CoScheduleQuery,
+            lambda a, q: a.co_schedule(**vars(q)).to_dict(),
+            "rank placements of workloads onto the shared caches",
+            {"level": "--cache-level"},
+        ),
+    )
+}
+
+_KIND_OF_TYPE = {kind.cls: kind for kind in QUERY_KINDS.values()}
+
+
+def query_kind(name: str) -> QueryKind:
+    """The table entry for a kind name."""
+    kind = QUERY_KINDS.get(name) if isinstance(name, str) else None
+    if kind is None:
+        raise ServiceError(
+            f"unknown query kind {name!r} (expected one of {', '.join(QUERY_KINDS)})"
+        )
+    return kind
+
+
+def kind_of(query: Query) -> QueryKind:
+    """The table entry for a query object."""
+    kind = _KIND_OF_TYPE.get(type(query))
+    if kind is None:
+        raise ServiceError(f"unknown query type {type(query).__name__}")
+    return kind
+
+
 def answer(advisor: Advisor, query: Query) -> dict:
     """Compute one query's answer, uncached, as plain JSON scalars.
 
     This is the single source of truth the cache stores and the
     concurrent harness verifies against.
     """
-    if isinstance(query, TileQuery):
-        return {
-            "elements": int(
-                advisor.tile_elements(query.level, query.n_arrays, query.elem_size)
-            )
-        }
-    if isinstance(query, MatmulTileQuery):
-        return {"side": int(advisor.matmul_tile(query.level, query.elem_size))}
-    if isinstance(query, StreamingCoresQuery):
-        return {
-            "cores": int(
-                advisor.max_useful_streaming_cores(
-                    query.group_index, query.efficiency_floor
-                )
-            )
-        }
-    if isinstance(query, AggregationQuery):
-        advice = advisor.should_aggregate(
-            query.core_a, query.core_b, query.n_messages, query.message_size
-        )
-        return {
-            "aggregate": bool(advice.aggregate),
-            "speedup": float(advice.speedup),
-            "separate_time": float(advice.separate_time),
-            "aggregated_time": float(advice.aggregated_time),
-            "layer_index": int(advice.layer_index),
-        }
-    if isinstance(query, BcastQuery):
-        choice = advisor.choose_bcast(
-            list(query.placement), query.nbytes, root=query.root
-        )
-        return {
-            "algorithm": str(choice.algorithm),
-            "flat_time": float(choice.flat_time),
-            "hierarchical_time": float(choice.hierarchical_time),
-            "predicted_speedup": float(choice.predicted_speedup),
-        }
-    if isinstance(query, CommLatencyQuery):
-        layer = advisor.report.comm_layer_of(query.core_a, query.core_b)
-        return {
-            "latency": float(layer.estimate_latency(query.nbytes)),
-            "layer_index": int(layer.index),
-        }
-    if isinstance(query, CoScheduleQuery):
-        advice = advisor.co_schedule(
-            list(query.workloads),
-            seed=query.seed,
-            level=query.level,
-            instances=query.instances,
-            top=query.top,
-        )
-        return advice.to_dict()
-    raise ServiceError(f"unknown query type {type(query).__name__}")
+    return kind_of(query).answer(advisor, query)
 
 
 class LRUTTLCache:
@@ -502,65 +732,11 @@ def run_harness(
     )
 
 
-def query_from_spec(kind: str, report: ServetReport, **params) -> Query:
-    """Build a query from CLI-ish string/keyword parameters."""
-    kinds = {
-        "tile": lambda: TileQuery(
-            level=int(params.get("level", 1)),
-            n_arrays=int(params.get("n_arrays", 1)),
-            elem_size=int(params.get("elem_size", 8)),
-        ),
-        "matmul-tile": lambda: MatmulTileQuery(
-            level=int(params.get("level", 1)),
-            elem_size=int(params.get("elem_size", 8)),
-        ),
-        "streaming-cores": lambda: StreamingCoresQuery(
-            group_index=int(params.get("group_index", 0)),
-            efficiency_floor=float(params.get("efficiency_floor", 0.5)),
-        ),
-        "aggregate": lambda: AggregationQuery(
-            core_a=int(params["core_a"]),
-            core_b=int(params["core_b"]),
-            n_messages=int(params.get("n_messages", 16)),
-            message_size=int(params.get("message_size", 4096)),
-        ),
-        "bcast": lambda: BcastQuery(
-            placement=tuple(int(c) for c in params["placement"]),
-            nbytes=int(params.get("nbytes", 64 * 1024)),
-            root=int(params.get("root", 0)),
-        ),
-        "latency": lambda: CommLatencyQuery(
-            core_a=int(params["core_a"]),
-            core_b=int(params["core_b"]),
-            nbytes=int(params.get("nbytes", 4096)),
-        ),
-        "co-schedule": lambda: CoScheduleQuery(
-            workloads=tuple(str(w) for w in params["workloads"]),
-            seed=int(params.get("seed", 0)),
-            level=(
-                int(params["level"]) if params.get("level") is not None else None
-            ),
-            instances=(
-                int(params["instances"])
-                if params.get("instances") is not None
-                else None
-            ),
-            top=int(params.get("top", 3)),
-        ),
-    }
-    if kind not in kinds:
-        raise ServiceError(
-            f"unknown query kind {kind!r} (expected one of {sorted(kinds)})"
-        )
-    try:
-        return kinds[kind]()
-    except KeyError as exc:
-        raise ServiceError(f"query {kind!r} needs parameter {exc}") from exc
+def query_from_spec(kind: str, report: ServetReport | None = None, **params) -> Query:
+    """Build a query from keyword parameters named after its fields."""
+    return query_kind(kind).build(params)
 
 
-# ``normalize_options`` is re-exported for CLI convenience: building a
-# service from a live run needs the same option normalization the
-# fingerprint uses.
 __all__ = [
     "AggregationQuery",
     "BcastQuery",
@@ -569,14 +745,17 @@ __all__ = [
     "HarnessResult",
     "LRUTTLCache",
     "MatmulTileQuery",
+    "QUERY_KINDS",
     "Query",
+    "QueryKind",
     "SingleFlightTable",
     "StreamingCoresQuery",
     "TileQuery",
     "TuningService",
     "answer",
     "default_query_pool",
-    "normalize_options",
+    "kind_of",
     "query_from_spec",
+    "query_kind",
     "run_harness",
 ]

@@ -169,8 +169,8 @@ class TuningDaemon:
         self._registry = registry
         if registry is not None:
             digest = registry.resolve(spec)
-            version = registry.latest_version(digest)
-            report = registry.get(digest)
+            report, entry = registry.get_with_entry(digest)
+            version = entry.version
         else:
             digest, version = "file", 0
         self._digest = digest
@@ -332,13 +332,10 @@ class TuningDaemon:
         if self._registry.latest_version(self._digest) <= self._snapshot.version:
             return False
         with self._reload_lock:
-            latest = self._registry.latest_version(self._digest)
-            if latest <= self._snapshot.version:
-                return False
-            report = self._registry.get(self._digest)
-            # get() may have quarantined the newest file(s) and fallen
-            # back; trust the entry it actually served.
-            entry = self._registry.get_entry(self._digest)
+            # One read yields the report and the entry it came from: a
+            # put landing mid-load, or a quarantine fallback, cannot
+            # label one version's report with another's number.
+            report, entry = self._registry.get_with_entry(self._digest)
             if entry.version <= self._snapshot.version:
                 return False
             snapshot = _Snapshot(self._make_service(report), self._digest, entry.version)

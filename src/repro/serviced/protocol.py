@@ -33,9 +33,13 @@ implement a client in an afternoon:
 
 - **Queries on the wire.**  The typed query value objects of
   :mod:`repro.service.server` serialize as ``{"kind": ..., <fields>}``
-  through :func:`encode_query`/:func:`decode_query`; the kind names
-  match the ``servet query`` CLI (``tile``, ``matmul-tile``,
-  ``streaming-cores``, ``aggregate``, ``bcast``, ``latency``).
+  through :func:`encode_query`/:func:`decode_query`.  Kinds, field
+  names, defaults and field types all come from its
+  :data:`~repro.service.server.QUERY_KINDS` table, the same one the
+  ``servet query`` CLI is generated from.  Field types are strict: an
+  integer field takes a JSON integer (or an integral float such as
+  ``1024.0``), never a bool or ``2.9``, and a sequence field takes a
+  JSON array, never a string.
 
 Every protocol violation raises :class:`~repro.errors.ServicedError`
 at the boundary — a malformed frame is diagnosed where it is read,
@@ -48,18 +52,9 @@ import json
 import struct
 from collections.abc import Callable
 
-from ..errors import ServicedError
+from ..errors import ServiceError, ServicedError
 from ..ioutils import canonical_json
-from ..service.server import (
-    AggregationQuery,
-    BcastQuery,
-    CoScheduleQuery,
-    CommLatencyQuery,
-    MatmulTileQuery,
-    Query,
-    StreamingCoresQuery,
-    TileQuery,
-)
+from ..service.server import Query, kind_of, query_kind
 
 __all__ = [
     "MAX_FRAME",
@@ -134,83 +129,16 @@ def read_frame(read: Callable[[int], bytes]) -> dict | None:
 
 # -- query codec ------------------------------------------------------------
 
-#: kind -> (query class, decoder building the typed object from fields).
-_DECODERS: dict[str, tuple[type, Callable[[dict], Query]]] = {
-    "tile": (
-        TileQuery,
-        lambda d: TileQuery(
-            level=int(d["level"]),
-            n_arrays=int(d.get("n_arrays", 1)),
-            elem_size=int(d.get("elem_size", 8)),
-        ),
-    ),
-    "matmul-tile": (
-        MatmulTileQuery,
-        lambda d: MatmulTileQuery(
-            level=int(d["level"]), elem_size=int(d.get("elem_size", 8))
-        ),
-    ),
-    "streaming-cores": (
-        StreamingCoresQuery,
-        lambda d: StreamingCoresQuery(
-            group_index=int(d.get("group_index", 0)),
-            efficiency_floor=float(d.get("efficiency_floor", 0.5)),
-        ),
-    ),
-    "aggregate": (
-        AggregationQuery,
-        lambda d: AggregationQuery(
-            core_a=int(d["core_a"]),
-            core_b=int(d["core_b"]),
-            n_messages=int(d["n_messages"]),
-            message_size=int(d["message_size"]),
-        ),
-    ),
-    "bcast": (
-        BcastQuery,
-        lambda d: BcastQuery(
-            placement=tuple(int(c) for c in d["placement"]),
-            nbytes=int(d["nbytes"]),
-            root=int(d.get("root", 0)),
-        ),
-    ),
-    "latency": (
-        CommLatencyQuery,
-        lambda d: CommLatencyQuery(
-            core_a=int(d["core_a"]),
-            core_b=int(d["core_b"]),
-            nbytes=int(d["nbytes"]),
-        ),
-    ),
-    "co-schedule": (
-        CoScheduleQuery,
-        lambda d: CoScheduleQuery(
-            workloads=tuple(str(w) for w in d["workloads"]),
-            seed=int(d.get("seed", 0)),
-            level=int(d["level"]) if d.get("level") is not None else None,
-            instances=(
-                int(d["instances"]) if d.get("instances") is not None else None
-            ),
-            top=int(d.get("top", 3)),
-        ),
-    ),
-}
-
-_KIND_OF: dict[type, str] = {cls: kind for kind, (cls, _) in _DECODERS.items()}
-
 
 def encode_query(query: Query) -> dict:
     """Serialize a typed query object to its wire dict."""
-    kind = _KIND_OF.get(type(query))
-    if kind is None:
+    try:
+        kind = kind_of(query)
+    except ServiceError:
         raise ServicedError(
             f"query type {type(query).__name__} has no wire encoding"
-        )
-    fields = {
-        name: (list(value) if isinstance(value, tuple) else value)
-        for name, value in vars(query).items()
-    }
-    return {"kind": kind, **fields}
+        ) from None
+    return kind.to_dict(query)
 
 
 def decode_query(data: dict) -> Query:
@@ -219,20 +147,10 @@ def decode_query(data: dict) -> Query:
         raise ServicedError(
             f"query must be a JSON object, got {type(data).__name__}"
         )
-    kind = data.get("kind")
-    entry = _DECODERS.get(kind)
-    if entry is None:
-        raise ServicedError(
-            f"unknown query kind {kind!r} (expected one of "
-            f"{', '.join(sorted(_DECODERS))})"
-        )
-    _, decode = entry
     try:
-        return decode(data)
-    except KeyError as exc:
-        raise ServicedError(f"query kind {kind!r} needs field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ServicedError(f"query kind {kind!r} has a bad field: {exc}") from exc
+        return query_kind(data.get("kind")).build(data, noun="field")
+    except ServiceError as exc:
+        raise ServicedError(str(exc)) from None
 
 
 # -- request / response helpers ---------------------------------------------

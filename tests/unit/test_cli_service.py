@@ -155,3 +155,22 @@ def test_missing_registry_spec_fails_cleanly(tmp_path, capsys):
     code = main(["advise", "latest", "--registry", str(tmp_path / "empty")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["latency", "--pair", "0", "--size", "64"], "--pair"),
+        (["latency", "--pair", "0,1,2", "--size", "64"], "--pair"),
+        (["aggregate", "--pair", "a,b"], "--pair"),
+        (["bcast", "--placement", "0,x"], "--placement"),
+        (["bcast", "--placement", ","], "--placement"),
+        (["latency", "--pair", "0,1"], "--size"),
+    ],
+)
+def test_query_malformed_flags_exit_cleanly(argv, flag, capsys):
+    # Parsing fails before any connection is attempted, so the address
+    # is never dialled.
+    assert main(["query", "-", *argv, "--remote", "127.0.0.1:9"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err

@@ -219,3 +219,39 @@ def test_uninstrumented_daemon_serves_and_skips_metrics(dunnington_report):
             stats = c.stats()
     assert "daemon" not in stats
     assert d.metrics.value("counter", "serviced.requests", kind="query") == 0
+
+
+# -- hot reload ----------------------------------------------------------
+
+
+def test_reload_labels_report_with_the_version_it_loaded(
+    tmp_path, dunnington_backend, dunnington_report
+):
+    # A put that lands while check_reload reads the newest file must not
+    # pair that file's report with the newer version number.  The daemon
+    # is never started, so nothing but check_reload touches the registry.
+    from repro.core.report import ServetReport
+    from repro.service import ReportRegistry, fingerprint_of
+
+    fingerprint = fingerprint_of(dunnington_backend)
+
+    def variant(tag):
+        return ServetReport.from_dict({**dunnington_report.to_dict(), "system": tag})
+
+    registry = ReportRegistry(tmp_path / "registry")
+    registry.put(fingerprint, variant("v1"))
+    daemon = TuningDaemon(registry=registry)
+    registry.put(fingerprint, variant("v2"))
+    load = registry._load_verified
+
+    def load_then_publish(path, quarantined):
+        loaded = load(path, quarantined)
+        registry._load_verified = load  # publish once, mid-load
+        registry.put(fingerprint, variant("v3"))
+        return loaded
+
+    registry._load_verified = load_then_publish
+    assert daemon.check_reload()
+    assert (daemon.version, daemon.report.system) == (2, "v2")
+    assert daemon.check_reload()
+    assert (daemon.version, daemon.report.system) == (3, "v3")

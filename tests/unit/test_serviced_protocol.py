@@ -147,6 +147,50 @@ def test_bad_field_named():
         decode_query({"kind": "tile", "level": "not-a-number"})
 
 
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({"kind": "bcast", "placement": "0123"}, "placement"),
+        ({"kind": "co-schedule", "workloads": "zipf"}, "workloads"),
+        ({"kind": "co-schedule", "workloads": ["zipf", 3]}, "workloads"),
+        ({"kind": "tile", "level": True}, "level"),
+        ({"kind": "tile", "level": 2.9}, "level"),
+        ({"kind": "latency", "core_a": 0, "core_b": 1, "nbytes": None}, "nbytes"),
+        ({"kind": "streaming-cores", "efficiency_floor": False}, "efficiency_floor"),
+        ({"kind": "co-schedule", "workloads": ["zipf"], "level": 1.5}, "level"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_strict_field_types_named(data, field):
+    # A string is not a sequence and a bool or a fractional float is not
+    # an integer: the decoder refuses instead of iterating or truncating.
+    with pytest.raises(ServicedError, match=f"bad field '{field}'"):
+        decode_query(data)
+
+
+@pytest.mark.parametrize(
+    "data, expected",
+    [
+        ({"kind": "tile", "level": 2.0}, TileQuery(level=2)),
+        (
+            {"kind": "streaming-cores", "efficiency_floor": 1},
+            StreamingCoresQuery(efficiency_floor=1.0),
+        ),
+        (
+            {"kind": "co-schedule", "workloads": ["zipf"], "level": None},
+            CoScheduleQuery(workloads=("zipf",)),
+        ),
+    ],
+)
+def test_strict_field_types_accept_json_numbers(data, expected):
+    assert decode_query(data) == expected
+
+
+def test_unhashable_kind_rejected():
+    with pytest.raises(ServicedError, match="unknown query kind"):
+        decode_query({"kind": ["tile"]})
+
+
 def test_non_dict_query_rejected():
     with pytest.raises(ServicedError, match="JSON object"):
         decode_query("tile")
