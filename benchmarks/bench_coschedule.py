@@ -24,15 +24,18 @@ import os
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import ServetSuite, SimulatedBackend, dunnington
-from repro.memsim import Traversal, TraversalEngine
+from repro.memsim import Traversal, TraversalEngine, strided_addresses
 from repro.memsim.cache import SetAssociativeCache
 from repro.units import KiB
 from repro.viz import ascii_table
 from repro.workload import (
     CachePressureModel,
+    ReuseDistanceRecorder,
+    ReuseProfile,
     TraversalReuseRecorder,
     co_schedule,
     parse_workload,
@@ -182,7 +185,12 @@ def test_prediction_ordering_matches_simulation(report, figure):
 
 
 def test_recorder_hook_overhead(figure):
-    """The engine's recorder hook must cost ~nothing when disabled."""
+    """The engine's recorder hook must cost ~nothing when disabled.
+
+    The enabled run must also record what it was timed doing: each
+    core's per-traversal profile equals one ``observe`` of that core's
+    streams concatenated.
+    """
     machine = dunnington()
     traversals = [Traversal(0, 256 * KiB, 64), Traversal(1, 512 * KiB, 64)]
     repeats = 5 if QUICK else 20
@@ -197,9 +205,20 @@ def test_recorder_hook_overhead(figure):
         return time.perf_counter() - t0, result
 
     disabled_wall, disabled = timed(None)
-    enabled_wall, enabled = timed(TraversalReuseRecorder())
+    recorder = TraversalReuseRecorder()
+    enabled_wall, enabled = timed(recorder)
     # Recording must not perturb the measurement itself.
     assert enabled.cycles_per_access == disabled.cycles_per_access
+    line_size = machine.levels[0].spec.line_size
+    assert recorder.cores == [t.core for t in traversals]
+    for t in traversals:
+        lines = strided_addresses(t.array_bytes, t.stride) // line_size
+        one_shot = ReuseDistanceRecorder()
+        one_shot.observe(np.tile(lines, repeats))
+        name = f"core{t.core}"
+        assert recorder.profile(t.core, name) == ReuseProfile.from_recorder(
+            one_shot, name, 0
+        )
 
     ratio = enabled_wall / max(disabled_wall, 1e-9)
     figure(

@@ -1,4 +1,4 @@
-"""Streaming reuse-distance recording (Olken-style, bounded memory).
+"""Exact reuse-distance recording, one numpy batch per chunk.
 
 The reuse (LRU stack) distance of an access is the number of *distinct
 other* lines touched since the previous access to the same line; a
@@ -10,16 +10,25 @@ workload signature: one profiling pass predicts the miss ratio at
 composition of :mod:`repro.workload.contention` predicts co-run
 behaviour from two solo histograms.
 
-The classic exact algorithm (Olken) keeps the currently-live lines in
-an order-statistics tree keyed by last-access time and counts how many
-are more recent than the reused line.  This implementation uses the
-equivalent Fenwick-tree-over-positions formulation: every live line
-owns one slot in a bit-indexed tree ordered by last access; a reuse
-counts the marked slots after its old position (one ``O(log n)``
-prefix sum), then moves the line's mark to the end.  When the position
-space fills up, the live lines are renumbered compactly and the tree is
-rebuilt — so memory is bounded by the number of *distinct lines
-currently tracked*, never by the length of the trace.
+Each ``observe`` call handles its whole chunk as one batch.  One stable
+``argsort`` of the line ids gives every access its previous-touch time
+``prev`` (inside the chunk, or from the recorder's state).  The lines
+touched strictly between ``prev[i]`` and ``i`` are counted once each by
+the window's accesses whose own previous touch is older than
+``prev[i]``, so for a chunk starting at global clock ``cs``::
+
+    distance(i) = #{j < i in chunk : prev[j] < prev[i]}
+                  - max(0, prev[i] - cs + 1)
+                  + #{live lines last touched after prev[i]}
+
+The first term is a 2-D dominance count, computed bottom-up in merge
+levels with ``searchsorted`` (:func:`_smaller_before`); the second drops
+the chunk accesses at or before ``prev[i]``, which the first counts
+unconditionally; the third is one ``searchsorted`` over the sorted
+last-touch times of the lines live before the chunk.  Between calls
+the state is just those lines and their last-touch times, so memory is
+``O(distinct lines + chunk)``, never the length of the trace, and the
+result is independent of how the stream is chunked.
 
 Alongside each distance the recorder keeps the access-count gap of the
 reuse interval (how many of the stream's own accesses fell strictly
@@ -58,103 +67,156 @@ def bucket_of(distance: int) -> int:
     return (distance >> step_bits) << step_bits
 
 
+def _smaller_before(keys: np.ndarray) -> np.ndarray:
+    """``#{j < i : keys[j] < keys[i]}`` for every ``i``.
+
+    Equal keys are ordered by position, so an equal earlier key counts
+    as smaller.  The keys are replaced by their ranks (a permutation),
+    then bottom-up merge levels pair sorted runs of width ``w``: each
+    element of a right run gains the number of smaller elements in its
+    left run, one ``searchsorted`` for all pairs at once (each row is
+    shifted into its own value range).  Counts are accumulated per
+    rank, so every search and scatter runs over sorted data.
+    ``O(n log^2 n)`` work in ``O(n)`` memory.
+    """
+    n = len(keys)
+    ranks = np.empty(n, np.int64)
+    ranks[np.argsort(keys, kind="stable")] = np.arange(n)
+    by_rank = np.zeros(n, np.int64)
+    runs = ranks.copy()
+    w = 1
+    while w < n:
+        rows = n // (2 * w)
+        full = rows * 2 * w
+        pairs = runs[:full].reshape(rows, 2, w)
+        shift = np.arange(rows, dtype=np.int64)[:, None] * n
+        right = pairs[:, 1, :]
+        found = np.searchsorted(
+            (pairs[:, 0, :] + shift).ravel(), (right + shift).ravel()
+        )
+        # ``found`` indexes the flattened left runs; drop the rows
+        # before each element's own.
+        by_rank[right.ravel()] += found - np.arange(0, full // 2, w).repeat(w)
+        runs[:full] = np.sort(pairs.reshape(rows, 2 * w), axis=1).ravel()
+        if n - full > w:  # one ragged pair at the end
+            left, right = runs[full : full + w], runs[full + w :]
+            by_rank[right] += np.searchsorted(left, right)
+            runs[full:] = np.sort(runs[full:])
+        w *= 2
+    return by_rank[ranks]
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Indices where a new run of equal values starts (``ordered`` non-empty)."""
+    return np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+
+
 class ReuseDistanceRecorder:
     """Exact streaming reuse distances, accumulated into bounded bins.
 
-    ``observe`` consumes line-id vectors (any integer dtype) in stream
-    order; the accumulated state is read out with
+    ``observe`` consumes 1-D integer line-id vectors in stream order,
+    each as one numpy batch; the accumulated state is read out with
     :meth:`~repro.workload.profile.ReuseProfile.from_recorder`.
 
-    Memory is ``O(distinct lines)``: the Fenwick position space starts
-    at ``initial_slots`` and is compacted (live lines renumbered
-    ``0..m-1``) whenever it fills, growing only when more than half the
-    slots are still live after compaction.
+    Between calls the recorder keeps only the live lines (ascending)
+    and each one's last-touch time, so memory is ``O(distinct lines +
+    chunk)``.  Any chunking of a stream records the same bins.
     """
 
-    def __init__(self, initial_slots: int = 4096) -> None:
-        if initial_slots < 2:
-            raise MeasurementError("recorder needs at least 2 position slots")
-        self._slots = initial_slots
-        # Fenwick tree as a plain list: the per-access loop below does
-        # ~3 log(slots) scalar reads/writes, which a Python list serves
-        # several times faster than numpy scalar indexing.
-        self._tree = [0] * (self._slots + 1)
-        #: line id -> (position slot, access index of last touch)
-        self._last: dict[int, tuple[int, int]] = {}
-        self._next_slot = 0
+    def __init__(self) -> None:
+        self._lines = np.empty(0, np.int64)
+        self._last = np.empty(0, np.int64)
         self._clock = 0
-        self.compactions = 0
+        self._cold = 0
         # Accumulators: bucket lower edge -> [count, sum distance, sum gap].
         self._bins: dict[int, list[int]] = {}
-        self._cold = 0
-
-    def _compact(self) -> None:
-        """Renumber live lines to 0..m-1 (preserving recency order)."""
-        live = sorted(self._last.items(), key=lambda item: item[1][0])
-        m = len(live)
-        while m * 2 > self._slots:
-            self._slots *= 2
-        slots = self._slots
-        tree = self._tree = [0] * (slots + 1)
-        for new_slot, (line, (_, when)) in enumerate(live):
-            self._last[line] = (new_slot, when)
-            i = new_slot + 1
-            while i <= slots:
-                tree[i] += 1
-                i += i & (-i)
-        self._next_slot = m
-        self.compactions += 1
 
     def observe(self, lines: np.ndarray | list[int]) -> None:
-        """Feed the next chunk of the access stream (in order)."""
-        last = self._last
+        """Feed the next chunk of the access stream (in order).
+
+        The chunk must be 1-D with an integer dtype (a list of ints is
+        fine); float, bool and object input is refused rather than
+        truncated into line ids; an empty chunk is a no-op.  The input
+        is never written to.
+        """
+        chunk = np.asarray(lines)
+        if chunk.ndim != 1:
+            raise MeasurementError(
+                f"line ids must be a 1-D vector, got shape {chunk.shape}"
+            )
+        n = len(chunk)
+        if n == 0:
+            return  # whatever its dtype: ``np.asarray([])`` is float
+        if chunk.dtype.kind not in "iu":
+            raise MeasurementError(
+                f"line ids must have an integer dtype, got {chunk.dtype}"
+            )
+        chunk = chunk.astype(np.int64, copy=False)
+        start = self._clock
+
+        # Previous touch of every access: the access before it in its
+        # line's group, or the state's last touch for the group's head.
+        order = np.argsort(chunk, kind="stable")
+        grouped = chunk[order]
+        heads = _run_starts(grouped)
+        head_lines = grouped[heads]
+        prev = np.empty(n, np.int64)
+        prev[order[1:]] = order[:-1] + start
+        at = np.searchsorted(self._lines, head_lines)
+        known = at < len(self._lines)
+        known[known] = self._lines[at[known]] == head_lines[known]
+        head_prev = np.full(len(heads), -1, np.int64)
+        head_prev[known] = self._last[at[known]]
+        prev[order[heads]] = head_prev
+
+        reuse = prev >= 0
+        p = prev[reuse]
+        recency = np.sort(self._last)
+        distance = (
+            _smaller_before(prev)[reuse]
+            - np.maximum(p - start + 1, 0)
+            + (len(recency) - np.searchsorted(recency, p, side="right"))
+        )
+        gap = np.flatnonzero(reuse) + start - p - 1
+        self._accumulate(distance, gap)
+
+        # New state: untouched live lines plus each chunk line's last
+        # touch (the tail of its group).
+        keep = np.ones(len(self._lines), bool)
+        keep[at[known]] = False
+        tails = np.append(heads[1:], n) - 1
+        live = np.concatenate([self._lines[keep], head_lines])
+        live_last = np.concatenate([self._last[keep], order[tails] + start])
+        by_line = np.argsort(live)
+        self._lines = live[by_line]
+        self._last = live_last[by_line]
+        self._cold += n - len(p)
+        self._clock = start + n
+
+    def _accumulate(self, distance: np.ndarray, gap: np.ndarray) -> None:
+        """Add reuses to the bins, binning each distinct distance once."""
+        if not len(distance):
+            return
+        order = np.argsort(distance, kind="stable")
+        ordered = distance[order]
+        starts = _run_starts(ordered)
+        values = ordered[starts]
+        counts = np.diff(np.append(starts, len(ordered)))
+        gaps = np.add.reduceat(gap[order], starts)
+        # ``bucket_of`` is monotone, so equal edges are adjacent.
+        edges = np.array([bucket_of(v) for v in values.tolist()], np.int64)
+        firsts = _run_starts(edges)
         bins = self._bins
-        clock = self._clock
-        for raw in np.asarray(lines, dtype=np.int64):
-            line = int(raw)
-            if self._next_slot >= self._slots:
-                self._compact()
-            slots = self._slots
-            tree = self._tree
-            next_slot = self._next_slot
-            previous = last.get(line)
-            if previous is None:
-                self._cold += 1
-            else:
-                slot, when = previous
-                # Lines touched after this one's last access = live
-                # marks in (slot, next_slot); ``slot`` itself is
-                # marked, so the prefix up to it subtracts out.
-                prefix = 0
-                i = slot + 1
-                while i > 0:
-                    prefix += tree[i]
-                    i -= i & (-i)
-                distance = len(last) - prefix
-                gap = clock - when - 1
-                key = (
-                    distance
-                    if distance < EXACT_DISTANCES
-                    else bucket_of(distance)
-                )
-                bin_ = bins.get(key)
-                if bin_ is None:
-                    bin_ = bins[key] = [0, 0, 0]
-                bin_[0] += 1
-                bin_[1] += distance
-                bin_[2] += gap
-                i = slot + 1
-                while i <= slots:
-                    tree[i] -= 1
-                    i += i & (-i)
-            last[line] = (next_slot, clock)
-            i = next_slot + 1
-            while i <= slots:
-                tree[i] += 1
-                i += i & (-i)
-            self._next_slot = next_slot + 1
-            clock += 1
-        self._clock = clock
+        for lo, count, sum_distance, sum_gap in zip(
+            edges[firsts].tolist(),
+            np.add.reduceat(counts, firsts).tolist(),
+            np.add.reduceat(counts * values, firsts).tolist(),
+            np.add.reduceat(gaps, firsts).tolist(),
+        ):
+            row = bins.setdefault(lo, [0, 0, 0])
+            row[0] += count
+            row[1] += sum_distance
+            row[2] += sum_gap
 
     # -- readout ----------------------------------------------------------
 
@@ -171,7 +233,7 @@ class ReuseDistanceRecorder:
     @property
     def distinct_lines(self) -> int:
         """Distinct lines seen (== cold misses)."""
-        return len(self._last)
+        return len(self._lines)
 
     def bins(self) -> list[tuple[int, int, int, int]]:
         """Sorted ``(bucket_lo, count, sum_distance, sum_gap)`` rows."""

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.workload import (
+    EXACT_DISTANCES,
     CachePressureModel,
     ReuseDistanceRecorder,
     ReuseProfile,
@@ -45,7 +46,7 @@ GRID = [
 def fresh_profile(spec: str, seed: int) -> ReuseProfile:
     """Profile without the process-wide memo (for determinism checks)."""
     workload = parse_workload(spec)
-    recorder = ReuseDistanceRecorder(initial_slots=64)
+    recorder = ReuseDistanceRecorder()
     recorder.observe(workload.lines(seed))
     return ReuseProfile.from_recorder(recorder, workload.spec, seed)
 
@@ -74,14 +75,11 @@ def naive_profile(stream) -> tuple[int, dict[int, list[int]]]:
     return cold, bins
 
 
-@given(
-    stream=st.lists(st.integers(0, 40), min_size=1, max_size=400),
-    slots=st.sampled_from([2, 3, 8, 64]),
-)
+@given(stream=st.lists(st.integers(0, 40), min_size=1, max_size=400))
 @settings(max_examples=60, deadline=None)
-def test_recorder_equals_naive_stack(stream, slots):
-    """The Fenwick recorder matches the O(n^2) stack, compactions and all."""
-    recorder = ReuseDistanceRecorder(initial_slots=slots)
+def test_recorder_equals_naive_stack(stream):
+    """The batch recorder matches the O(n^2) stack."""
+    recorder = ReuseDistanceRecorder()
     recorder.observe(np.asarray(stream, dtype=np.int64))
     cold, bins = naive_profile(stream)
     assert recorder.cold == cold
@@ -96,13 +94,50 @@ def test_recorder_equals_naive_stack(stream, slots):
 @settings(max_examples=40, deadline=None)
 def test_recorder_chunking_is_transparent(stream):
     """Feeding one access at a time equals one big observe call."""
-    whole = ReuseDistanceRecorder(initial_slots=4)
+    whole = ReuseDistanceRecorder()
     whole.observe(np.asarray(stream, dtype=np.int64))
-    chunked = ReuseDistanceRecorder(initial_slots=4)
+    chunked = ReuseDistanceRecorder()
     for x in stream:
         chunked.observe([x])
     assert whole.bins() == chunked.bins()
     assert whole.cold == chunked.cold
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_lines=st.integers(256, 1000),
+    length=st.integers(500, 3000),
+    n_cuts=st.integers(0, 40),
+)
+@settings(max_examples=20, deadline=None)
+def test_recorder_geometric_buckets_equal_naive_stack(
+    seed, n_lines, length, n_cuts
+):
+    """Distances past EXACT_DISTANCES bin like the naive stack, however chunked.
+
+    A first sweep over every line makes later random reuses reach back
+    across hundreds of distinct lines, into the geometric buckets.
+    """
+    rng = np.random.default_rng(seed)
+    stream = np.concatenate(
+        [rng.permutation(n_lines), rng.integers(0, n_lines, length)]
+    )
+    cold, bins = naive_profile(stream)
+    expected = {lo: tuple(row) for lo, row in bins.items()}
+    assert max(expected) >= EXACT_DISTANCES
+    whole = ReuseDistanceRecorder()
+    whole.observe(stream)
+    cuts = np.sort(rng.choice(len(stream), n_cuts, replace=False))
+    chunked = ReuseDistanceRecorder()
+    for part in np.split(stream, cuts):
+        chunked.observe(part)
+    for recorder in (whole, chunked):
+        assert recorder.cold == cold == n_lines
+        assert recorder.accesses == len(stream)
+        assert recorder.distinct_lines == n_lines
+        assert {lo: (c, sd, sg) for lo, c, sd, sg in recorder.bins()} == (
+            expected
+        )
 
 
 @given(distance=st.integers(0, 2**40))

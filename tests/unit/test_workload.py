@@ -1,13 +1,16 @@
 """Unit tests for the workload layer: recorder hook, parsing, advisor edges."""
 
+import numpy as np
 import pytest
 
 from repro.errors import MeasurementError, WorkloadError
 from repro.memsim import Traversal, TraversalEngine, TraversalOutcomeCache
+from repro.memsim.traversal import _virtual_lines_shared
 from repro.topology import generic_smp
 from repro.units import KiB
 from repro.workload import (
     CachePressureModel,
+    ReuseDistanceRecorder,
     ReuseProfile,
     TraversalReuseRecorder,
     co_schedule,
@@ -79,6 +82,57 @@ def test_recorded_run_bypasses_outcome_cache():
     engine.run(traversals, rng=0)
     assert cache.stats() == before  # neither probed nor populated
     assert recorder.recorder(0).accesses == 64 * KiB // 64
+
+
+def test_recording_leaves_shared_line_vectors_untouched():
+    """The engine hands the recorder memoized read-only line vectors."""
+    shared = [
+        _virtual_lines_shared(64 * KiB, 64, 64),
+        _virtual_lines_shared(256 * KiB, 128, 64),
+    ]
+    before = [v.copy() for v in shared]
+    assert not any(v.flags.writeable for v in shared)
+    recorder = TraversalReuseRecorder()
+    for _ in range(2):
+        recorder.record(0, shared[0])
+        recorder.record(1, shared[1])
+    for vector, original in zip(shared, before):
+        assert vector.tobytes() == original.tobytes()
+    assert recorder.recorder(0).accesses == 2 * len(shared[0])
+    assert recorder.recorder(1).cold == len(np.unique(shared[1]))
+
+
+# -- recorder input -------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "lines, match",
+    [
+        (np.array([1.2, 1.9, 2.5]), "integer dtype"),
+        (np.array([1.0, 2.0]), "integer dtype"),
+        (np.array([True, False, True]), "integer dtype"),
+        (np.array([1, 2, 3], dtype=object), "integer dtype"),
+        ([1, 2.5], "integer dtype"),
+        (np.arange(6).reshape(2, 3), "1-D"),
+        (np.int64(3), "1-D"),
+    ],
+)
+def test_observe_rejects_non_integer_or_non_vector_input(lines, match):
+    recorder = ReuseDistanceRecorder()
+    with pytest.raises(MeasurementError, match=match):
+        recorder.observe(lines)
+    assert recorder.accesses == 0 and recorder.bins() == []
+
+
+def test_observe_accepts_int_lists_and_unsigned_vectors():
+    from_list = ReuseDistanceRecorder()
+    from_list.observe([3, 1, 3, 2, 1])
+    from_array = ReuseDistanceRecorder()
+    from_array.observe(np.array([3, 1, 3, 2, 1], dtype=np.uint16))
+    assert from_list.bins() == from_array.bins() == [(1, 1, 1, 1), (2, 1, 2, 2)]
+    assert from_list.cold == from_array.cold == 3
+    from_list.observe([])
+    assert from_list.accesses == 5
 
 
 # -- spec parsing ---------------------------------------------------------
