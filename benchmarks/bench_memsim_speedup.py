@@ -1,13 +1,12 @@
-"""Simulation-substrate speedup — outcome cache, shared paging, calendar queue.
+"""Simulation-substrate speedup — outcome cache and shared paging.
 
 Runs the unpruned (``prune="off"``) Dunnington suite — the configuration
 the seed repository's ``BENCH_planner.json`` timed at ~3.29 wall seconds
 — three ways: with the traversal outcome cache hard-bypassed
 (``sim_cache=False``), cold (empty process-wide caches), and warm
 (caches populated by the cold run).  Records wall clocks, the per-phase
-breakdown, outcome/comm cache statistics, and a calendar-queue versus
-binary-heap event-throughput microbench in ``BENCH_memsim.json`` at the
-repository root.
+breakdown, outcome/comm cache statistics, and a simmpi event-engine
+throughput microbench in ``BENCH_memsim.json`` at the repository root.
 
 Asserted, not just recorded:
 
@@ -34,7 +33,7 @@ from repro.core import ServetSuite
 from repro.memsim import clear_global_cache
 from repro.memsim.outcome import GLOBAL_COMM_CACHE, GLOBAL_OUTCOME_CACHE
 from repro.memsim.paging import AddressSpace
-from repro.simmpi.events import CalendarScheduler, Engine, HeapScheduler
+from repro.simmpi.events import Engine
 from repro.topology import dunnington
 from repro.viz import ascii_table
 
@@ -44,7 +43,7 @@ QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 
 #: Wall seconds of this exact configuration (unpruned Dunnington suite,
 #: seed=42, noise=0) in the seed repository's BENCH_planner.json —
-#: before the outcome cache, shared paging, and calendar queue existed.
+#: before the outcome cache and shared paging existed.
 #: Embedded because BENCH_planner.json is regenerated by the current
 #: substrate and no longer describes the seed.
 SEED_BASELINE_WALL = 3.287
@@ -84,9 +83,9 @@ def cache_stats_delta(before: dict, after: dict) -> dict:
     } | {"entries": after["entries"]}
 
 
-def scheduler_events_per_second(make_scheduler, n_events: int) -> float:
-    """Drain a mixed event storm; half the events hit the zero-delay lane."""
-    engine = Engine(make_scheduler())
+def engine_events_per_second(n_events: int) -> float:
+    """Drain a mixed event storm; half the events chain a zero-delay one."""
+    engine = Engine()
     delays = np.random.default_rng(7).uniform(1e-6, 1.0, size=n_events)
 
     def chained():
@@ -104,12 +103,12 @@ def scheduler_events_per_second(make_scheduler, n_events: int) -> float:
 @pytest.fixture(scope="module")
 def results() -> dict:
     clear_global_cache()
-    AddressSpace.clear_shared()
+    AddressSpace.SHARED.clear()
     bypass = timed_suite_run(sim_cache=False)
     # The bypass run left the shared page tables warm; a true cold run
     # starts from nothing.
     clear_global_cache()
-    AddressSpace.clear_shared()
+    AddressSpace.SHARED.clear()
 
     outcome_before = GLOBAL_OUTCOME_CACHE.stats()
     comm_before = GLOBAL_COMM_CACHE.stats()
@@ -131,12 +130,7 @@ def results() -> dict:
     n_events = 5_000 if QUICK else 40_000
     events = {
         "n_events": n_events,
-        "calendar_events_per_sec": scheduler_events_per_second(
-            CalendarScheduler, n_events
-        ),
-        "heap_events_per_sec": scheduler_events_per_second(
-            HeapScheduler, n_events
-        ),
+        "engine_events_per_sec": engine_events_per_second(n_events),
     }
     return {
         "bypass": bypass,
@@ -203,9 +197,9 @@ def test_substrate_speedup(results, figure):
     events = results["events"]
     rows.append(
         (
-            f"simmpi calendar vs heap ({events['n_events']} events)",
-            f"{events['calendar_events_per_sec'] / 1e6:.2f}M ev/s",
-            f"{events['calendar_events_per_sec'] / events['heap_events_per_sec']:.2f}x",
+            f"simmpi engine ({events['n_events']} events)",
+            f"{events['engine_events_per_sec'] / 1e6:.2f}M ev/s",
+            "-",
         )
     )
     figure(
@@ -213,7 +207,7 @@ def test_substrate_speedup(results, figure):
         ascii_table(
             ["configuration", "wall seconds", "speedup vs seed"],
             rows,
-            title="Outcome cache + shared paging + calendar queue",
+            title="Outcome cache + shared paging",
         ),
     )
 

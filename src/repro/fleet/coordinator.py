@@ -5,9 +5,11 @@ owns the job queue (one job per *hardware class*, not per machine —
 identical hardware yields identical reports at noise=0, so one
 representative is measured and the result broadcast to the class), and
 drives a population of :class:`~repro.fleet.worker.FleetWorker` state
-machines through the typed protocol over a discrete-event loop: a heap
-of ``(logical time, seq, event)`` entries, deterministic under a fixed
-fleet seed even with crashes, stragglers, and flaky machines injected.
+machines through the typed protocol.  Message deliveries and lease
+checks are callbacks on one :class:`~repro.simmpi.events.Engine`, whose
+virtual clock is the survey's logical clock, so a survey is
+deterministic under a fixed fleet seed even with crashes, stragglers,
+and flaky machines injected.
 
 Robustness machinery, all observable through ``repro.obs.metrics``:
 
@@ -35,7 +37,6 @@ Robustness machinery, all observable through ``repro.obs.metrics``:
 
 from __future__ import annotations
 
-import heapq
 import signal
 import threading
 import time
@@ -48,6 +49,7 @@ from ..core.report import ServetReport
 from ..errors import CheckpointError, FleetError, FleetProtocolError
 from ..obs.metrics import MetricsRegistry
 from ..service.fingerprint import MachineFingerprint
+from ..simmpi.events import Engine
 from .checkpoint import FleetCheckpoint
 from .protocol import (
     COORDINATOR,
@@ -169,7 +171,8 @@ class FleetCoordinator:
         self.fault_plan = fault_plan
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.checkpoint_path = Path(checkpoint) if checkpoint is not None else None
-        self.now = 0.0
+        self.engine = Engine()
+        self._on_class_complete: Callable[[_ClassState], None] | None = None
         self._drain_requested = False
         self._drain_reason = ""
         self._draining = False
@@ -186,8 +189,6 @@ class FleetCoordinator:
         self._job_seq = 0
         self._queue: deque[tuple[str, bool]] = deque()
         self._idle: deque[str] = deque()
-        self._heap: list[tuple[float, int, str, object]] = []
-        self._push_seq = 0
         self.workers: dict[str, FleetWorker] = {}
 
     # -- public API --------------------------------------------------------
@@ -224,11 +225,14 @@ class FleetCoordinator:
                 cls.status = "queued"
                 self._queue.append((key, False))
         for worker in self.workers.values():
-            self._push_message(*worker.job_request(0.0))
+            self._deliver_at(*worker.job_request(0.0))
 
+        self._on_class_complete = on_class_complete
         installed = self._install_sigint()
         try:
-            self._run_loop(on_class_complete)
+            # The event budget is a watchdog against a scheduling bug
+            # spinning the loop; it raises WatchdogError.
+            self.engine.run(max_events=2000 * len(self.spec.machines) + 100_000)
         finally:
             self._restore_sigint(installed)
 
@@ -241,50 +245,38 @@ class FleetCoordinator:
 
     # -- event loop --------------------------------------------------------
 
-    def _run_loop(
-        self, on_class_complete: Callable[[_ClassState], None] | None
-    ) -> None:
-        budget = 2000 * len(self.spec.machines) + 100_000
-        processed = 0
-        self._on_class_complete = on_class_complete
-        while self._heap:
-            processed += 1
-            if processed > budget:
-                raise FleetError(
-                    f"fleet event watchdog tripped after {budget} events "
-                    "(a scheduling bug is spinning the loop)"
-                )
+    def _at(self, when: float, handler: Callable, arg) -> None:
+        """Run ``handler(arg)`` at logical time ``when``.
+
+        A requested drain begins before the next event is handled.
+        """
+
+        def fire() -> None:
             if self._drain_requested and not self._draining:
                 self._begin_drain()
-            when, _, kind, data = heapq.heappop(self._heap)
-            self.now = max(self.now, when)
-            if kind == "lease":
-                self._on_lease_check(str(data))
-                continue
-            msg: Message = data  # type: ignore[assignment]
-            self.metrics.counter("fleet.messages", type=msg.type).inc()
-            if msg.recipient == COORDINATOR:
-                self._on_coordinator_message(msg)
-            else:
-                worker = self.workers.get(msg.recipient)
-                if worker is None:
-                    raise FleetProtocolError(
-                        f"frame addressed to unknown worker {msg.recipient!r}"
-                    )
-                for fire_at, out in worker.on_message(msg, self.now):
-                    self._push_message(fire_at, out)
+            handler(arg)
 
-    def _push_message(self, fire_at: float, msg: Message) -> None:
-        self._push_seq += 1
-        heapq.heappush(self._heap, (fire_at, self._push_seq, "msg", msg))
+        self.engine.schedule_at(when, fire)
 
-    def _push_lease_check(self, fire_at: float, job_id: str) -> None:
-        self._push_seq += 1
-        heapq.heappush(self._heap, (fire_at, self._push_seq, "lease", job_id))
+    def _deliver_at(self, when: float, msg: Message) -> None:
+        self._at(when, self._deliver, msg)
+
+    def _deliver(self, msg: Message) -> None:
+        self.metrics.counter("fleet.messages", type=msg.type).inc()
+        if msg.recipient == COORDINATOR:
+            self._on_coordinator_message(msg)
+            return
+        worker = self.workers.get(msg.recipient)
+        if worker is None:
+            raise FleetProtocolError(
+                f"frame addressed to unknown worker {msg.recipient!r}"
+            )
+        for fire_at, out in worker.on_message(msg, self.engine.now):
+            self._deliver_at(fire_at, out)
 
     def _send(self, msg_type: str, recipient: str, payload: dict) -> None:
-        fire_at = self.now + self.config.dispatch_overhead
-        self._push_message(
+        fire_at = self.engine.now + self.config.dispatch_overhead
+        self._deliver_at(
             fire_at,
             Message(
                 type=msg_type,
@@ -343,7 +335,7 @@ class FleetCoordinator:
         machine = self._machines[cls.representative]
         self._job_seq += 1
         job_id = f"{key[:8]}-j{self._job_seq}"
-        deliver_at = self.now + self.config.dispatch_overhead
+        deliver_at = self.engine.now + self.config.dispatch_overhead
         job = {
             "job_id": job_id,
             "machine_id": machine.machine_id,
@@ -357,7 +349,7 @@ class FleetCoordinator:
             "attempt": cls.attempts,
             "speculative": speculative,
         }
-        self._push_message(
+        self._deliver_at(
             deliver_at,
             Message(
                 type=JOB_DISPATCH,
@@ -375,7 +367,7 @@ class FleetCoordinator:
             "speculative": speculative,
         }
         self._jobs[job_id] = key
-        self._push_lease_check(lease, job_id)
+        self._at(lease, self._on_lease_check, job_id)
         cls.status = "running"
         self.metrics.counter("fleet.dispatches").inc()
         if speculative:
@@ -401,8 +393,8 @@ class FleetCoordinator:
         record = cls.outstanding.get(job_id)
         if record is None or cls.terminal:
             return  # a stale heartbeat from a reassigned or finished job
-        record["lease"] = self.now + self.config.lease_seconds
-        self._push_lease_check(record["lease"], job_id)
+        record["lease"] = self.engine.now + self.config.lease_seconds
+        self._at(record["lease"], self._on_lease_check, job_id)
         self._maybe_speculate(cls, record)
 
     def _maybe_speculate(self, cls: _ClassState, record: dict) -> None:
@@ -412,7 +404,7 @@ class FleetCoordinator:
         if hist.count < self.config.speculate_after:
             return
         p90 = hist.percentile(0.90)
-        elapsed = self.now - record["start"]
+        elapsed = self.engine.now - record["start"]
         if p90 > 0 and elapsed > self.config.speculate_factor * p90:
             cls.speculated = True
             self.metrics.counter("fleet.stragglers_detected").inc()
@@ -456,7 +448,7 @@ class FleetCoordinator:
         cls.outstanding.clear()
         self.metrics.counter("fleet.results_accepted").inc()
         self.metrics.histogram("fleet.job_seconds").observe(
-            self.now - record["start"]
+            self.engine.now - record["start"]
         )
         if self.store is not None:
             fingerprint = MachineFingerprint(
@@ -492,7 +484,7 @@ class FleetCoordinator:
         record = cls.outstanding.get(job_id)
         if record is None or cls.terminal:
             return
-        if self.now + 1e-9 < record["lease"]:
+        if self.engine.now + 1e-9 < record["lease"]:
             return  # a heartbeat extended the lease; its own check is queued
         cls.outstanding.pop(job_id)
         self.metrics.counter("fleet.lease_expiries").inc()
@@ -500,7 +492,7 @@ class FleetCoordinator:
             cls.attempts += 1
             cls.errors.append(
                 f"{cls.representative}: lease expired on worker "
-                f"{record['worker']} at t={self.now:g} "
+                f"{record['worker']} at t={self.engine.now:g} "
                 f"(attempt {cls.attempts}/{self.config.max_attempts})"
             )
         self._retry_or_fail(cls)
@@ -567,9 +559,8 @@ class FleetCoordinator:
     def _class_completed(self, cls: _ClassState) -> None:
         if self.checkpoint_path is not None:
             self._write_checkpoint()
-        hook = getattr(self, "_on_class_complete", None)
-        if hook is not None:
-            hook(cls)
+        if self._on_class_complete is not None:
+            self._on_class_complete(cls)
 
     def _begin_drain(self) -> None:
         self._draining = True
@@ -721,7 +712,7 @@ class FleetCoordinator:
             },
             counts=counts,
             timing={
-                "logical_seconds": self.now,
+                "logical_seconds": self.engine.now,
                 "wall_seconds": wall_seconds,
             },
             protocol=protocol,

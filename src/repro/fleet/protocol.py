@@ -4,10 +4,8 @@ The fleet layer is a rank-0-style work-distribution loop in the
 panda-yoda Yoda/Droid mold: a single coordinator owns the job queue,
 workers pull work with ``JOB_REQUEST`` and push results back, and every
 exchange is a typed :class:`Message` rather than an ad-hoc dict.  The
-current transport is in-process (the coordinator's discrete-event
-loop), but the protocol is serialization-clean — ``encode``/``decode``
-round-trip every message through canonical JSON — so an MPI or socket
-transport could carry the very same frames.
+transport is in-process: the coordinator delivers each frame as a
+callback on its discrete-event engine, so frames are never serialized.
 
 Message types
 -------------
@@ -23,19 +21,17 @@ Message types
 - ``DRAIN``         coordinator → worker: finish what you hold, then
   stop requesting (graceful shutdown).
 
-Every type declares the payload fields it requires; constructing or
-decoding a message that violates the contract raises
+Every type declares the payload fields it requires; constructing a
+message that violates the contract raises
 :class:`~repro.errors.FleetProtocolError` — a malformed frame is a bug
 surfaced at the boundary, never a KeyError three layers deep.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from ..errors import FleetProtocolError
-from ..ioutils import canonical_json
 
 __all__ = [
     "COORDINATOR",
@@ -89,15 +85,14 @@ class Message:
     """One typed frame between the coordinator and a worker.
 
     ``time`` is the fleet's *logical* clock (seconds since survey
-    start), not wall time: the discrete-event loop orders deliveries by
-    it, and two surveys of the same fleet produce the same timeline.
-    ``seq`` breaks ties deterministically.
+    start), not wall time: the coordinator's event engine delivers the
+    frame at that time, and two surveys of the same fleet produce the
+    same timeline.
     """
 
     type: str
     sender: str
     recipient: str
-    seq: int = 0
     time: float = 0.0
     payload: dict = field(default_factory=dict)
 
@@ -120,49 +115,3 @@ class Message:
                 f"{self.type} message from {self.sender!r} is missing "
                 f"required payload field(s): {', '.join(missing)}"
             )
-
-    # -- serialization ----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "type": self.type,
-            "sender": self.sender,
-            "recipient": self.recipient,
-            "seq": self.seq,
-            "time": self.time,
-            "payload": self.payload,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Message":
-        try:
-            return cls(
-                type=str(data["type"]),
-                sender=str(data["sender"]),
-                recipient=str(data["recipient"]),
-                seq=int(data["seq"]),
-                time=float(data["time"]),
-                payload=dict(data["payload"]),
-            )
-        except FleetProtocolError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FleetProtocolError(f"malformed message: {exc}") from exc
-
-    def encode(self) -> str:
-        """Wire form: canonical JSON (sorted keys, compact)."""
-        return canonical_json(self.to_dict())
-
-    @classmethod
-    def decode(cls, text: str) -> "Message":
-        """Inverse of :meth:`encode`."""
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FleetProtocolError(f"undecodable message frame: {exc}") from exc
-        if not isinstance(data, dict):
-            raise FleetProtocolError(
-                f"message frame must decode to an object, got "
-                f"{type(data).__name__}"
-            )
-        return cls.from_dict(data)

@@ -12,7 +12,6 @@ from .cache import SetAssociativeCache, MultiLevelSimulator, TraceAccess
 from .outcome import (
     GLOBAL_COMM_CACHE,
     GLOBAL_OUTCOME_CACHE,
-    TraversalOutcomeCache,
     clear_global_cache,
     stream_identity,
 )
@@ -43,7 +42,6 @@ from .stream import stream_copy_bandwidth
 __all__ = [
     "GLOBAL_COMM_CACHE",
     "GLOBAL_OUTCOME_CACHE",
-    "TraversalOutcomeCache",
     "clear_global_cache",
     "stream_identity",
     "SetAssociativeCache",

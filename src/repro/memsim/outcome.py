@@ -42,10 +42,9 @@ traversal calls that reached the engine.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-
 import numpy as np
+
+from ..lru import LRUCache
 
 #: Default bound on cached outcomes.  One full unpruned suite run on a
 #: 24-core machine produces ~3k distinct outcomes; the default keeps a
@@ -81,82 +80,21 @@ def stream_identity(rng: np.random.Generator) -> tuple | None:
     )
 
 
-class TraversalOutcomeCache:
-    """A bounded, thread-safe LRU map of traversal fingerprints to results.
-
-    Values are stored through :meth:`put` and returned by :meth:`get`
-    exactly as given — the :class:`~repro.memsim.traversal.
-    TraversalEngine` is responsible for copying mutable results so a
-    caller can never corrupt a cached entry.
-
-    ``hits``/``misses`` count every lookup (a bypassed *engine* never
-    consults the cache, so bypassed runs contribute to neither).
-    """
-
-    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[tuple, object] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def get(self, key: tuple):
-        """The cached outcome for ``key``, or None (counts hit/miss)."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry
-
-    def put(self, key: tuple, value) -> None:
-        """Insert an outcome, evicting the least recently used if full."""
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        """Drop every entry and reset the hit/miss counters."""
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def stats(self) -> dict[str, int]:
-        """Snapshot of ``{hits, misses, entries}``."""
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "entries": len(self._entries),
-            }
-
-
 #: Process-wide default cache.  Shared deliberately: the whole point is
 #: that a second backend simulating the same machine with the same seed
 #: (golden re-runs, fleet duplicates, cached-vs-bypass benches) reuses
 #: the first one's outcomes.  Hard bypass = construct the engine (or
 #: backend) with ``outcome_cache=None`` / ``sim_cache=False``.
-GLOBAL_OUTCOME_CACHE = TraversalOutcomeCache()
+GLOBAL_OUTCOME_CACHE = LRUCache(DEFAULT_MAX_ENTRIES)
 
 #: Companion cache for the discrete-event communication substrate.
 #: Ping-pong and concurrent-exchange simulations involve no RNG at all
 #: — they are pure functions of (cluster, comm config, pairs, message
 #: size) — so their keying needs no stream identity; the same bounded
-#: LRU structure serves.  Kept separate from the traversal cache so the
+#: LRU serves.  Kept separate from the traversal cache so the
 #: "traversal hits + misses == traversal probes issued" accounting
 #: invariant stays exact.
-GLOBAL_COMM_CACHE = TraversalOutcomeCache()
+GLOBAL_COMM_CACHE = LRUCache(DEFAULT_MAX_ENTRIES)
 
 
 def clear_global_cache() -> None:

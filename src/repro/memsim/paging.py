@@ -21,12 +21,11 @@ the two alternatives the paper discusses:
 from __future__ import annotations
 
 import abc
-import threading
-from collections import OrderedDict
 
 import numpy as np
 
 from ..errors import ConfigurationError, SimulationError
+from ..lru import LRUCache
 from ..units import is_power_of_two
 
 
@@ -196,11 +195,9 @@ class AddressSpace:
         if validate and _has_duplicates(self.page_table):
             raise SimulationError("page policy produced duplicate physical pages")
 
-    #: Bound on distinct shared page tables kept alive process-wide.
-    SHARED_MAX_ENTRIES = 8192
-
-    _shared: OrderedDict[tuple, "AddressSpace"] = OrderedDict()
-    _shared_lock = threading.Lock()
+    #: Process-wide shared page tables, keyed by policy token, geometry
+    #: and stream identity (see :meth:`shared`).
+    SHARED = LRUCache(8192)
 
     @classmethod
     def shared(
@@ -232,25 +229,12 @@ class AddressSpace:
         if identity is None:
             return cls(page_size, policy, array_bytes, rng)
         key = (token, page_size, array_bytes, identity)
-        with cls._shared_lock:
-            space = cls._shared.get(key)
-            if space is not None:
-                cls._shared.move_to_end(key)
-                return space
-        space = cls(page_size, policy, array_bytes, rng)
-        space.page_table.setflags(write=False)
-        with cls._shared_lock:
-            cls._shared[key] = space
-            cls._shared.move_to_end(key)
-            while len(cls._shared) > cls.SHARED_MAX_ENTRIES:
-                cls._shared.popitem(last=False)
+        space = cls.SHARED.get(key)
+        if space is None:
+            space = cls(page_size, policy, array_bytes, rng)
+            space.page_table.setflags(write=False)
+            cls.SHARED.put(key, space)
         return space
-
-    @classmethod
-    def clear_shared(cls) -> None:
-        """Drop the shared page-table cache (tests and benches)."""
-        with cls._shared_lock:
-            cls._shared.clear()
 
     @property
     def n_pages(self) -> int:

@@ -37,10 +37,11 @@ import numpy as np
 
 from ..errors import MeasurementError
 from ..ioutils import sha256_hex
+from ..lru import LRUCache
 from ..rng import ensure_rng, spawn
 from ..topology.cache import CacheOrganization, Indexing
 from ..topology.machine import Machine
-from .outcome import GLOBAL_OUTCOME_CACHE, TraversalOutcomeCache, stream_identity
+from .outcome import GLOBAL_OUTCOME_CACHE, stream_identity
 from .paging import AddressSpace, PagePolicy, RandomPaging
 from .prefetch import PrefetchModel
 from .tlb import TLBSpec
@@ -208,7 +209,7 @@ class TraversalEngine:
     outcome_cache:
         Where to memoize whole ``run`` outcomes.  Defaults to the
         process-wide :data:`~repro.memsim.outcome.GLOBAL_OUTCOME_CACHE`;
-        pass an explicit :class:`TraversalOutcomeCache` for a private
+        pass an explicit :class:`~repro.lru.LRUCache` for a private
         one, or ``None`` to bypass caching entirely (tests, baselines).
     reuse_recorder:
         Optional observer with a ``record(core, lines)`` method (e.g.
@@ -224,7 +225,7 @@ class TraversalEngine:
         machine: Machine,
         paging: PagePolicy | None = None,
         prefetch: PrefetchModel | None = None,
-        outcome_cache: TraversalOutcomeCache | None | object = _USE_GLOBAL_CACHE,
+        outcome_cache: LRUCache | None | object = _USE_GLOBAL_CACHE,
         reuse_recorder=None,
     ) -> None:
         self.machine = machine
@@ -232,7 +233,7 @@ class TraversalEngine:
         self.prefetch = prefetch if prefetch is not None else PrefetchModel()
         if outcome_cache is _USE_GLOBAL_CACHE:
             outcome_cache = GLOBAL_OUTCOME_CACHE
-        self.outcome_cache: TraversalOutcomeCache | None = outcome_cache
+        self.outcome_cache: LRUCache | None = outcome_cache
         self.reuse_recorder = reuse_recorder
         # Machine identity is by value (equal machines share outcomes
         # across engine/backend instances), hashed once here instead of

@@ -37,7 +37,6 @@ from .server import (
     CoScheduleQuery,
     CommLatencyQuery,
     HarnessResult,
-    LRUTTLCache,
     MatmulTileQuery,
     Query,
     StreamingCoresQuery,
@@ -65,7 +64,6 @@ __all__ = [
     "CommLatencyQuery",
     "FINGERPRINT_VERSION",
     "HarnessResult",
-    "LRUTTLCache",
     "MachineFingerprint",
     "MatmulTileQuery",
     "Query",

@@ -25,7 +25,6 @@ import random
 import threading
 import time
 import typing
-from collections import OrderedDict
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from collections.abc import Callable, Sequence
@@ -33,6 +32,7 @@ from collections.abc import Callable, Sequence
 from ..autotune import Advisor
 from ..core.report import ServetReport
 from ..errors import ServiceError
+from ..lru import LRUCache
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer
 
@@ -400,60 +400,6 @@ def answer(advisor: Advisor, query: Query) -> dict:
     return kind_of(query).answer(advisor, query)
 
 
-class LRUTTLCache:
-    """Thread-safe LRU cache with optional per-entry time-to-live.
-
-    ``ttl=None`` disables expiry (a report is immutable, so answers
-    only go stale when the service is pointed at a new report — the
-    TTL exists for deployments that hot-swap the registry underneath).
-    """
-
-    def __init__(
-        self,
-        capacity: int = 4096,
-        ttl: float | None = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if capacity < 1:
-            raise ServiceError("cache capacity must be >= 1")
-        if ttl is not None and ttl <= 0:
-            raise ServiceError("cache ttl must be > 0 (or None)")
-        self.capacity = capacity
-        self.ttl = ttl
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[object, tuple[float, object]] = OrderedDict()
-        self.evictions = 0
-        self.expirations = 0
-
-    def get(self, key) -> tuple[bool, object]:
-        """``(hit, value)``; expired entries count as misses."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return False, None
-            stored_at, value = entry
-            if self.ttl is not None and self._clock() - stored_at > self.ttl:
-                del self._entries[key]
-                self.expirations += 1
-                return False, None
-            self._entries.move_to_end(key)
-            return True, value
-
-    def put(self, key, value) -> None:
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-            self._entries[key] = (self._clock(), value)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
 class SingleFlightTable:
     """Bounded per-key locks serializing concurrent misses on one key.
 
@@ -522,7 +468,10 @@ class TuningService:
     report:
         The report to answer from (see :meth:`from_registry`).
     capacity / ttl / clock:
-        Answer-cache shape (see :class:`LRUTTLCache`).
+        Answer-cache shape (see :class:`~repro.lru.LRUCache`).  ``ttl=None``
+        disables expiry: a report is immutable, so answers only go stale
+        when the service is pointed at a new report — the TTL exists for
+        deployments that hot-swap the registry underneath.
     timer:
         Latency clock for the per-query metrics (injectable for
         deterministic tests).
@@ -553,7 +502,7 @@ class TuningService:
     ) -> None:
         self.report = report
         self.advisor = Advisor(report)
-        self.cache = LRUTTLCache(capacity=capacity, ttl=ttl, clock=clock)
+        self.cache = LRUCache(capacity, ttl=ttl, clock=clock)
         self._timer = timer
         self.metrics_registry = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer
@@ -589,7 +538,8 @@ class TuningService:
             else None
         )
         with span_ctx if span_ctx is not None else nullcontext():
-            hit, value = self.cache.get(query)
+            value = self.cache.get(query)
+            hit = value is not None
             if not hit:
                 # Compute outside the cache lock but under the key's
                 # single-flight lock: a racing client blocks here,
@@ -597,7 +547,8 @@ class TuningService:
                 # work is avoided and hit/miss counts depend only on
                 # the distinct-key set, not on thread interleaving.
                 with self.single_flight.flight(query):
-                    hit, value = self.cache.get(query)
+                    value = self.cache.get(query)
+                    hit = value is not None
                     if not hit:
                         value = answer(self.advisor, query)
                         self.cache.put(query, value)
@@ -743,7 +694,6 @@ __all__ = [
     "CoScheduleQuery",
     "CommLatencyQuery",
     "HarnessResult",
-    "LRUTTLCache",
     "MatmulTileQuery",
     "QUERY_KINDS",
     "Query",

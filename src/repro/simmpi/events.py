@@ -1,187 +1,56 @@
 """Virtual-time event loop.
 
 A minimal discrete-event engine: callbacks scheduled at absolute virtual
-times, executed in time order (FIFO among equal timestamps).  Kept
-deliberately tiny — all semantics live in :mod:`repro.simmpi.comm`.
-
-The pending set is a **calendar queue** (Brown-style bucketed scheduler,
-here with an unbounded sparse dict of buckets instead of a fixed ring):
-future events land in the bucket covering ``[k·width, (k+1)·width)``,
-pops always drain the lowest-keyed bucket, and the bucket width expands
-adaptively when the bucket population gets too sparse.  On top of it
-the engine keeps a **zero-delay fast lane**: ``comm`` schedules a large
-share of its traffic at ``delay == 0`` (send/receive handshakes), and
-those events need no priority structure at all — they are FIFO at the
-current timestamp, so a plain deque serves them.  Ordering is identical
-to the classic binary heap (time, then schedule order); the heap
-survives as :class:`HeapScheduler`, the reference implementation the
-property tests compare against.
+times, executed in time order (FIFO among equal timestamps).  The
+pending set is one binary heap of ``(time, seq, callback)`` entries, so
+the schedule sequence breaks every timestamp tie.  Kept deliberately
+tiny — the MPI semantics live in :mod:`repro.simmpi.comm`, and the
+fleet coordinator drives its message deliveries and lease checks
+through the same engine.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from collections.abc import Callable
 
 from ..errors import SimulationError, WatchdogError
 
-#: One queue entry: (absolute virtual time, schedule sequence, callback).
-Entry = tuple[float, int, Callable[[], None]]
-
-
-class HeapScheduler:
-    """Reference binary-heap scheduler (total order: time, then seq).
-
-    Kept as the ground truth the calendar queue is property-tested
-    against, and as an explicit fallback (``Engine(HeapScheduler())``).
-    """
-
-    def __init__(self) -> None:
-        self._heap: list[Entry] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, time: float, seq: int, fn: Callable[[], None]) -> None:
-        heapq.heappush(self._heap, (time, seq, fn))
-
-    def peek(self) -> tuple[float, int] | None:
-        """(time, seq) of the earliest entry, or None when empty."""
-        if not self._heap:
-            return None
-        head = self._heap[0]
-        return (head[0], head[1])
-
-    def pop(self) -> Entry:
-        return heapq.heappop(self._heap)
-
-
-class CalendarScheduler:
-    """Bucketed calendar queue over sparse integer-keyed buckets.
-
-    Events are binned by ``int(time / width)`` into a dict (so empty
-    buckets cost nothing), each bucket is a small binary heap ordered
-    by ``(time, seq)``, and the global minimum always lives in the
-    lowest-keyed bucket because bucket time ranges are disjoint.  The
-    width only ever *grows* (``_rebuild``): a too-small width is the
-    pathological case (every pop rescans the key space), while a
-    too-large one degrades gracefully toward a single heap.
-    """
-
-    #: Rebuild with a wider bucket once the live-bucket count passes this.
-    MAX_BUCKETS = 1024
-    #: Width growth factor on rebuild.
-    GROWTH = 8.0
-
-    def __init__(self, width: float | None = None) -> None:
-        if width is not None and width <= 0:
-            raise SimulationError("bucket width must be positive")
-        self._width = width
-        self._buckets: dict[int, list[Entry]] = {}
-        self._min_key: int | None = None
-        self._count = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    def _key(self, time: float) -> int:
-        return int(time / self._width)
-
-    def push(self, time: float, seq: int, fn: Callable[[], None]) -> None:
-        if self._width is None:
-            # First event calibrates the calendar: a handful of buckets
-            # up to the first horizon.  Adaptive growth fixes any bad
-            # initial guess.
-            self._width = time / 8.0 if time > 0 else 1.0
-        key = self._key(time)
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            self._buckets[key] = [(time, seq, fn)]
-            if self._min_key is None or key < self._min_key:
-                self._min_key = key
-            if len(self._buckets) > self.MAX_BUCKETS:
-                self._rebuild(self._width * self.GROWTH)
-        else:
-            heapq.heappush(bucket, (time, seq, fn))
-        self._count += 1
-
-    def peek(self) -> tuple[float, int] | None:
-        """(time, seq) of the earliest entry, or None when empty."""
-        if self._count == 0:
-            return None
-        head = self._buckets[self._min_key][0]
-        return (head[0], head[1])
-
-    def pop(self) -> Entry:
-        bucket = self._buckets[self._min_key]
-        entry = heapq.heappop(bucket)
-        if not bucket:
-            del self._buckets[self._min_key]
-            self._min_key = min(self._buckets) if self._buckets else None
-        self._count -= 1
-        return entry
-
-    def _rebuild(self, new_width: float) -> None:
-        entries = [entry for bucket in self._buckets.values() for entry in bucket]
-        self._width = new_width
-        self._buckets = {}
-        for entry in entries:
-            self._buckets.setdefault(self._key(entry[0]), []).append(entry)
-        for bucket in self._buckets.values():
-            heapq.heapify(bucket)
-        self._min_key = min(self._buckets) if self._buckets else None
-
 
 class Engine:
-    """A monotone virtual clock over a calendar queue + zero-delay lane."""
+    """A monotone virtual clock over a ``(time, seq, callback)`` heap."""
 
-    def __init__(self, scheduler: CalendarScheduler | HeapScheduler | None = None) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
-        self._sched = scheduler if scheduler is not None else CalendarScheduler()
-        #: FIFO of (seq, fn) at exactly the current timestamp.
-        self._now_queue: deque[tuple[int, Callable[[], None]]] = deque()
+        self._queue: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
 
     def schedule(self, delay: float, fn: Callable[[], None]) -> None:
         """Run ``fn`` ``delay`` virtual seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        time = self.now + delay
-        if time == self.now:
-            self._now_queue.append((self._seq, fn))
-        else:
-            self._sched.push(time, self._seq, fn)
+        heapq.heappush(self._queue, (self.now + delay, self._seq, fn))
+        self._seq += 1
+
+    def schedule_at(self, time: float, fn: Callable[[], None]) -> None:
+        """Run ``fn`` at absolute virtual time ``time`` (not before now)."""
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule into the past (t={time:g} < now={self.now:g})"
+            )
+        heapq.heappush(self._queue, (time, self._seq, fn))
         self._seq += 1
 
     @property
     def pending(self) -> int:
         """Number of not-yet-executed callbacks."""
-        return len(self._now_queue) + len(self._sched)
-
-    def _next_time(self) -> float | None:
-        """Virtual time of the next callback, or None when idle."""
-        if self._now_queue:
-            return self.now
-        head = self._sched.peek()
-        return None if head is None else head[0]
+        return len(self._queue)
 
     def step(self) -> bool:
         """Execute the earliest callback; False when nothing is pending."""
-        if self._now_queue:
-            # The calendar can still hold an earlier-scheduled event at
-            # this exact timestamp; (time, seq) decides, as in the heap.
-            head = self._sched.peek()
-            if head is None or (self.now, self._now_queue[0][0]) < head:
-                _, fn = self._now_queue.popleft()
-                fn()
-                return True
-        if not len(self._sched):
+        if not self._queue:
             return False
-        time, _, fn = self._sched.pop()
-        if time < self.now:
-            raise SimulationError("virtual time moved backwards")
-        self.now = time
+        self.now, _, fn = heapq.heappop(self._queue)
         fn()
         return True
 
@@ -195,15 +64,17 @@ class Engine:
         :class:`~repro.errors.WatchdogError` (a runaway model would
         otherwise spin forever).
         """
+        queue = self._queue
         executed = 0
-        while self.pending:
-            if max_time is not None and self._next_time() > max_time:
+        while queue:
+            if max_time is not None and queue[0][0] > max_time:
                 return executed
             if max_events is not None and executed >= max_events:
                 raise WatchdogError(
                     f"event budget of {max_events} callbacks exhausted at "
-                    f"virtual time {self.now:g}s ({self.pending} still pending)"
+                    f"virtual time {self.now:g}s ({len(queue)} still pending)"
                 )
-            self.step()
+            self.now, _, fn = heapq.heappop(queue)
+            fn()
             executed += 1
         return executed

@@ -24,7 +24,6 @@ profile is reproducible bit-for-bit anywhere.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from collections.abc import Callable
 
@@ -32,6 +31,7 @@ import numpy as np
 
 from ..errors import WorkloadError
 from ..ioutils import sha256_hex
+from ..lru import LRUCache
 from .profile import ReuseProfile
 from .recorder import ReuseDistanceRecorder
 
@@ -162,9 +162,8 @@ def parse_workload(spec: str) -> Workload:
 
 # -- profiling ---------------------------------------------------------------
 
-_PROFILE_CACHE: dict[tuple[str, int], ReuseProfile] = {}
-_PROFILE_LOCK = threading.Lock()
-_PROFILE_CACHE_CAP = 256
+#: Memoized profiles, keyed by ``(canonical spec, seed)``.
+PROFILE_CACHE = LRUCache(256)
 
 
 def profile_workload(
@@ -186,8 +185,7 @@ def profile_workload(
     key = (workload.spec, int(seed))
     if metrics is not None:
         metrics.counter("workload.profile.requests").inc()
-    with _PROFILE_LOCK:
-        cached = _PROFILE_CACHE.get(key)
+    cached = PROFILE_CACHE.get(key)
     if cached is not None:
         if metrics is not None:
             metrics.counter("workload.profile.cache_hits").inc()
@@ -197,8 +195,5 @@ def profile_workload(
     profile = ReuseProfile.from_recorder(recorder, workload.spec, int(seed))
     if metrics is not None:
         metrics.counter("workload.profile.accesses").inc(profile.accesses)
-    with _PROFILE_LOCK:
-        if len(_PROFILE_CACHE) >= _PROFILE_CACHE_CAP:
-            _PROFILE_CACHE.clear()
-        _PROFILE_CACHE[key] = profile
+    PROFILE_CACHE.put(key, profile)
     return profile

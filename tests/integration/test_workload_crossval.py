@@ -21,7 +21,7 @@ import pytest
 
 from repro.memsim.cache import SetAssociativeCache
 from repro.workload import CachePressureModel, parse_workload, predict_corun
-from repro.workload.generators import _PROFILE_CACHE, profile_workload
+from repro.workload.generators import PROFILE_CACHE, profile_workload
 
 #: Max per-workload |predicted - simulated| co-run miss ratio.
 MISS_TOLERANCE = 0.08
@@ -134,7 +134,7 @@ def test_knife_edge_is_the_known_weakness():
 
 def test_profile_cache_serves_repeats():
     """The memo returns the identical object for a repeated profile."""
-    _PROFILE_CACHE.clear()
+    PROFILE_CACHE.clear()
     first = profile_workload("zipf:lines=256,accesses=1024", seed=7)
     again = profile_workload("zipf:accesses=1024,lines=256,s=1.2", seed=7)
     assert again is first  # canonical spec: same key either spelling

@@ -1,11 +1,11 @@
-"""Property: the calendar queue is order-identical to the binary heap.
+"""Property: the event engine runs callbacks in (time, seq) order.
 
-The discrete-event engine's whole contract is the pop order — (time,
-then schedule sequence) — and :class:`HeapScheduler` is the reference
-implementation kept for exactly this comparison.  Seeded random
-schedules (including heavy timestamp ties, interleaved pops, forced
-calendar rebuilds, and zero-delay fast-lane traffic at the engine
-level) must drain in the same order from both.
+The discrete-event engine's whole contract is its execution order —
+time, then schedule sequence.  The oracle here is deliberately naive
+and independent of the engine's heap: a plain list scanned for its
+minimum ``(time, seq)`` entry on every pop.  Seeded random
+self-rescheduling programs (heavy timestamp ties, zero-delay traffic,
+mixed magnitudes) must run in the same order on both.
 """
 
 from __future__ import annotations
@@ -13,74 +13,34 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.simmpi.events import CalendarScheduler, Engine, HeapScheduler
+from repro.simmpi.events import Engine
 
 SEEDS = list(range(24))
 
 
-class TinyCalendar(CalendarScheduler):
-    """Calendar forced into frequent rebuilds (tiny bucket budget)."""
+class NaiveScheduler:
+    """The engine's interface over an unordered list (min-scan pops)."""
 
-    MAX_BUCKETS = 4
+    def __init__(self) -> None:
+        self.now = 0.0
+        self._entries: list[tuple[float, int, object]] = []
+        self._seq = 0
 
+    def schedule(self, delay: float, fn) -> None:
+        self._entries.append((self.now + delay, self._seq, fn))
+        self._seq += 1
 
-def random_times(rng: np.random.Generator, n: int) -> list[float]:
-    """Timestamps with deliberate ties and wildly mixed magnitudes."""
-    pool = np.concatenate(
-        [
-            rng.uniform(0.0, 1e-3, size=n),  # microsecond-scale comm events
-            rng.uniform(0.0, 10.0, size=n),  # second-scale compute events
-            rng.choice([0.0, 0.5, 1.0, 2.5], size=n),  # guaranteed ties
-        ]
-    )
-    times = rng.choice(pool, size=n, replace=True)
-    return [float(t) for t in times]
-
-
-def drain_in_lockstep(rng, scheduler_cls, n_events: int) -> None:
-    """Push/pop the same random script through both schedulers."""
-    cal = scheduler_cls()
-    heap = HeapScheduler()
-    times = random_times(rng, n_events)
-    seq = 0
-    popped_cal: list[tuple[float, int]] = []
-    popped_heap: list[tuple[float, int]] = []
-    for time in times:
-        cal.push(time, seq, None)
-        heap.push(time, seq, None)
-        seq += 1
-        assert cal.peek() == heap.peek()
-        if rng.random() < 0.3 and len(heap):  # interleave pops with pushes
-            popped_cal.append(cal.pop()[:2])
-            popped_heap.append(heap.pop()[:2])
-    drained_from = len(popped_heap)
-    while len(heap):
-        popped_cal.append(cal.pop()[:2])
-        popped_heap.append(heap.pop()[:2])
-    assert len(cal) == 0
-    assert popped_cal == popped_heap
-    # Once pushes stop, the remaining drain is globally (time, seq)
-    # ordered.  (The interleaved phase need not be: a later push may
-    # carry an earlier timestamp than events already popped.)
-    assert popped_heap[drained_from:] == sorted(popped_heap[drained_from:])
+    def run(self) -> None:
+        while self._entries:
+            head = min(range(len(self._entries)), key=lambda i: self._entries[i][:2])
+            self.now, _, fn = self._entries.pop(head)
+            fn()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_calendar_pops_in_heap_order(seed):
-    drain_in_lockstep(np.random.default_rng(seed), CalendarScheduler, 120)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_calendar_survives_forced_rebuilds(seed):
-    # MAX_BUCKETS=4 makes almost every push widen the calendar; the
-    # order contract must hold across every _rebuild.
-    drain_in_lockstep(np.random.default_rng(seed + 1000), TinyCalendar, 120)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_engine_execution_order_matches_heap_engine(seed):
-    """Full engines (calendar + zero-delay lane vs plain heap) run the
-    same randomized self-rescheduling program in the same order."""
+def test_engine_execution_order_matches_naive_scheduler(seed):
+    """The engine and the naive scheduler run the same randomized
+    self-rescheduling program in the same order."""
     rng = np.random.default_rng(seed)
     script = [
         (float(d), int(k))
@@ -90,14 +50,14 @@ def test_engine_execution_order_matches_heap_engine(seed):
         )
     ]
 
-    def run(engine: Engine) -> list[tuple[int, float]]:
+    def run(engine) -> list[tuple[int, float]]:
         order: list[tuple[int, float]] = []
         cursor = iter(enumerate(script))
 
         def fire(event_id: int, fanout: int) -> None:
             order.append((event_id, engine.now))
             # Each event schedules up to `fanout` successors, consuming
-            # the shared script so both engines see identical requests.
+            # the shared script so both schedulers see identical requests.
             for _ in range(fanout):
                 try:
                     next_id, (delay, next_fanout) = next(cursor)
@@ -119,30 +79,30 @@ def test_engine_execution_order_matches_heap_engine(seed):
         engine.run()
         return order
 
-    calendar_order = run(Engine())
-    heap_order = run(Engine(HeapScheduler()))
-    assert calendar_order == heap_order
-    times = [t for _, t in calendar_order]
+    engine_order = run(Engine())
+    naive_order = run(NaiveScheduler())
+    assert engine_order == naive_order
+    times = [t for _, t in engine_order]
     assert times == sorted(times)
 
 
 @pytest.mark.parametrize("seed", SEEDS[:8])
 def test_zero_delay_respects_earlier_calendar_event_at_same_time(seed):
     """A delay-0 event must not jump ahead of an earlier-scheduled
-    calendar event sitting at exactly the current timestamp."""
+    event already pending at exactly the current timestamp."""
     rng = np.random.default_rng(seed)
     t = float(rng.uniform(0.1, 5.0))
-    for engine in (Engine(), Engine(HeapScheduler())):
-        order: list[str] = []
+    engine = Engine()
+    order: list[str] = []
 
-        def arrive():
-            order.append("arrive")
-            engine.schedule(0.0, lambda: order.append("zero"))
+    def arrive():
+        order.append("arrive")
+        engine.schedule(0.0, lambda: order.append("zero"))
 
-        # arrive (seq 0) pops first and enqueues "zero" (seq 2) in the
-        # fast lane while "calendar" (seq 1) still sits in the calendar
-        # at the same timestamp t — (time, seq) must decide.
-        engine.schedule(t, arrive)
-        engine.schedule(t, lambda: order.append("calendar"))
-        engine.run()
-        assert order == ["arrive", "calendar", "zero"]
+    # arrive (seq 0) runs first and schedules "zero" (seq 2) at t while
+    # "pending" (seq 1) already waits at the same timestamp t — (time,
+    # seq) must decide.
+    engine.schedule(t, arrive)
+    engine.schedule(t, lambda: order.append("pending"))
+    engine.run()
+    assert order == ["arrive", "pending", "zero"]

@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.memsim.outcome import TraversalOutcomeCache, stream_identity
+from repro.lru import LRUCache
+from repro.memsim.outcome import DEFAULT_MAX_ENTRIES, stream_identity
 from repro.memsim.paging import AddressSpace, ColoredPaging, RandomPaging
 from repro.memsim.traversal import Traversal, TraversalEngine
 from repro.topology import dempsey, dunnington
@@ -23,9 +24,9 @@ SEEDS = list(range(24))
 
 @pytest.fixture(autouse=True)
 def fresh_shared_spaces():
-    AddressSpace.clear_shared()
+    AddressSpace.SHARED.clear()
     yield
-    AddressSpace.clear_shared()
+    AddressSpace.SHARED.clear()
 
 
 def random_traversals(rng: np.random.Generator, machine) -> list[Traversal]:
@@ -57,7 +58,7 @@ def test_cached_equals_bypassed(seed):
     batch_rng = np.random.default_rng(seed + 5000)
     batches = [random_traversals(batch_rng, machine) for _ in range(4)]
 
-    cache = TraversalOutcomeCache()
+    cache = LRUCache(DEFAULT_MAX_ENTRIES)
     cached_engine = TraversalEngine(machine, outcome_cache=cache)
     bypass_engine = TraversalEngine(machine, outcome_cache=None)
 
@@ -70,7 +71,13 @@ def test_cached_equals_bypassed(seed):
         # Both paths must consume the parent stream identically, or the
         # *next* batch would diverge.
         assert stream_identity(rng_cached) == stream_identity(rng_bypass)
-    assert cache.stats() == {"hits": 0, "misses": len(batches), "entries": len(batches)}
+    assert cache.stats() == {
+        "hits": 0,
+        "misses": len(batches),
+        "evictions": 0,
+        "expirations": 0,
+        "entries": len(batches),
+    }
 
     # Replaying the whole sequence from an identically seeded parent
     # stream reproduces every key: all hits, same results.
@@ -92,7 +99,7 @@ def test_cached_equals_bypassed_under_coloring(seed):
     paging = ColoredPaging(n_colors=64)
     batch = random_traversals(np.random.default_rng(seed + 9000), machine)
 
-    cache = TraversalOutcomeCache()
+    cache = LRUCache(DEFAULT_MAX_ENTRIES)
     cached_engine = TraversalEngine(machine, paging=paging, outcome_cache=cache)
     bypass_engine = TraversalEngine(machine, paging=paging, outcome_cache=None)
     for _ in range(2):  # second pass hits
@@ -100,7 +107,13 @@ def test_cached_equals_bypassed_under_coloring(seed):
             cached_engine.run(batch, rng=np.random.default_rng(seed)),
             bypass_engine.run(batch, rng=np.random.default_rng(seed)),
         )
-    assert cache.stats() == {"hits": 1, "misses": 1, "entries": 1}
+    assert cache.stats() == {
+        "hits": 1,
+        "misses": 1,
+        "evictions": 0,
+        "expirations": 0,
+        "entries": 1,
+    }
 
 
 @pytest.mark.parametrize("seed", SEEDS[:6])
@@ -123,7 +136,7 @@ def test_shared_spaces_do_not_leak_across_policies(seed):
     # the colored run a randomly placed page table).
     tables = [
         space.page_table
-        for key, space in AddressSpace._shared.items()
+        for key, space in AddressSpace.SHARED._entries.items()
         if key[1:3] == (machine.page_size, 256 * KiB)
     ]
     assert len(tables) == 2

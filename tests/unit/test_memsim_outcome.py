@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.errors import ConfigurationError
+from repro.lru import LRUCache
 from repro.memsim import (
     GLOBAL_OUTCOME_CACHE,
-    TraversalOutcomeCache,
     clear_global_cache,
     stream_identity,
 )
+from repro.memsim.outcome import DEFAULT_MAX_ENTRIES
 from repro.memsim.paging import AddressSpace, RandomPaging
 from repro.memsim.prefetch import NO_PREFETCH
 from repro.memsim.traversal import Traversal, TraversalEngine
@@ -55,9 +57,24 @@ class TestStreamIdentity:
         assert stream_identity(Opaque()) is None
 
 
+def outcome_cache() -> LRUCache:
+    """A private cache shaped like the process-wide outcome cache."""
+    return LRUCache(DEFAULT_MAX_ENTRIES)
+
+
+def cache_stats(hits: int, misses: int, entries: int) -> dict[str, int]:
+    return {
+        "hits": hits,
+        "misses": misses,
+        "evictions": 0,
+        "expirations": 0,
+        "entries": entries,
+    }
+
+
 class TestTraversalOutcomeCache:
     def test_lru_eviction(self):
-        cache = TraversalOutcomeCache(max_entries=2)
+        cache = LRUCache(2)
         cache.put(("a",), 1)
         cache.put(("b",), 2)
         assert cache.get(("a",)) == 1  # refresh "a"
@@ -67,26 +84,26 @@ class TestTraversalOutcomeCache:
         assert cache.get(("c",)) == 3
 
     def test_counters_and_clear(self):
-        cache = TraversalOutcomeCache()
+        cache = outcome_cache()
         assert cache.get(("x",)) is None
         cache.put(("x",), 42)
         assert cache.get(("x",)) == 42
-        assert cache.stats() == {"hits": 1, "misses": 1, "entries": 1}
+        assert cache.stats() == cache_stats(hits=1, misses=1, entries=1)
         cache.clear()
-        assert cache.stats() == {"hits": 0, "misses": 0, "entries": 0}
+        assert cache.stats() == cache_stats(hits=0, misses=0, entries=0)
 
     def test_rejects_nonpositive_bound(self):
-        with pytest.raises(ValueError):
-            TraversalOutcomeCache(max_entries=0)
+        with pytest.raises(ConfigurationError):
+            LRUCache(0)
 
 
 class TestEngineCaching:
     def setup_method(self):
         clear_global_cache()
-        AddressSpace.clear_shared()
+        AddressSpace.SHARED.clear()
 
     def test_repeat_run_hits_and_matches(self):
-        cache = TraversalOutcomeCache()
+        cache = outcome_cache()
         engine = make_engine(outcome_cache=cache)
         travs = [Traversal(0, 64 * KiB, 64)]
         first = engine.run(travs, rng=np.random.default_rng(3))
@@ -96,7 +113,7 @@ class TestEngineCaching:
         assert first == second
 
     def test_hit_returns_independent_copy(self):
-        cache = TraversalOutcomeCache()
+        cache = outcome_cache()
         engine = make_engine(outcome_cache=cache)
         travs = [Traversal(0, 64 * KiB, 64)]
         first = engine.run(travs, rng=np.random.default_rng(3))
@@ -108,7 +125,7 @@ class TestEngineCaching:
 
     def test_hit_leaves_rng_in_miss_state(self):
         """Cached and uncached runs must consume identical spawn keys."""
-        cache = TraversalOutcomeCache()
+        cache = outcome_cache()
         cached_engine = make_engine(outcome_cache=cache)
         bypass_engine = make_engine(outcome_cache=None)
         travs = [Traversal(0, 64 * KiB, 64), Traversal(1, 32 * KiB, 64)]
@@ -134,7 +151,7 @@ class TestEngineCaching:
 
     def test_traversal_order_is_part_of_the_key(self):
         """Child streams are positional: a permutation is a different run."""
-        cache = TraversalOutcomeCache()
+        cache = outcome_cache()
         engine = make_engine(outcome_cache=cache)
         a, b = Traversal(0, 64 * KiB, 64), Traversal(1, 256 * KiB, 64)
         engine.run([a, b], rng=np.random.default_rng(3))
@@ -147,24 +164,24 @@ class TestEngineCaching:
             def cache_token(self):
                 return None
 
-        cache = TraversalOutcomeCache()
+        cache = outcome_cache()
         engine = make_engine(outcome_cache=cache, paging=OpaquePolicy())
         engine.run([Traversal(0, 64 * KiB, 64)], rng=np.random.default_rng(3))
         engine.run([Traversal(0, 64 * KiB, 64)], rng=np.random.default_rng(3))
-        assert cache.stats() == {"hits": 0, "misses": 0, "entries": 0}
+        assert cache.stats() == cache_stats(hits=0, misses=0, entries=0)
 
     def test_equal_valued_machines_share_outcomes(self):
-        cache = TraversalOutcomeCache()
+        cache = outcome_cache()
         one = TraversalEngine(dempsey(), prefetch=NO_PREFETCH, outcome_cache=cache)
         two = TraversalEngine(dempsey(), prefetch=NO_PREFETCH, outcome_cache=cache)
         travs = [Traversal(0, 64 * KiB, 64)]
         first = one.run(travs, rng=np.random.default_rng(3))
         second = two.run(travs, rng=np.random.default_rng(3))
-        assert cache.stats() == {"hits": 1, "misses": 1, "entries": 1}
+        assert cache.stats() == cache_stats(hits=1, misses=1, entries=1)
         assert first == second
 
     def test_bind_metrics_exports_counters(self):
-        cache = TraversalOutcomeCache()
+        cache = outcome_cache()
         engine = make_engine(outcome_cache=cache)
         metrics = MetricsRegistry()
         engine.bind_metrics(metrics)
@@ -177,7 +194,7 @@ class TestEngineCaching:
 
 class TestSharedAddressSpaces:
     def setup_method(self):
-        AddressSpace.clear_shared()
+        AddressSpace.SHARED.clear()
 
     def test_same_stream_shares_instance(self):
         policy = RandomPaging()
@@ -199,16 +216,12 @@ class TestSharedAddressSpaces:
         private = AddressSpace(4096, policy, 64 * KiB, np.random.default_rng(9))
         np.testing.assert_array_equal(shared.page_table, private.page_table)
 
-    def test_bounded(self):
+    def test_bounded(self, monkeypatch):
         policy = RandomPaging()
-        old = AddressSpace.SHARED_MAX_ENTRIES
-        AddressSpace.SHARED_MAX_ENTRIES = 4
-        try:
-            for seed in range(8):
-                AddressSpace.shared(
-                    4096, policy, 64 * KiB, np.random.default_rng(seed)
-                )
-            assert len(AddressSpace._shared) <= 4
-        finally:
-            AddressSpace.SHARED_MAX_ENTRIES = old
-            AddressSpace.clear_shared()
+        monkeypatch.setattr(AddressSpace, "SHARED", LRUCache(4))
+        for seed in range(8):
+            AddressSpace.shared(
+                4096, policy, 64 * KiB, np.random.default_rng(seed)
+            )
+        assert len(AddressSpace.SHARED) <= 4
+        assert AddressSpace.SHARED.stats()["evictions"] == 4

@@ -5,12 +5,12 @@ import threading
 import pytest
 
 from repro.autotune import Advisor
-from repro.errors import ReproError, ServiceError
+from repro.errors import ConfigurationError, ReproError, ServiceError
+from repro.lru import LRUCache
 from repro.service.server import (
     AggregationQuery,
     CommLatencyQuery,
     CoScheduleQuery,
-    LRUTTLCache,
     MatmulTileQuery,
     SingleFlightTable,
     StreamingCoresQuery,
@@ -31,49 +31,46 @@ class FakeClock:
         return self.now
 
 
-# -- LRU+TTL cache -------------------------------------------------------
+# -- answer cache (LRU + TTL) -------------------------------------------
 
 
 def test_cache_hit_miss():
-    cache = LRUTTLCache(capacity=4)
-    hit, _ = cache.get("k")
-    assert not hit
+    cache = LRUCache(4)
+    assert cache.get("k") is None
     cache.put("k", 42)
-    hit, value = cache.get("k")
-    assert hit and value == 42
+    assert cache.get("k") == 42
 
 
 def test_cache_evicts_least_recently_used():
-    cache = LRUTTLCache(capacity=2)
+    cache = LRUCache(2)
     cache.put("a", 1)
     cache.put("b", 2)
     cache.get("a")  # refresh "a"; "b" becomes the LRU victim
     cache.put("c", 3)
-    assert cache.get("a")[0]
-    assert not cache.get("b")[0]
-    assert cache.get("c")[0]
+    assert cache.get("a") == 1
+    assert cache.get("b") is None
+    assert cache.get("c") == 3
     assert cache.evictions == 1
     assert len(cache) == 2
 
 
 def test_cache_ttl_expiry_with_fake_clock():
     clock = FakeClock()
-    cache = LRUTTLCache(capacity=4, ttl=10.0, clock=clock)
+    cache = LRUCache(4, ttl=10.0, clock=clock)
     cache.put("k", 1)
     clock.now = 9.0
-    assert cache.get("k")[0]
+    assert cache.get("k") == 1
     clock.now = 20.1
-    hit, _ = cache.get("k")
-    assert not hit
+    assert cache.get("k") is None
     assert cache.expirations == 1
     assert len(cache) == 0
 
 
 def test_cache_rejects_bad_shape():
-    with pytest.raises(ServiceError):
-        LRUTTLCache(capacity=0)
-    with pytest.raises(ServiceError):
-        LRUTTLCache(ttl=0)
+    with pytest.raises(ConfigurationError):
+        LRUCache(0)
+    with pytest.raises(ConfigurationError):
+        LRUCache(4, ttl=0)
 
 
 # -- answers and metrics -------------------------------------------------

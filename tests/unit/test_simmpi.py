@@ -38,6 +38,24 @@ class TestEngine:
         with pytest.raises(SimulationError):
             Engine().schedule(-1.0, lambda: None)
 
+    def test_schedule_at_uses_the_exact_absolute_time(self):
+        engine = Engine()
+        seen = []
+        start, target = 0.303598551834547, 90.0686292274148
+        assert start + (target - start) != target  # a delay would round
+        engine.schedule(
+            start, lambda: engine.schedule_at(target, lambda: seen.append(engine.now))
+        )
+        engine.run()
+        assert seen == [target]
+
+    def test_schedule_at_rejects_the_past(self):
+        engine = Engine()
+        engine.schedule(1.0, lambda: None)
+        engine.run()
+        with pytest.raises(SimulationError):
+            engine.schedule_at(0.5, lambda: None)
+
     def test_max_time_stops_early(self):
         engine = Engine()
         seen = []

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import MeasurementError, WorkloadError
-from repro.memsim import Traversal, TraversalEngine, TraversalOutcomeCache
+from repro.lru import LRUCache
+from repro.memsim import Traversal, TraversalEngine
 from repro.memsim.traversal import _virtual_lines_shared
 from repro.topology import generic_smp
 from repro.units import KiB
@@ -17,6 +18,7 @@ from repro.workload import (
     parse_workload,
     profile_workload,
 )
+from repro.workload.generators import PROFILE_CACHE
 
 
 def small_machine():
@@ -69,7 +71,7 @@ def test_recorded_run_bypasses_outcome_cache():
     refuses to populate the cache with recorder-tainted entries.
     """
     machine = small_machine()
-    cache = TraversalOutcomeCache()
+    cache = LRUCache(64)
     traversals = [Traversal(0, 64 * KiB, 64)]
     TraversalEngine(machine, outcome_cache=cache).run(traversals, rng=0)
     assert cache.stats()["entries"] == 1
@@ -166,6 +168,22 @@ def test_profile_dict_roundtrip():
     profile = profile_workload("stencil:lines=128,halo=1,sweeps=2", seed=3)
     again = ReuseProfile.from_dict(profile.to_dict())
     assert again == profile
+
+
+def test_profile_cache_evicts_only_the_least_recently_used():
+    """A full profile memo drops its LRU entry, not every entry."""
+    PROFILE_CACHE.clear()
+    spec = "zipf:lines=16,accesses=64"
+    capacity = PROFILE_CACHE.capacity
+    profiles = [profile_workload(spec, seed=seed) for seed in range(capacity + 1)]
+    assert len(PROFILE_CACHE) == capacity
+    assert PROFILE_CACHE.stats()["evictions"] == 1
+    # The most recent and an older survivor are served from the memo...
+    assert profile_workload(spec, seed=capacity) is profiles[capacity]
+    assert profile_workload(spec, seed=1) is profiles[1]
+    # ...and only the least recently used profile had to be recomputed.
+    assert profile_workload(spec, seed=0) is not profiles[0]
+    PROFILE_CACHE.clear()
 
 
 def test_profile_from_dict_rejects_corrupt_mass():
