@@ -1,16 +1,15 @@
-"""Simulation-substrate speedup — outcome cache and shared paging.
+"""Simulation-substrate speedup — the outcome cache.
 
 Runs the unpruned (``prune="off"``) Dunnington suite — the configuration
 the seed repository's ``BENCH_planner.json`` timed at ~3.29 wall seconds
-— three ways: with the traversal outcome cache hard-bypassed
-(``sim_cache=False``), cold (empty process-wide caches), and warm
-(caches populated by the cold run).  Records wall clocks, the per-phase
+— cold (empty process-wide caches) and then warm (caches populated by
+the cold run).  Records wall clocks, the per-phase
 breakdown, outcome/comm cache statistics, and a simmpi event-engine
 throughput microbench in ``BENCH_memsim.json`` at the repository root.
 
 Asserted, not just recorded:
 
-- the cached report is byte-identical to the bypassed one (the cache is
+- every warm report is byte-identical to the cold one (the cache is
   semantically invisible);
 - outcome-cache hits + misses equal exactly the traversal probes the
   backend issued (no probe is double- or un-counted);
@@ -32,7 +31,6 @@ from repro.backends import SimulatedBackend
 from repro.core import ServetSuite
 from repro.memsim import clear_global_cache
 from repro.memsim.outcome import GLOBAL_COMM_CACHE, GLOBAL_OUTCOME_CACHE
-from repro.memsim.paging import AddressSpace
 from repro.simmpi.events import Engine
 from repro.topology import dunnington
 from repro.viz import ascii_table
@@ -43,7 +41,7 @@ QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 
 #: Wall seconds of this exact configuration (unpruned Dunnington suite,
 #: seed=42, noise=0) in the seed repository's BENCH_planner.json —
-#: before the outcome cache and shared paging existed.
+#: before the outcome cache existed.
 #: Embedded because BENCH_planner.json is regenerated by the current
 #: substrate and no longer describes the seed.
 SEED_BASELINE_WALL = 3.287
@@ -52,9 +50,9 @@ WARM_REPEATS = 3 if QUICK else 5
 SPEEDUP_FLOOR = 5.0 if QUICK else 10.0
 
 
-def timed_suite_run(sim_cache: bool) -> dict:
+def timed_suite_run() -> dict:
     """One full unpruned Dunnington suite run; returns wall + report."""
-    backend = SimulatedBackend(dunnington(), seed=42, noise=0.0, sim_cache=sim_cache)
+    backend = SimulatedBackend(dunnington(), seed=42, noise=0.0)
     issued = {"traversal": 0}
     inner = backend.traversal_cycles
 
@@ -103,16 +101,9 @@ def engine_events_per_second(n_events: int) -> float:
 @pytest.fixture(scope="module")
 def results() -> dict:
     clear_global_cache()
-    AddressSpace.SHARED.clear()
-    bypass = timed_suite_run(sim_cache=False)
-    # The bypass run left the shared page tables warm; a true cold run
-    # starts from nothing.
-    clear_global_cache()
-    AddressSpace.SHARED.clear()
-
     outcome_before = GLOBAL_OUTCOME_CACHE.stats()
     comm_before = GLOBAL_COMM_CACHE.stats()
-    cold = timed_suite_run(sim_cache=True)
+    cold = timed_suite_run()
     cold["outcome_cache"] = cache_stats_delta(
         outcome_before, GLOBAL_OUTCOME_CACHE.stats()
     )
@@ -121,7 +112,7 @@ def results() -> dict:
     warm_runs = []
     for _ in range(WARM_REPEATS):
         outcome_before = GLOBAL_OUTCOME_CACHE.stats()
-        run = timed_suite_run(sim_cache=True)
+        run = timed_suite_run()
         run["outcome_cache"] = cache_stats_delta(
             outcome_before, GLOBAL_OUTCOME_CACHE.stats()
         )
@@ -133,7 +124,6 @@ def results() -> dict:
         "engine_events_per_sec": engine_events_per_second(n_events),
     }
     return {
-        "bypass": bypass,
         "cold": cold,
         "warm_runs": warm_runs,
         "events": events,
@@ -145,19 +135,18 @@ def strip(run: dict) -> dict:
 
 
 def test_substrate_speedup(results, figure):
-    bypass, cold = results["bypass"], results["cold"]
+    cold = results["cold"]
     warm_runs = results["warm_runs"]
     warm_walls = sorted(r["wall_seconds"] for r in warm_runs)
     warm_best = warm_walls[0]
     warm_median = warm_walls[len(warm_walls) // 2]
 
     # The cache must be semantically invisible: identical measurements
-    # whether every probe re-simulates or every repeat is answered from
-    # the outcome cache.
-    bypass_dict = bypass["report"].measurement_dict()
-    assert cold["report"].measurement_dict() == bypass_dict
+    # whether every probe simulates (cold) or every repeat is answered
+    # from the outcome cache (warm).
+    cold_dict = cold["report"].measurement_dict()
     for run in warm_runs:
-        assert run["report"].measurement_dict() == bypass_dict
+        assert run["report"].measurement_dict() == cold_dict
 
     # Counter exactness: every traversal probe the backend issued is
     # either a hit or a miss — nothing more, nothing less.
@@ -173,11 +162,6 @@ def test_substrate_speedup(results, figure):
     speedup_vs_seed = SEED_BASELINE_WALL / warm_best
     rows = [
         ("seed baseline", f"{SEED_BASELINE_WALL:.3f}", "-"),
-        (
-            "bypass (sim_cache=False)",
-            f"{bypass['wall_seconds']:.3f}",
-            f"{SEED_BASELINE_WALL / bypass['wall_seconds']:.1f}x",
-        ),
         (
             "cold (empty caches)",
             f"{cold['wall_seconds']:.3f}",
@@ -207,7 +191,7 @@ def test_substrate_speedup(results, figure):
         ascii_table(
             ["configuration", "wall seconds", "speedup vs seed"],
             rows,
-            title="Outcome cache + shared paging",
+            title="Outcome cache",
         ),
     )
 
@@ -218,7 +202,6 @@ def test_substrate_speedup(results, figure):
         "quick": QUICK,
         "seed_baseline_wall_seconds": SEED_BASELINE_WALL,
         "speedup_floor": SPEEDUP_FLOOR,
-        "bypass": strip(bypass),
         "cold": strip(cold),
         "warm_runs": [strip(r) for r in warm_runs],
         "warm_best_wall_seconds": warm_best,

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import MeasurementError
 from ..ioutils import sha256_hex
-from ..memsim.outcome import GLOBAL_COMM_CACHE, GLOBAL_OUTCOME_CACHE
+from ..memsim.outcome import GLOBAL_COMM_CACHE
 from ..memsim.paging import PagePolicy, RandomPaging
 from ..memsim.prefetch import PrefetchModel
 from ..memsim.stream import stream_copy_bandwidth
@@ -53,6 +53,10 @@ class MeasurementCosts:
 class SimulatedBackend(Backend):
     """Measurements against the simulated multicore cluster.
 
+    Repeated simulations are answered from the process-wide outcome
+    caches (:mod:`repro.memsim.outcome`); cached results are
+    byte-identical to fresh ones.
+
     Parameters
     ----------
     system:
@@ -70,13 +74,6 @@ class SimulatedBackend(Backend):
         (0 disables noise).
     seed:
         RNG seed for noise and page placement.
-    sim_cache:
-        When True (default) the traversal engine answers repeated
-        simulations from the process-wide outcome cache; False is the
-        hard bypass (every probe re-simulates).  Semantically
-        transparent either way — cached results are byte-identical —
-        but the knob keeps baselines honest and is recorded in the
-        suite checkpoint fingerprint.
     """
 
     def __init__(
@@ -88,7 +85,6 @@ class SimulatedBackend(Backend):
         noise: float = 0.01,
         seed: int | None = None,
         costs: MeasurementCosts | None = None,
-        sim_cache: bool = True,
     ) -> None:
         if isinstance(system, Machine):
             system = Cluster(system.name, system, n_nodes=1)
@@ -102,7 +98,6 @@ class SimulatedBackend(Backend):
             self.machine,
             paging=paging if paging is not None else RandomPaging(),
             prefetch=prefetch,
-            outcome_cache=GLOBAL_OUTCOME_CACHE if sim_cache else None,
         )
         if noise < 0:
             raise MeasurementError("noise must be >= 0")
@@ -119,21 +114,10 @@ class SimulatedBackend(Backend):
         self._comm_token = sha256_hex(
             f"{self.cluster!r}|{self.comm_config.canonical()}"
         )
-        self._comm_cache = GLOBAL_COMM_CACHE if sim_cache else None
         self._comm_hits = None
         self._comm_misses = None
 
     # -- outcome cache ------------------------------------------------------
-
-    @property
-    def sim_cache(self) -> bool:
-        """Whether the traversal engine consults the outcome cache."""
-        return self.engine.outcome_cache is not None
-
-    def set_sim_cache(self, enabled: bool) -> None:
-        """Toggle the outcome caches (the ``--no-sim-cache`` knob)."""
-        self.engine.outcome_cache = GLOBAL_OUTCOME_CACHE if enabled else None
-        self._comm_cache = GLOBAL_COMM_CACHE if enabled else None
 
     def bind_metrics(self, metrics) -> None:
         """Export cache counters through ``metrics`` (see
@@ -203,22 +187,21 @@ class SimulatedBackend(Backend):
         self.charge(self.costs.stream_setup + self.costs.stream_min_sample)
         return {local[lc]: self._noisy(v) for lc, v in bw.items()}
 
+    def _count_comm(self, hit: bool) -> None:
+        counter = self._comm_hits if hit else self._comm_misses
+        if counter is not None:
+            counter.inc()
+
     def message_latency(self, core_a: int, core_b: int, nbytes: int) -> float:
-        cache, key = self._comm_cache, None
-        latency = None
-        if cache is not None:
-            key = (self._comm_token, "pingpong", core_a, core_b, nbytes)
-            latency = cache.get(key)
-            counter = self._comm_misses if latency is None else self._comm_hits
-            if counter is not None:
-                counter.inc()
+        key = (self._comm_token, "pingpong", core_a, core_b, nbytes)
+        latency = GLOBAL_COMM_CACHE.get(key)
+        self._count_comm(latency is not None)
         if latency is None:
             latency = pingpong_latency(
                 self.cluster, self.comm_config, core_a, core_b, nbytes,
                 repetitions=4,
             )
-            if key is not None:
-                cache.put(key, latency)
+            GLOBAL_COMM_CACHE.put(key, latency)
         self.charge(
             self.costs.message_setup
             + 2 * self.costs.message_repetitions * latency
@@ -228,21 +211,15 @@ class SimulatedBackend(Backend):
     def concurrent_message_latency(
         self, pairs: Sequence[CorePair], nbytes: int
     ) -> ConcurrentLatency:
-        cache, key = self._comm_cache, None
-        cached = None
-        if cache is not None:
-            key = (self._comm_token, "concurrent", tuple(pairs), nbytes)
-            cached = cache.get(key)
-            counter = self._comm_misses if cached is None else self._comm_hits
-            if counter is not None:
-                counter.inc()
+        key = (self._comm_token, "concurrent", tuple(pairs), nbytes)
+        cached = GLOBAL_COMM_CACHE.get(key)
+        self._count_comm(cached is not None)
         if cached is None:
             result = concurrent_exchanges(
                 self.cluster, self.comm_config, pairs, nbytes
             )
             cached = (result.mean, result.worst)
-            if key is not None:
-                cache.put(key, cached)
+            GLOBAL_COMM_CACHE.put(key, cached)
         mean, worst = cached
         self.charge(
             self.costs.message_setup + self.costs.message_repetitions * worst

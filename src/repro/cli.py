@@ -220,14 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     run.add_argument(
-        "--no-sim-cache",
-        action="store_true",
-        help="bypass the simulated backend's traversal outcome cache "
-        "(every probe re-simulates; results are identical, only "
-        "slower — recorded in the checkpoint fingerprint so cached "
-        "and uncached runs never resume into each other)",
-    )
-    run.add_argument(
         "--trace",
         default=None,
         metavar="FILE",
@@ -729,7 +721,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         comm_config=comm_config,
         seed=args.seed,
         noise=args.noise,
-        sim_cache=not args.no_sim_cache,
     )
     if args.fault_plan is not None:
         backend = FaultInjectingBackend(backend, FaultPlan.load(args.fault_plan))
@@ -756,7 +747,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         prune=args.prune,
         probe_timeout=args.probe_timeout,
-        sim_cache=not args.no_sim_cache,
     )
     report = suite.run(
         strict=not args.lenient,

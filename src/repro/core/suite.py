@@ -139,13 +139,6 @@ class ServetSuite:
         :class:`~repro.planner.PlanExecutor`): a hung wall-clock probe
         is abandoned, counted, and re-dispatched instead of stalling
         the whole plan.  Ignored when ``planner`` is injected.
-    sim_cache:
-        ``False`` bypasses the simulated backend's traversal outcome
-        cache for this run (``servet run --no-sim-cache``); ``None``
-        (default) leaves the backend as constructed.  Recorded in the
-        checkpoint fingerprint either way, so a resumed run can never
-        silently mix cached and uncached semantics.  Ignored by
-        backends without the knob.
     """
 
     def __init__(
@@ -161,14 +154,9 @@ class ServetSuite:
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
         probe_timeout: float | None = None,
-        sim_cache: bool | None = None,
     ) -> None:
         self.backend = backend
         self.probe_tlb = probe_tlb
-        set_cache = getattr(backend, "set_sim_cache", None)
-        if sim_cache is not None and set_cache is not None:
-            set_cache(sim_cache)
-        self.sim_cache = bool(getattr(backend, "sim_cache", sim_cache is not False))
         if metrics is not None:
             self.metrics = metrics
         elif planner is not None:
@@ -563,10 +551,6 @@ class ServetSuite:
             # (different probes reached the backend, so its RNG streams
             # diverge mid-phase).
             "prune": self.prune,
-            # Cached and uncached runs produce identical measurements,
-            # but a resumed run must still match the original's
-            # configuration exactly — no silent semantic mixing.
-            "sim_cache": self.sim_cache,
         }
 
     def _planner_dict(self) -> dict:

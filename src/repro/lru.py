@@ -4,8 +4,8 @@ A thread-safe least-recently-used map with a fixed capacity and an
 optional per-entry time-to-live read from an injectable clock.  Every
 instance counts its traffic the same way — ``stats()`` returns
 ``{hits, misses, evictions, expirations, entries}`` — so the traversal
-outcome and comm caches, the shared page tables, the workload-profile
-memo and the tuning service's answer cache all report alike.
+outcome and comm caches, the workload-profile memo and the tuning
+service's answer cache all report alike.
 """
 
 from __future__ import annotations

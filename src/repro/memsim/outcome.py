@@ -8,8 +8,8 @@ paging policy, the prefetcher, and the RNG stream that draws the page
 placement.  This module keys whole :meth:`TraversalEngine.run` results
 on a canonical fingerprint of exactly those inputs so any *repeat* of
 the same simulation — a golden re-run, a fleet worker surveying a
-duplicate hardware class, a cached-vs-bypass bench, a resumed suite —
-is answered from memory instead of re-simulated.
+duplicate hardware class, a warm bench repeat, a resumed suite — is
+answered from memory instead of re-simulated.
 
 Why the RNG stream is part of the key
 -------------------------------------
@@ -82,9 +82,9 @@ def stream_identity(rng: np.random.Generator) -> tuple | None:
 
 #: Process-wide default cache.  Shared deliberately: the whole point is
 #: that a second backend simulating the same machine with the same seed
-#: (golden re-runs, fleet duplicates, cached-vs-bypass benches) reuses
-#: the first one's outcomes.  Hard bypass = construct the engine (or
-#: backend) with ``outcome_cache=None`` / ``sim_cache=False``.
+#: (golden re-runs, fleet duplicates, warm bench repeats) reuses the
+#: first one's outcomes.  Hard bypass = construct the engine with
+#: ``outcome_cache=None`` (the reference path of the property tests).
 GLOBAL_OUTCOME_CACHE = LRUCache(DEFAULT_MAX_ENTRIES)
 
 #: Companion cache for the discrete-event communication substrate.

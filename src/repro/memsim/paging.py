@@ -25,7 +25,6 @@ import abc
 import numpy as np
 
 from ..errors import ConfigurationError, SimulationError
-from ..lru import LRUCache
 from ..units import is_power_of_two
 
 
@@ -58,9 +57,9 @@ class PagePolicy(abc.ABC):
 
         Two policies with equal tokens must produce identical
         placements from identical RNG streams.  ``None`` (the default
-        for user-defined policies) opts out of both the page-table
-        cache and the traversal outcome cache — a custom policy may be
-        stateful, so memoizing its output would be unsound.
+        for user-defined policies) opts out of the traversal outcome
+        cache — a custom policy may be stateful, so memoizing its
+        output would be unsound.
         """
         return None
 
@@ -165,7 +164,10 @@ class AddressSpace:
     """One process's view of memory: page size + placement for an array.
 
     Translates virtual byte addresses of a single contiguous allocation
-    (based at virtual address 0) to physical line numbers.
+    (based at virtual address 0) to physical line numbers.  Every
+    traversal builds its own space from its own RNG stream: the fresh
+    placement per traversal is what Servet's probabilistic algorithm
+    averages over, so spaces are never shared or cached.
 
     ``validate`` controls the duplicate-frame check on the policy's
     placement.  The built-in policies cannot produce duplicates by
@@ -194,47 +196,6 @@ class AddressSpace:
             validate = not policy.guarantees_distinct_frames
         if validate and _has_duplicates(self.page_table):
             raise SimulationError("page policy produced duplicate physical pages")
-
-    #: Process-wide shared page tables, keyed by policy token, geometry
-    #: and stream identity (see :meth:`shared`).
-    SHARED = LRUCache(8192)
-
-    @classmethod
-    def shared(
-        cls,
-        page_size: int,
-        policy: PagePolicy,
-        array_bytes: int,
-        rng: np.random.Generator,
-    ) -> "AddressSpace":
-        """A process-wide shared space for ``(policy, array_bytes, stream)``.
-
-        The placement a policy draws is a pure function of its
-        :meth:`~PagePolicy.cache_token` and the identity of the stream
-        ``rng`` — so two calls with equal tokens and equal stream
-        identities would build byte-identical page tables.  This
-        constructor answers such repeats from a bounded LRU instead of
-        re-drawing.  On a hit the ``rng`` is *not* consumed; callers
-        must therefore pass a dedicated child generator they would
-        discard anyway (as :meth:`TraversalEngine.run` does).  Policies
-        whose token is ``None`` and generators without an inspectable
-        seed sequence fall back to a fresh private construction.
-
-        Shared instances have a read-only ``page_table``.
-        """
-        from .outcome import stream_identity
-
-        token = policy.cache_token()
-        identity = stream_identity(rng) if token is not None else None
-        if identity is None:
-            return cls(page_size, policy, array_bytes, rng)
-        key = (token, page_size, array_bytes, identity)
-        space = cls.SHARED.get(key)
-        if space is None:
-            space = cls(page_size, policy, array_bytes, rng)
-            space.page_table.setflags(write=False)
-            cls.SHARED.put(key, space)
-        return space
 
     @property
     def n_pages(self) -> int:

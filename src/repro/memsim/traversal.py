@@ -22,10 +22,11 @@ lines.
 Everything the engine computes is a pure function of (machine, paging
 policy, prefetcher, traversal workloads, RNG stream), so repeats are
 served from the :mod:`~repro.memsim.outcome` cache instead of being
-re-simulated; cache-miss work itself reuses shared
-:class:`~repro.memsim.paging.AddressSpace` page tables and memoized
-line/set-index geometry so even a cold run never derives the same
-vector twice.
+re-simulated.  A cache miss draws a fresh
+:class:`~repro.memsim.paging.AddressSpace` per traversal from its own
+child stream and drops it when the call returns; only the
+placement-free geometry (address and virtual set-index vectors) is
+memoized across calls.
 """
 
 from __future__ import annotations
@@ -114,45 +115,6 @@ def _tlb_cycles_shared(
     load = np.bincount(sets.astype(np.int64), minlength=tlb.num_sets)
     overloaded_pages = int(load[load > tlb.effective_ways].sum())
     return overloaded_pages * tlb.walk_cycles / len(vaddrs)
-
-
-def _space_lines(space: AddressSpace, stride: int, line_size: int) -> np.ndarray:
-    """Physical line numbers for a strided walk of ``space``, memoized.
-
-    Shared spaces outlive a single ``run`` call, so the translated line
-    vector (and the per-level set indices derived from it, see
-    :func:`_space_sets`) is attached to the space and reused by every
-    run that shares the placement.
-    """
-    memo = getattr(space, "_line_memo", None)
-    if memo is None:
-        memo = {}
-        space._line_memo = memo
-    key = ("plines", stride, line_size)
-    lines = memo.get(key)
-    if lines is None:
-        vaddrs = _strided_addresses_shared(space.array_bytes, stride)
-        lines = space.physical_lines(vaddrs, line_size)
-        lines.setflags(write=False)
-        memo[key] = lines
-    return lines
-
-
-def _space_sets(
-    space: AddressSpace, stride: int, line_size: int, num_sets: int
-) -> np.ndarray:
-    """Set-index vector for a physically indexed level, memoized per space."""
-    memo = getattr(space, "_line_memo", None)
-    if memo is None:
-        memo = {}
-        space._line_memo = memo
-    key = ("psets", stride, line_size, num_sets)
-    sets = memo.get(key)
-    if sets is None:
-        sets = _space_lines(space, stride, line_size) % num_sets
-        sets.setflags(write=False)
-        memo[key] = sets
-    return sets
 
 
 @dataclass(frozen=True)
@@ -331,14 +293,11 @@ class TraversalEngine:
         active: dict[int, np.ndarray] = {}
         cost: dict[int, np.ndarray] = {}
         n_accesses: dict[int, int] = {}
-        stride_of: dict[int, int] = {}
         for t, crng in zip(traversals, child_rngs):
-            space = AddressSpace.shared(
+            spaces[t.core] = AddressSpace(
                 machine.page_size, self.paging, t.array_bytes, crng
             )
             n = len(_strided_addresses_shared(t.array_bytes, t.stride))
-            spaces[t.core] = space
-            stride_of[t.core] = t.stride
             active[t.core] = np.ones(n, dtype=bool)
             cost[t.core] = np.zeros(n, dtype=np.float64)
             n_accesses[t.core] = n
@@ -351,6 +310,10 @@ class TraversalEngine:
             t.core: self.prefetch.miss_latency_factor(t.stride) for t in traversals
         }
 
+        # Physical line vectors per (core, granule): physically indexed
+        # levels with one granule (L2 and L3 on most machines) share a
+        # single translation of each traversal's placement.
+        plines: dict[tuple[int, int], np.ndarray] = {}
         core_set = set(cores)
         for level_idx, level in enumerate(machine.levels):
             spec = level.spec
@@ -358,19 +321,21 @@ class TraversalEngine:
             # index (and the cyclic-LRU load count) works at sector
             # granularity; sector_lines == 1 reduces to the line math.
             granule = line_size * spec.sector_lines
-            # Set-index vectors are memoized per geometry (virtual) or
-            # per shared placement (physical); only the bincount load
-            # pass and the masked cost/active updates run per call.
             sets: dict[int, np.ndarray] = {}
             for t in traversals:
                 if spec.indexing is Indexing.VIRTUAL:
                     sets[t.core] = _virtual_sets_shared(
                         t.array_bytes, t.stride, granule, spec.num_sets
                     )
-                else:
-                    sets[t.core] = _space_sets(
-                        spaces[t.core], t.stride, granule, spec.num_sets
+                    continue
+                lines = plines.get((t.core, granule))
+                if lines is None:
+                    lines = spaces[t.core].physical_lines(
+                        _strided_addresses_shared(t.array_bytes, t.stride),
+                        granule,
                     )
+                    plines[(t.core, granule)] = lines
+                sets[t.core] = lines % spec.num_sets
             for group in level.groups:
                 if core_set.isdisjoint(group):
                     continue

@@ -14,19 +14,12 @@ import pytest
 
 from repro.lru import LRUCache
 from repro.memsim.outcome import DEFAULT_MAX_ENTRIES, stream_identity
-from repro.memsim.paging import AddressSpace, ColoredPaging, RandomPaging
+from repro.memsim.paging import ColoredPaging, RandomPaging
 from repro.memsim.traversal import Traversal, TraversalEngine
 from repro.topology import dempsey, dunnington
 from repro.units import KiB, MiB
 
 SEEDS = list(range(24))
-
-
-@pytest.fixture(autouse=True)
-def fresh_shared_spaces():
-    AddressSpace.SHARED.clear()
-    yield
-    AddressSpace.SHARED.clear()
 
 
 def random_traversals(rng: np.random.Generator, machine) -> list[Traversal]:
@@ -117,27 +110,21 @@ def test_cached_equals_bypassed_under_coloring(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS[:6])
-def test_shared_spaces_do_not_leak_across_policies(seed):
+def test_outcomes_do_not_leak_across_policies(seed):
     """Equal (array, stride, stream) under different policies must not
-    collide in the shared page-table cache."""
+    collide in one outcome cache: the policy token keeps their keys
+    apart, and each policy's answer equals its own bypassed run."""
     machine = dempsey()
     batch = [Traversal(0, 256 * KiB, 64)]
-    random_engine = TraversalEngine(
-        machine, paging=RandomPaging(), outcome_cache=None
-    )
-    colored_engine = TraversalEngine(
-        machine, paging=ColoredPaging(n_colors=64), outcome_cache=None
-    )
-    random_engine.run(batch, rng=np.random.default_rng(seed))
-    colored_engine.run(batch, rng=np.random.default_rng(seed))
-    # Both runs used the shared-space constructor with the same
-    # (page_size, array_bytes, stream) — only the policy token keeps
-    # their keys apart.  A collision would leave one entry (and hand
-    # the colored run a randomly placed page table).
-    tables = [
-        space.page_table
-        for key, space in AddressSpace.SHARED._entries.items()
-        if key[1:3] == (machine.page_size, 256 * KiB)
-    ]
-    assert len(tables) == 2
-    assert not np.array_equal(tables[0], tables[1])
+    cache = LRUCache(DEFAULT_MAX_ENTRIES)
+    for paging in (RandomPaging(), ColoredPaging(n_colors=64)):
+        cached_engine = TraversalEngine(machine, paging=paging, outcome_cache=cache)
+        bypass_engine = TraversalEngine(machine, paging=paging, outcome_cache=None)
+        assert results_equal(
+            cached_engine.run(batch, rng=np.random.default_rng(seed)),
+            bypass_engine.run(batch, rng=np.random.default_rng(seed)),
+        )
+    # A collision would turn the second run into a hit and hand the
+    # colored engine the randomly placed outcome.
+    assert cache.stats()["hits"] == 0
+    assert cache.stats()["misses"] == 2

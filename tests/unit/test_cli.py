@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.memsim import clear_global_cache
 
 
 def test_machines_lists_all(capsys):
@@ -129,16 +130,15 @@ def test_run_with_samples_hardening(tmp_path):
     assert data["caches"]
 
 
-def test_run_no_sim_cache_matches_cached_run(tmp_path, capsys):
-    cached = tmp_path / "cached.json"
-    bypassed = tmp_path / "bypassed.json"
-    assert main(["run", "--machine", "dempsey", "-o", str(cached)]) == 0
-    assert main(
-        ["run", "--machine", "dempsey", "--no-sim-cache", "-o", str(bypassed)]
-    ) == 0
-    a = json.loads(cached.read_text())
-    b = json.loads(bypassed.read_text())
-    # The cache only changes wall-clock time, never measurements.
+def test_run_warm_matches_cold_run(tmp_path, capsys):
+    cold = tmp_path / "cold.json"
+    warm = tmp_path / "warm.json"
+    clear_global_cache()
+    assert main(["run", "--machine", "dempsey", "-o", str(cold)]) == 0
+    assert main(["run", "--machine", "dempsey", "-o", str(warm)]) == 0
+    a = json.loads(cold.read_text())
+    b = json.loads(warm.read_text())
+    # The outcome cache only changes wall-clock time, never measurements.
     for volatile in ("timings", "total_wall_seconds"):
         a.pop(volatile, None)
         b.pop(volatile, None)
@@ -255,24 +255,3 @@ def test_query_coschedule(tmp_path, capsys, dunnington_report):
     assert result["system"] == "dunnington"
     assert len(result["ranked"]) == 1
     assert result["ranked"][0]["worst_slowdown"] >= 1.0
-
-
-def test_no_sim_cache_invalidates_cached_checkpoint(tmp_path, capsys):
-    ckpt = tmp_path / "ckpt.json"
-    assert main(["run", "--machine", "dempsey", "--checkpoint", str(ckpt)]) == 0
-    capsys.readouterr()
-    # The fingerprint records the knob: a cached checkpoint must not
-    # seed a --no-sim-cache baseline run.
-    code = main(
-        [
-            "run",
-            "--machine",
-            "dempsey",
-            "--no-sim-cache",
-            "--checkpoint",
-            str(ckpt),
-            "--resume",
-        ]
-    )
-    assert code == 1
-    assert "error:" in capsys.readouterr().err

@@ -1,4 +1,7 @@
-"""Unit tests for the traversal outcome cache and shared paging layer."""
+"""Unit tests for the traversal outcome cache and per-call page placement."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -15,8 +18,9 @@ from repro.memsim.paging import AddressSpace, RandomPaging
 from repro.memsim.prefetch import NO_PREFETCH
 from repro.memsim.traversal import Traversal, TraversalEngine
 from repro.obs.metrics import MetricsRegistry
-from repro.topology import dempsey
-from repro.units import KiB
+from repro.topology import dempsey, dunnington
+from repro.topology.cache import Indexing
+from repro.units import KiB, MiB
 
 
 def make_engine(**kw) -> TraversalEngine:
@@ -100,7 +104,6 @@ class TestTraversalOutcomeCache:
 class TestEngineCaching:
     def setup_method(self):
         clear_global_cache()
-        AddressSpace.SHARED.clear()
 
     def test_repeat_run_hits_and_matches(self):
         cache = outcome_cache()
@@ -192,36 +195,46 @@ class TestEngineCaching:
         assert metrics.counter("memsim.outcome.misses").value == 1
 
 
-class TestSharedAddressSpaces:
-    def setup_method(self):
-        AddressSpace.SHARED.clear()
+class TestPagePlacementLifetime:
+    def test_spaces_die_with_the_run_and_translate_once_per_granule(
+        self, monkeypatch
+    ):
+        """A cache-miss run keeps no page table alive after it returns,
+        and derives each traversal's physical lines once per granule
+        (dunnington's L2 and L3 share one translation)."""
+        built: list[weakref.ref] = []
+        translations: list[int] = []
+        init = AddressSpace.__init__
+        physical_lines = AddressSpace.physical_lines
 
-    def test_same_stream_shares_instance(self):
-        policy = RandomPaging()
-        a = AddressSpace.shared(4096, policy, 64 * KiB, np.random.default_rng(9))
-        b = AddressSpace.shared(4096, policy, 64 * KiB, np.random.default_rng(9))
-        assert a is b
-        assert not a.page_table.flags.writeable
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(weakref.ref(self))
 
-    def test_distinct_streams_get_distinct_placements(self):
-        policy = RandomPaging()
-        a = AddressSpace.shared(4096, policy, 64 * KiB, np.random.default_rng(9))
-        b = AddressSpace.shared(4096, policy, 64 * KiB, np.random.default_rng(10))
-        assert a is not b
-        assert not np.array_equal(a.page_table, b.page_table)
+        def counting_physical_lines(self, vaddrs, line_size):
+            translations.append(line_size)
+            return physical_lines(self, vaddrs, line_size)
 
-    def test_shared_placement_equals_private_construction(self):
-        policy = RandomPaging()
-        shared = AddressSpace.shared(4096, policy, 64 * KiB, np.random.default_rng(9))
-        private = AddressSpace(4096, policy, 64 * KiB, np.random.default_rng(9))
-        np.testing.assert_array_equal(shared.page_table, private.page_table)
+        monkeypatch.setattr(AddressSpace, "__init__", recording_init)
+        monkeypatch.setattr(AddressSpace, "physical_lines", counting_physical_lines)
 
-    def test_bounded(self, monkeypatch):
-        policy = RandomPaging()
-        monkeypatch.setattr(AddressSpace, "SHARED", LRUCache(4))
-        for seed in range(8):
-            AddressSpace.shared(
-                4096, policy, 64 * KiB, np.random.default_rng(seed)
-            )
-        assert len(AddressSpace.SHARED) <= 4
-        assert AddressSpace.SHARED.stats()["evictions"] == 4
+        machine = dunnington()
+        # Cores 0 and 12 share an L2; cores 0, 1 and 12 share an L3.
+        travs = [
+            Traversal(0, 4 * MiB, 64),
+            Traversal(12, 2 * MiB, 64),
+            Traversal(1, 1 * MiB, 128),
+        ]
+        engine = TraversalEngine(machine, outcome_cache=None)
+        result = engine.run(travs, rng=np.random.default_rng(11))
+        assert set(result.cycles_per_access) == {0, 12, 1}
+
+        granules = {
+            machine.levels[0].spec.line_size * level.spec.sector_lines
+            for level in machine.levels
+            if level.spec.indexing is Indexing.PHYSICAL
+        }
+        assert len(built) == len(travs)
+        assert len(translations) == len(travs) * len(granules)
+        gc.collect()
+        assert [ref() for ref in built] == [None] * len(travs)

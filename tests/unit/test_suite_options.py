@@ -4,7 +4,7 @@ import pytest
 
 from repro import ServetSuite, SimulatedBackend, dempsey, generic_smp
 from repro.core.suite import PHASES, SuiteTimings
-from repro.memsim import TLBSpec
+from repro.memsim import TLBSpec, clear_global_cache
 
 
 class TestSuiteTimings:
@@ -61,35 +61,9 @@ class TestSuiteCoreSelection:
         assert len(report.comm_layers) == 1
 
 
-class TestSimCacheOption:
-    def test_default_follows_backend(self):
-        backend = SimulatedBackend(dempsey(), seed=2)
-        assert ServetSuite(backend).sim_cache is True
-        bypassed = SimulatedBackend(dempsey(), seed=2, sim_cache=False)
-        assert ServetSuite(bypassed).sim_cache is False
-
-    def test_suite_option_overrides_backend(self):
-        backend = SimulatedBackend(dempsey(), seed=2)
-        suite = ServetSuite(backend, sim_cache=False)
-        assert suite.sim_cache is False
-        assert backend.sim_cache is False  # pushed down to the engine
-        assert backend.engine.outcome_cache is None
-
-    def test_fingerprint_records_sim_cache(self):
-        backend = SimulatedBackend(dempsey(), seed=2)
-        cached = ServetSuite(backend, sim_cache=True)._fingerprint()
-        bypassed = ServetSuite(
-            SimulatedBackend(dempsey(), seed=2), sim_cache=False
-        )._fingerprint()
-        assert cached["sim_cache"] is True
-        assert bypassed["sim_cache"] is False
-        assert {k: v for k, v in cached.items() if k != "sim_cache"} == {
-            k: v for k, v in bypassed.items() if k != "sim_cache"
-        }
-
-    def test_reports_identical_with_and_without_cache(self):
-        cached = ServetSuite(SimulatedBackend(dempsey(), seed=2)).run()
-        bypassed = ServetSuite(
-            SimulatedBackend(dempsey(), seed=2), sim_cache=False
-        ).run()
-        assert cached.measurement_dict() == bypassed.measurement_dict()
+class TestOutcomeCacheTransparency:
+    def test_cold_and_warm_reports_identical(self):
+        clear_global_cache()
+        cold = ServetSuite(SimulatedBackend(dempsey(), seed=2)).run()
+        warm = ServetSuite(SimulatedBackend(dempsey(), seed=2)).run()
+        assert cold.measurement_dict() == warm.measurement_dict()
