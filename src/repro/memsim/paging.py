@@ -203,14 +203,22 @@ class AddressSpace:
         return len(self.page_table)
 
     def physical_lines(self, vaddrs: np.ndarray, line_size: int) -> np.ndarray:
-        """Physical line numbers for virtual byte addresses ``vaddrs``."""
+        """Physical line numbers for virtual byte addresses ``vaddrs``.
+
+        The line number is the physical address shifted right by
+        ``log2(line_size)``, so a line (or sector) larger than a page
+        spans several frames.
+        """
+        if not is_power_of_two(line_size):
+            raise ConfigurationError(f"line size {line_size} not a power of two")
         vaddrs = np.asarray(vaddrs, dtype=np.int64)
         if vaddrs.size and (vaddrs.min() < 0 or vaddrs.max() >= self.array_bytes):
             raise SimulationError("virtual address outside the allocation")
-        vpage = vaddrs // self.page_size
-        offset = vaddrs % self.page_size
-        lines_per_page = self.page_size // line_size
-        return self.page_table[vpage] * lines_per_page + offset // line_size
+        page_shift = self.page_size.bit_length() - 1
+        paddrs = (self.page_table[vaddrs >> page_shift] << page_shift) | (
+            vaddrs & (self.page_size - 1)
+        )
+        return paddrs >> (line_size.bit_length() - 1)
 
     def virtual_lines(self, vaddrs: np.ndarray, line_size: int) -> np.ndarray:
         """Virtual line numbers (used by virtually indexed caches)."""

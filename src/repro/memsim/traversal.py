@@ -19,6 +19,17 @@ mcalibrator instances "in parallel" pinned to two cores): for a shared
 cache instance the per-set load is the union of the members' active
 lines.
 
+The kernel works on *units*.  When every traversal of a call has one
+stride dividing the page and covers whole pages, and every level's
+granule fits in a page whose slots fit in the level's sets, each page
+fills the same set slots and only its color (the frame, or on a
+virtually indexed level the virtual page, masked to the level's page
+sets) tells pages apart: loads, overload verdicts and hit levels are
+then computed per page.  Otherwise a unit is one access.  Each unit
+carries the number of levels it reaches; a per-core table of running
+latency sums turns that into the same per-access costs a level-by-level
+float accumulation would give, bit for bit.
+
 Everything the engine computes is a pure function of (machine, paging
 policy, prefetcher, traversal workloads, RNG stream), so repeats are
 served from the :mod:`~repro.memsim.outcome` cache instead of being
@@ -45,7 +56,6 @@ from ..topology.machine import Machine
 from .outcome import GLOBAL_OUTCOME_CACHE, stream_identity
 from .paging import AddressSpace, PagePolicy, RandomPaging
 from .prefetch import PrefetchModel
-from .tlb import TLBSpec
 
 
 def strided_addresses(array_bytes: int, stride: int) -> np.ndarray:
@@ -67,8 +77,7 @@ def _strided_addresses_shared(array_bytes: int, stride: int) -> np.ndarray:
     """Memoized, read-only address vector for one ``(size, stride)``.
 
     The engine evaluates the same traversal geometry many times per
-    suite run (``run`` and ``_tlb_cycles_per_access`` for every probe,
-    repeat-sampling, every pair of a pairwise stage); the address
+    suite run (repeat-sampling, every pair of a pairwise stage); the address
     vector depends only on ``(array_bytes, stride)``, so share one
     immutable copy instead of rebuilding it per call.
     """
@@ -90,31 +99,9 @@ def _virtual_sets_shared(
     array_bytes: int, stride: int, line_size: int, num_sets: int
 ) -> np.ndarray:
     """Memoized set-index vector for a virtually indexed level."""
-    sets = _virtual_lines_shared(array_bytes, stride, line_size) % num_sets
+    sets = _virtual_lines_shared(array_bytes, stride, line_size) & (num_sets - 1)
     sets.setflags(write=False)
     return sets
-
-
-@lru_cache(maxsize=4096)
-def _tlb_cycles_shared(
-    tlb: TLBSpec, page_size: int, array_bytes: int, stride: int
-) -> float:
-    """Average page-walk cycles per access for one cyclic traversal.
-
-    TLBs are per-core and indexed by virtual page, so the analysis
-    needs no page placement: group the accesses by virtual page and
-    apply the cyclic-LRU rule to the TLB sets.  Accesses to one page
-    are contiguous in address order, so an overloaded page costs one
-    walk per revolution regardless of how many accesses it gets.  The
-    result is a pure function of the four arguments — memoized because
-    every repeat-sample of a probe re-asks it.
-    """
-    vaddrs = _strided_addresses_shared(array_bytes, stride)
-    vpages = np.unique(vaddrs // page_size)
-    sets = vpages % tlb.num_sets
-    load = np.bincount(sets.astype(np.int64), minlength=tlb.num_sets)
-    overloaded_pages = int(load[load > tlb.effective_ways].sum())
-    return overloaded_pages * tlb.walk_cycles / len(vaddrs)
 
 
 @dataclass(frozen=True)
@@ -202,6 +189,15 @@ class TraversalEngine:
         # re-deriving a deep dataclass hash on every lookup.
         self._machine_token = sha256_hex(repr(machine))
         self._paging_token = self.paging.cache_token()
+        # Core -> cache instance per level, so a call groups its
+        # traversals by instance without scanning the sharing groups.
+        self._instance_of: list[list[int]] = []
+        for level in machine.levels:
+            instance_of = [0] * machine.n_cores
+            for index, group in enumerate(level.groups):
+                for core in group:
+                    instance_of[core] = index
+            self._instance_of.append(instance_of)
         self._hits_counter = None
         self._misses_counter = None
 
@@ -233,6 +229,8 @@ class TraversalEngine:
                 raise MeasurementError(
                     f"core {t.core} out of range for {self.machine.name}"
                 )
+            if t.stride <= 0:
+                raise MeasurementError(f"stride must be positive, got {t.stride}")
         rng = ensure_rng(rng)
 
         recorder = self.reuse_recorder
@@ -273,7 +271,7 @@ class TraversalEngine:
                 if self._misses_counter is not None:
                     self._misses_counter.inc()
 
-        result = self._simulate(traversals, cores, rng)
+        result = self._simulate(traversals, rng)
         if key is not None:
             cache.put(key, _copy_result(result))
         return result
@@ -281,92 +279,115 @@ class TraversalEngine:
     def _simulate(
         self,
         traversals: list[Traversal],
-        cores: list[int],
         rng: np.random.Generator,
     ) -> TraversalResult:
-        """The actual steady-state computation (cache-miss path)."""
+        """The actual steady-state computation (cache-miss path).
+
+        One kernel over pages or accesses (see the module docstring and
+        :meth:`_accesses_per_page`).
+        """
         child_rngs = spawn(rng, len(traversals))
 
         machine = self.machine
+        page_size = machine.page_size
         line_size = machine.levels[0].spec.line_size
-        spaces: dict[int, AddressSpace] = {}
-        active: dict[int, np.ndarray] = {}
-        cost: dict[int, np.ndarray] = {}
-        n_accesses: dict[int, int] = {}
-        for t, crng in zip(traversals, child_rngs):
-            spaces[t.core] = AddressSpace(
-                machine.page_size, self.paging, t.array_bytes, crng
-            )
-            n = len(_strided_addresses_shared(t.array_bytes, t.stride))
-            active[t.core] = np.ones(n, dtype=bool)
-            cost[t.core] = np.zeros(n, dtype=np.float64)
-            n_accesses[t.core] = n
-
+        spaces = [
+            AddressSpace(page_size, self.paging, t.array_bytes, crng)
+            for t, crng in zip(traversals, child_rngs)
+        ]
+        n_accesses = [-(-t.array_bytes // t.stride) for t in traversals]
+        per_page = self._accesses_per_page(traversals)
+        per_unit = per_page or 1
+        n_units = [n // per_unit for n in n_accesses]
+        active = [np.ones(u, dtype=bool) for u in n_units]
+        # Levels each unit reaches (the level it hits at, plus one; one
+        # more for memory): indexes the per-core cost table below.
+        reach = [np.zeros(u, dtype=np.int8) for u in n_units]
+        alive = list(n_units)
         miss_fraction: dict[int, list[float]] = {t.core: [] for t in traversals}
 
-        # A tracked stream (small stride) has its beyond-L1 miss
-        # latencies hidden by the prefetcher.
-        pf_factor = {
-            t.core: self.prefetch.miss_latency_factor(t.stride) for t in traversals
-        }
-
-        # Physical line vectors per (core, granule): physically indexed
-        # levels with one granule (L2 and L3 on most machines) share a
-        # single translation of each traversal's placement.
+        # Physical line vectors per (traversal, granule) for access
+        # units: physically indexed levels with one granule (L2 and L3
+        # on most machines) share a single translation of a placement.
         plines: dict[tuple[int, int], np.ndarray] = {}
-        core_set = set(cores)
+
+        def unit_sets(i: int, granule: int, bins: int, indexing: Indexing):
+            t = traversals[i]
+            if per_page:
+                if indexing is Indexing.VIRTUAL:
+                    pages = np.arange(n_units[i], dtype=np.int64)
+                else:
+                    pages = spaces[i].page_table
+                return pages & (bins - 1)
+            if indexing is Indexing.VIRTUAL:
+                return _virtual_sets_shared(t.array_bytes, t.stride, granule, bins)
+            lines = plines.get((i, granule))
+            if lines is None:
+                lines = spaces[i].physical_lines(
+                    _strided_addresses_shared(t.array_bytes, t.stride), granule
+                )
+                plines[(i, granule)] = lines
+            return lines & (bins - 1)
+
         for level_idx, level in enumerate(machine.levels):
             spec = level.spec
             # Sectored caches keep one tag per sector, so their set
             # index (and the cyclic-LRU load count) works at sector
             # granularity; sector_lines == 1 reduces to the line math.
             granule = line_size * spec.sector_lines
-            sets: dict[int, np.ndarray] = {}
-            for t in traversals:
-                if spec.indexing is Indexing.VIRTUAL:
-                    sets[t.core] = _virtual_sets_shared(
-                        t.array_bytes, t.stride, granule, spec.num_sets
-                    )
-                    continue
-                lines = plines.get((t.core, granule))
-                if lines is None:
-                    lines = spaces[t.core].physical_lines(
-                        _strided_addresses_shared(t.array_bytes, t.stride),
-                        granule,
-                    )
-                    plines[(t.core, granule)] = lines
-                sets[t.core] = lines % spec.num_sets
-            for group in level.groups:
-                if core_set.isdisjoint(group):
-                    continue
-                members = [c for c in cores if c in group and active[c].any()]
-                if not members:
-                    continue
-                combined = np.concatenate([sets[c][active[c]] for c in members])
-                load = np.bincount(combined, minlength=spec.num_sets)
-                overloaded = load > spec.ways + self._exclusive_extra_ways(
-                    level_idx, members
+            if per_page:
+                # A page covers page_size/granule consecutive sets; each
+                # occupied one gets max(1, granule/stride) accesses.
+                bins = spec.num_sets * granule // page_size
+                weight = max(1, granule // traversals[0].stride)
+            else:
+                bins = spec.num_sets
+                weight = 1
+            instance_of = self._instance_of[level_idx]
+            groups: dict[int, list[int]] = {}
+            for i, t in enumerate(traversals):
+                if alive[i]:
+                    groups.setdefault(instance_of[t.core], []).append(i)
+            for members in groups.values():
+                capacity = spec.ways + self._exclusive_extra_ways(
+                    level_idx, [traversals[i].core for i in members]
                 )
-                for c in members:
-                    latency = spec.latency * (pf_factor[c] if level_idx > 0 else 1.0)
-                    cost[c][active[c]] += latency
-                    # Lines in non-overloaded sets hit here and stop.
-                    active[c] &= overloaded[sets[c]]
-            for t in traversals:
-                denom = n_accesses[t.core]
-                miss_fraction[t.core].append(float(active[t.core].sum()) / denom)
+                sets = {i: unit_sets(i, granule, bins, spec.indexing) for i in members}
+                # Inactive units count into a sentinel bin past the end.
+                binned = [np.where(active[i], sets[i], bins) for i in members]
+                load = np.bincount(
+                    binned[0] if len(binned) == 1 else np.concatenate(binned),
+                    minlength=bins + 1,
+                )
+                overloaded = load[:bins] * weight > capacity
+                for i in members:
+                    reach[i] += active[i]
+                    # Units in non-overloaded sets hit here and stop.
+                    active[i] &= overloaded[sets[i]]
+                    alive[i] = int(np.count_nonzero(active[i]))
+            for i, t in enumerate(traversals):
+                miss_fraction[t.core].append(
+                    float(alive[i] * per_unit) / n_accesses[i]
+                )
 
-        for t in traversals:
-            cost[t.core][active[t.core]] += machine.mem_latency * pf_factor[t.core]
+        cycles: dict[int, float] = {}
+        for i, t in enumerate(traversals):
+            reach[i] += active[i]
+            # A tracked stream (small stride) has its beyond-L1 miss
+            # latencies hidden by the prefetcher.  The table adds the
+            # latencies in level order, as a per-access running sum
+            # would, so every access cost is bit-for-bit the same.
+            pf_factor = self.prefetch.miss_latency_factor(t.stride)
+            table = [0.0]
+            for level_idx, level in enumerate(machine.levels):
+                latency = level.spec.latency * (pf_factor if level_idx > 0 else 1.0)
+                table.append(table[-1] + latency)
+            table.append(table[-1] + machine.mem_latency * pf_factor)
+            cost = np.asarray(table)[reach[i]]
+            if per_page:
+                cost = np.repeat(cost, per_page)
+            cycles[t.core] = float(cost.mean()) + self._tlb_cycles_per_access(t)
 
-        tlb_extra = {
-            t.core: self._tlb_cycles_per_access(t) for t in traversals
-        }
-
-        cycles = {
-            t.core: float(cost[t.core].mean()) + tlb_extra[t.core]
-            for t in traversals
-        }
         if machine.core_classes is not None:
             # Heterogeneous (big.LITTLE-style) machines: a little core
             # burns proportionally more cycles per access.
@@ -374,14 +395,37 @@ class TraversalEngine:
                 c: v * machine.cycle_scale_of(c) for c, v in cycles.items()
             }
         seconds = {
-            c: cycles[c] * n_accesses[c] / machine.clock_hz for c in cycles
+            t.core: cycles[t.core] * n / machine.clock_hz
+            for t, n in zip(traversals, n_accesses)
         }
         return TraversalResult(
             cycles_per_access=cycles,
             miss_fraction=miss_fraction,
-            n_accesses=dict(n_accesses),
+            n_accesses={t.core: n for t, n in zip(traversals, n_accesses)},
             seconds_per_round=seconds,
         )
+
+    def _accesses_per_page(self, traversals: list[Traversal]) -> int:
+        """Accesses per page when pages can be the kernel's units, else 0.
+
+        Every page of every traversal then puts its accesses in the same
+        set slots, so only its color tells pages apart.  That needs one
+        stride dividing the page (hence a power of two, nested with every
+        granule), whole pages only, and at every level a granule no
+        larger than a page and a page spanning at most the level's sets.
+        """
+        page_size = self.machine.page_size
+        stride = traversals[0].stride
+        if page_size % stride or any(
+            t.stride != stride or t.array_bytes % page_size for t in traversals
+        ):
+            return 0
+        line_size = self.machine.levels[0].spec.line_size
+        for level in self.machine.levels:
+            granule = line_size * level.spec.sector_lines
+            if granule > page_size or page_size // granule > level.spec.num_sets:
+                return 0
+        return page_size // stride
 
     def _exclusive_extra_ways(self, level_idx: int, members: list[int]) -> int:
         """Extra per-set capacity an exclusive level gains from inner levels.
@@ -397,25 +441,38 @@ class TraversalEngine:
         spec = self.machine.levels[level_idx].spec
         if spec.organization is not CacheOrganization.EXCLUSIVE:
             return 0
-        inner_instances: set[tuple[int, int]] = set()
-        for i in range(level_idx):
-            level = self.machine.levels[i]
-            for c in members:
-                inner_instances.add((i, level.instance_index(c)))
         inner_bytes = sum(
-            self.machine.levels[i].spec.size for i, _ in inner_instances
+            self.machine.levels[i].spec.size
+            * len({self._instance_of[i][c] for c in members})
+            for i in range(level_idx)
         )
         granule = self.machine.levels[0].spec.line_size * spec.sector_lines
         return inner_bytes // (granule * spec.num_sets)
 
     def _tlb_cycles_per_access(self, traversal: Traversal) -> float:
-        """Average page-walk cycles per access (memoized; see module fn)."""
+        """Average page-walk cycles per access for one cyclic traversal.
+
+        TLBs are per-core and indexed by virtual page, so the analysis
+        needs no page placement: apply the cyclic-LRU rule to the TLB
+        sets of the distinct virtual pages the traversal touches.
+        Accesses to one page are contiguous in address order, so an
+        overloaded page costs one walk per revolution regardless of how
+        many accesses it gets.
+        """
         tlb = self.machine.tlb
         if tlb is None:
             return 0.0
-        return _tlb_cycles_shared(
-            tlb, self.machine.page_size, traversal.array_bytes, traversal.stride
-        )
+        page_size = self.machine.page_size
+        stride = traversal.stride
+        n = -(-traversal.array_bytes // stride)
+        if stride < page_size:
+            # Every page up to the last access holds at least one.
+            vpages = np.arange((n - 1) * stride // page_size + 1)
+        else:
+            vpages = np.arange(n, dtype=np.int64) * stride // page_size
+        load = np.bincount(vpages & (tlb.num_sets - 1), minlength=tlb.num_sets)
+        overloaded_pages = int(load[load > tlb.effective_ways].sum())
+        return overloaded_pages * tlb.walk_cycles / n
 
     def single(
         self,

@@ -238,3 +238,37 @@ class TestPagePlacementLifetime:
         assert len(translations) == len(travs) * len(granules)
         gc.collect()
         assert [ref() for ref in built] == [None] * len(travs)
+
+    def test_one_stride_pair_takes_page_units_without_translating(
+        self, monkeypatch
+    ):
+        """A pair with one page-dividing stride over whole pages is
+        simulated page by page: its sets come from the page tables
+        directly (no ``physical_lines`` call), and its spaces still die
+        with the run."""
+        built: list[weakref.ref] = []
+        translations: list[int] = []
+        init = AddressSpace.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(weakref.ref(self))
+
+        monkeypatch.setattr(AddressSpace, "__init__", recording_init)
+        monkeypatch.setattr(
+            AddressSpace,
+            "physical_lines",
+            lambda self, vaddrs, line_size: translations.append(line_size),
+        )
+
+        # Cores 0 and 12 share an L2: the Fig. 5 probe at 2/3 of it.
+        travs = [Traversal(0, 2 * MiB, 1024), Traversal(12, 2 * MiB, 1024)]
+        engine = TraversalEngine(dunnington(), outcome_cache=None)
+        assert engine._accesses_per_page(travs) == 4
+        result = engine.run(travs, rng=np.random.default_rng(11))
+        assert set(result.cycles_per_access) == {0, 12}
+
+        assert len(built) == len(travs)
+        assert translations == []
+        gc.collect()
+        assert [ref() for ref in built] == [None] * len(travs)

@@ -95,6 +95,22 @@ class TestAddressSpace:
             16,
         ]
 
+    def test_lines_larger_than_a_page_come_from_the_physical_address(self):
+        # A 16 KiB sector spans four 4 KiB pages: its number is the
+        # physical address shifted by 14.
+        space = AddressSpace(4 * KiB, RandomPaging(), 64 * KiB, rng())
+        vaddrs = np.arange(0, 64 * KiB, 1 * KiB)
+        frames = space.page_table[vaddrs // (4 * KiB)]
+        paddrs = frames * (4 * KiB) + vaddrs % (4 * KiB)
+        lines = space.physical_lines(vaddrs, 16 * KiB)
+        assert list(lines) == list(paddrs // (16 * KiB))
+        assert len(set(lines.tolist())) > 1
+
+    def test_rejects_non_power_of_two_line(self):
+        space = AddressSpace(4 * KiB, RandomPaging(), 4 * KiB, rng())
+        with pytest.raises(ConfigurationError):
+            space.physical_lines(np.array([0]), 96)
+
     def test_rejects_out_of_range_addresses(self):
         space = AddressSpace(4 * KiB, RandomPaging(), 4 * KiB, rng())
         with pytest.raises(SimulationError):

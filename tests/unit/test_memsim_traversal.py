@@ -1,5 +1,7 @@
 """Unit tests for the analytic traversal engine."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,8 @@ from repro.memsim import (
     strided_addresses,
 )
 from repro.memsim.prefetch import NO_PREFETCH
-from repro.topology import dunnington, generic_smp
+from repro.topology import CacheLevel, CacheSpec, dunnington, generic_smp
+from repro.topology.cache import private_groups
 from repro.units import KiB, MiB
 
 
@@ -90,6 +93,32 @@ class TestSingleCore:
         assert result.seconds_per_round[0] == pytest.approx(
             n * cyc / engine.machine.clock_hz
         )
+
+
+class TestSectorsLargerThanAPage:
+    """A 16 KiB-sector 8 MiB L2 on 4 KiB pages."""
+
+    def engine(self):
+        base = generic_smp(n_cores=1, levels=[("32KB", 8, 1, 3.0)])
+        l2 = CacheSpec(2, 8 * MiB, ways=8, sector_lines=256, latency=20.0)
+        machine = replace(
+            base, levels=base.levels + (CacheLevel(l2, private_groups(1)),)
+        )
+        return TraversalEngine(
+            machine, paging=ContiguousPaging(), prefetch=NO_PREFETCH
+        )
+
+    def test_fitting_array_hits_a_sectored_cache(self):
+        """A contiguous 4 MiB array fits: every sector has its own tag,
+        4 per 8-way set."""
+        result = self.engine().run([Traversal(0, 4 * MiB, 16 * KiB)], rng=0)
+        assert result.miss_fraction[0] == [1.0, 0.0]
+        assert result.cycles_per_access[0] == pytest.approx(23.0)
+
+    def test_sectors_spanning_pages_are_simulated_per_access(self):
+        # A page holds part of a sector, so pages cannot be the units.
+        travs = [Traversal(0, 4 * MiB, 1 * KiB)]
+        assert self.engine()._accesses_per_page(travs) == 0
 
 
 class TestPrefetchInteraction:
