@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from ..backends.base import Backend
 from ..errors import DetectionError
@@ -140,15 +139,54 @@ def _gradient_regions(gradients: np.ndarray) -> list[tuple[int, int]]:
     return regions
 
 
+def _prominent_peaks(values: np.ndarray, height: float, prominence: float) -> list[int]:
+    """Indices of the peaks of ``values`` at least ``height`` tall and
+    ``prominence`` prominent (both inclusive).
+
+    A peak is a strict local maximum away from both ends; a flat top
+    reports its middle index, rounded down.  Its prominence is its height
+    above the higher of its two bases, each the lowest value passed
+    while walking out until a strictly higher value or the array edge.
+    These are ``scipy.signal.find_peaks`` semantics.
+    """
+    x = values.tolist()
+    last = len(x) - 1
+    peaks: list[int] = []
+    i = 1
+    while i < last:
+        if x[i - 1] < x[i]:
+            ahead = i + 1
+            while ahead < last and x[ahead] == x[i]:
+                ahead += 1
+            if x[ahead] < x[i]:
+                peaks.append((i + ahead - 1) // 2)
+                i = ahead
+        i += 1
+
+    def base(peak: int, step: int) -> float:
+        lowest, j = x[peak], peak
+        while 0 <= j <= last and x[j] <= x[peak]:
+            lowest = min(lowest, x[j])
+            j += step
+        return lowest
+
+    return [
+        peak
+        for peak in peaks
+        if x[peak] >= height
+        and x[peak] - max(base(peak, -1), base(peak, 1)) >= prominence
+    ]
+
+
 def _split_at_valleys(gradients: np.ndarray, lo: int, hi: int) -> list[tuple[int, int]]:
     """Split ``[lo, hi]`` at deep valleys between *prominent* maxima.
 
     Two caches with close sizes produce overlapping rises whose gradient
     region never dips under the threshold; a valley dropping below
     ``1 + VALLEY_FRACTION * (min(peak heights) - 1)`` between two
-    prominent peaks separates them.  Prominence filtering (scipy
-    ``find_peaks``) ignores the small local maxima measurement noise
-    sprinkles over a wide binomial smear.
+    prominent peaks separates them.  Prominence filtering
+    (``_prominent_peaks``) ignores the small local maxima measurement
+    noise sprinkles over a wide binomial smear.
     """
     segment = gradients[lo : hi + 1]
     if len(segment) < 3:
@@ -159,12 +197,14 @@ def _split_at_valleys(gradients: np.ndarray, lo: int, hi: int) -> list[tuple[int
     # small peak sitting next to a huge L1 cliff.
     prominence = 0.15
     # Pad with flat gradient so a maximum sitting on the region boundary
-    # still counts as a peak (find_peaks never reports endpoints).
+    # still counts as a peak (peaks are never reported at endpoints).
     padded = np.concatenate(([1.0], segment, [1.0]))
-    peaks, _ = find_peaks(
-        padded - 1.0, height=GRADIENT_THRESHOLD - 1.0, prominence=prominence
-    )
-    peaks = peaks - 1  # back to segment coordinates
+    peaks = [
+        peak - 1  # back to segment coordinates
+        for peak in _prominent_peaks(
+            padded - 1.0, height=GRADIENT_THRESHOLD - 1.0, prominence=prominence
+        )
+    ]
     if len(peaks) <= 1:
         return [(lo, hi)]
     pieces: list[tuple[int, int]] = []

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import stats
 
 from ..errors import DetectionError
 from ..units import KiB, MiB
@@ -96,17 +95,43 @@ def predicted_miss_rate(
 
 @lru_cache(maxsize=4096)
 def _binom_sf_shared(k: int, n_bytes: bytes, n_len: int, p: float) -> np.ndarray:
-    """Memoized, read-only ``binom.sf`` tail over a page-count vector.
+    """Memoized, read-only binomial tail ``P(B(n, p) > k)`` over a page-count vector.
 
     The detection loop evaluates the same (window, ways, p) triple for
     every candidate revisit — and warm re-runs repeat all of them — so
-    the scipy call (the priciest pure-python piece of detection) is
-    keyed on the raw vector bytes and shared.
+    the tail is keyed on the raw vector bytes and shared.
     """
     n = np.frombuffer(n_bytes, dtype=np.float64, count=n_len)
-    out = stats.binom.sf(k, n, p)
+    out = _binom_sf(k, n, p)
     out.setflags(write=False)
     return out
+
+
+def _binom_sf(k: int, n: np.ndarray, p: float) -> np.ndarray:
+    """Upper tail ``1 - sum_{i<=k} pmf(i)`` of ``B(n, p)``, vectorized over ``n``.
+
+    The pmf comes from its log-space recurrence
+    ``pmf(i) = pmf(i-1) * (n-i+1)/i * p/(1-p)``: one ``(k+1) x len(n)``
+    cumulative sum, so ``k`` (an associativity, a few dozen at most)
+    costs no Python loop.  ``n <= k`` gives exactly 0, as does ``p == 0``;
+    ``p == 1`` puts all mass on ``n``.
+    """
+    reachable = n > k
+    if p >= 1.0:
+        return reachable.astype(np.float64)
+    if p <= 0.0:
+        return np.zeros(len(n))
+    steps = np.arange(1, k + 1, dtype=np.float64)[:, None]
+    log_pmf = np.empty((k + 1, len(n)))
+    log_pmf[0] = n * np.log1p(-p)
+    # Columns with n <= k are zeroed below; clamp so their logs stay finite.
+    log_pmf[1:] = (
+        np.log(np.maximum(n - steps + 1.0, 1.0))
+        - np.log(steps)
+        + (np.log(p) - np.log1p(-p))
+    )
+    cdf = np.exp(np.cumsum(log_pmf, axis=0)).sum(axis=0)
+    return np.where(reachable, np.maximum(1.0 - cdf, 0.0), 0.0)
 
 
 def _affine_divergence(

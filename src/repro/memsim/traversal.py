@@ -86,9 +86,13 @@ def _strided_addresses_shared(array_bytes: int, stride: int) -> np.ndarray:
     return addresses
 
 
-@lru_cache(maxsize=512)
 def _virtual_lines_shared(array_bytes: int, stride: int, line_size: int) -> np.ndarray:
-    """Memoized, read-only virtual line numbers for one geometry."""
+    """Read-only virtual line numbers for one geometry.
+
+    Not memoized: its callers are the memoized ``_virtual_sets_shared``
+    and the reuse recorder, and a cache here had no hits on the
+    cold and warm dunnington suites or the co-schedule.
+    """
     lines = _strided_addresses_shared(array_bytes, stride) // line_size
     lines.setflags(write=False)
     return lines
