@@ -742,10 +742,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.resume and args.checkpoint is None:
         print("error: --resume requires --checkpoint", file=sys.stderr)
         return 2
+    tracer = Tracer(virtual_clock=lambda: backend.virtual_time) if args.trace else None
     suite = ServetSuite(
         backend,
         jobs=args.jobs,
         prune=args.prune,
+        tracer=tracer,
         probe_timeout=args.probe_timeout,
     )
     report = suite.run(
@@ -754,12 +756,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         resume=args.resume,
     )
     print(report.summary())
-    if args.trace:
-        suite.tracer.save(args.trace)
-        print(
-            f"trace written to {args.trace} "
-            f"({len(suite.tracer.spans())} spans)"
-        )
+    if tracer is not None:
+        tracer.save(args.trace)
+        print(f"trace written to {args.trace} ({len(tracer.spans())} spans)")
     if args.metrics:
         suite.metrics.save_json(args.metrics)
         print(f"metrics written to {args.metrics}")

@@ -27,13 +27,13 @@ class SimilarityCluster:
     #: Representative value: the running mean of the members.
     value: float
     members: list[Hashable] = field(default_factory=list)
-    _values: list[float] = field(default_factory=list)
+    _total: float = 0.0
 
     def add(self, key: Hashable, value: float) -> None:
         """Add a member and update the representative (running mean)."""
         self.members.append(key)
-        self._values.append(value)
-        self.value = sum(self._values) / len(self._values)
+        self._total += value
+        self.value = self._total / len(self.members)
 
     def matches(self, value: float, rel_tol: float) -> bool:
         """True if ``value`` is within ``rel_tol`` of the representative."""

@@ -126,10 +126,10 @@ class ServetSuite:
         (overrides ``jobs``/``prune``); one executor is shared by every
         phase so later phases reuse earlier measurements.
     tracer:
-        Span collector (:class:`repro.obs.Tracer`).  A private tracer
-        with the backend's virtual clock is created when not given, so
-        ``servet run --trace`` and tests can always read spans off
-        ``suite.tracer``.
+        Collector (:class:`repro.obs.Tracer`) of ``phase``, ``probe``
+        and ``backend.*`` spans.  ``None`` (the default) records no span;
+        phase timings still reach ``report.timings`` and the
+        ``suite.phase_*`` gauges, and ``backend.calls`` still counts.
     metrics:
         Metrics registry shared with the planner (so the planner's
         probe accounting and the exported metrics document agree).
@@ -163,11 +163,7 @@ class ServetSuite:
             self.metrics = planner.metrics
         else:
             self.metrics = MetricsRegistry()
-        self.tracer = (
-            tracer
-            if tracer is not None
-            else Tracer(virtual_clock=lambda: self.backend.virtual_time)
-        )
+        self.tracer = tracer
         self.planner = (
             planner
             if planner is not None
@@ -175,14 +171,14 @@ class ServetSuite:
                 backend,
                 prune=prune,
                 jobs=jobs,
-                tracer=self.tracer,
+                tracer=tracer,
                 metrics=self.metrics,
                 probe_timeout=probe_timeout,
             )
         )
         if self.planner.tracer is None:
-            self.planner.tracer = self.tracer
-        instrument_backend(backend, tracer=self.tracer, metrics=self.metrics)
+            self.planner.tracer = tracer
+        instrument_backend(backend, tracer=tracer, metrics=self.metrics)
         self.prune = self.planner.prune
         self.jobs = self.planner.jobs
         #: Probes issued by the planner, per phase (checkpoint-resumable
@@ -465,9 +461,12 @@ class ServetSuite:
         self._drain_incidents()  # don't blame this phase for old incidents
         issued_before = self.planner.stats.issued
         try:
-            with self.tracer.span("phase", phase=name) as span:
-                _, (virtual, wall) = self._timed(name, body)
-                span.set(virtual_seconds=virtual, wall_seconds=wall)
+            if self.tracer is None:
+                self._timed(name, body)
+            else:
+                with self.tracer.span("phase", phase=name) as span:
+                    _, (virtual, wall) = self._timed(name, body)
+                    span.set(virtual_seconds=virtual, wall_seconds=wall)
         except ReproError as exc:
             self._account_phase(name, issued_before)
             ctx.report.phase_status[name] = "failed"

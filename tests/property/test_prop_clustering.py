@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import functools
+import operator
+import random
+
 from hypothesis import given, settings, strategies as st
 
 from repro.core.clustering import cluster_similar, groups_from_pairs
@@ -11,6 +15,15 @@ values = st.lists(
     min_size=0,
     max_size=40,
 )
+
+
+def assert_means_are_left_to_right(vals, clusters):
+    """Bit for bit, on every Python: a representative must not depend on
+    the interpreter's ``sum`` (3.12 compensates, 3.11 does not)."""
+    for c in clusters:
+        member_values = [vals[m] for m in c.members]
+        total = functools.reduce(operator.add, member_values, 0.0)
+        assert c.value == total / len(member_values)
 
 
 @given(values, st.floats(0.0, 0.5))
@@ -29,6 +42,7 @@ def test_clusters_sorted_and_nonempty(vals, tol):
     reps = [c.value for c in clusters]
     assert reps == sorted(reps)
     assert all(c.members for c in clusters)
+    assert_means_are_left_to_right(vals, clusters)
 
 
 @given(values)
@@ -38,6 +52,23 @@ def test_zero_tolerance_groups_equal_values_only(vals):
     for c in clusters:
         got = {vals[m] for m in c.members}
         assert len(got) == 1
+
+
+@given(
+    st.integers(2000, 6000),
+    st.floats(1e-3, 1e6),
+    st.floats(0.01, 0.5),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=25, deadline=None)
+def test_representative_of_thousands_of_members(n, center, tol, seed):
+    """Thousands of values jittered around one center: long running
+    sums, where any reordering or compensation would change low bits."""
+    rng = random.Random(seed)
+    vals = [center * (1.0 + rng.uniform(-tol, tol) / 3.0) for _ in range(n)]
+    clusters = cluster_similar(list(enumerate(vals)), rel_tol=tol)
+    assert max(len(c.members) for c in clusters) >= n // 2
+    assert_means_are_left_to_right(vals, clusters)
 
 
 @given(

@@ -18,7 +18,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.backends import SimulatedBackend
+from repro.backends.base import Backend, ConcurrentLatency, instrument_backend
 from repro.core.report import ServetReport
 from repro.errors import ConfigurationError, ReproError
 from repro.obs import (
@@ -32,7 +32,6 @@ from repro.obs import (
 )
 from repro.obs.metrics import Histogram, percentile
 from repro.planner import PlanExecutor
-from repro.topology import generic_smp
 from repro.topology.machine import all_pairs
 
 # ---------------------------------------------------------------- tracing
@@ -91,12 +90,34 @@ def test_trace_jsonl_round_trip(tmp_path):
     assert "cache_size" in summary and "traversal=1" in summary
 
 
+class WallClockBackend(Backend):
+    """Constant-answer backend the planner treats as wall-clock bound,
+    so ``jobs > 1`` really runs its probes on the worker pool."""
+
+    name = "wall-clock"
+    n_cores = 6
+    page_size = 4096
+    wall_clock_bound = True
+
+    def traversal_cycles(self, arrays, stride):
+        return {core: 10.0 for core, _ in arrays}
+
+    def copy_bandwidth(self, cores):
+        return {core: 1e9 for core in cores}
+
+    def message_latency(self, core_a, core_b, nbytes):
+        return 1e-6
+
+    def concurrent_message_latency(self, pairs, nbytes):
+        return ConcurrentLatency(mean=1e-6, worst=1e-6)
+
+
 def test_spans_nest_correctly_under_planner_worker_pool():
     """Pooled probe spans must still hang off the submitting span, even
     though worker threads never see the submitter's contextvars."""
-    machine = generic_smp(name="pool-smp", n_cores=6)
-    backend = SimulatedBackend(machine, seed=7, noise=0.0)
+    backend = WallClockBackend()
     tracer = Tracer()
+    instrument_backend(backend, tracer=tracer)
     executor = PlanExecutor(backend, jobs=3, tracer=tracer)
     pairs = all_pairs(list(range(6)))
     with tracer.span("phase", phase="communication_costs") as phase_span:
@@ -110,9 +131,10 @@ def test_spans_nest_correctly_under_planner_worker_pool():
             node = by_id[node.parent_id]
         assert node.span_id == phase_span.span_id, span.span_id
     # every backend call nests under its probe span
-    for span in tracer.spans():
-        if span.name.startswith("backend."):
-            assert by_id[span.parent_id].name == "probe"
+    backend_spans = [s for s in tracer.spans() if s.name.startswith("backend.")]
+    assert backend_spans
+    for span in backend_spans:
+        assert by_id[span.parent_id].name == "probe", span.name
 
 
 # ---------------------------------------------------------------- metrics
