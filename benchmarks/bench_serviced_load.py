@@ -12,9 +12,10 @@ Three claims the daemon makes, measured over real loopback sockets:
    is the daemon's, not the client's JSON encoder.
 
 2. **Instrumentation is near-free.**  The same load against an
-   ``instrument=False`` daemon gives the no-measurement ceiling; the
-   instrumented daemon must stay within a few percent of it (LIKWID
-   discipline: you can leave the counters on).
+   ``instrument=False`` daemon gives the no-measurement ceiling.  The
+   two daemons run interleaved segment pairs (the order flips every
+   pair); the median pair overhead must stay within a few percent
+   (LIKWID discipline: you can leave the counters on).
 
 3. **Hot reloads do not stall the tail.**  While a publisher stores new
    report versions mid-load, answers must keep flowing — every response
@@ -35,6 +36,7 @@ import json
 import os
 import random
 import socket
+import statistics
 import threading
 import time
 from pathlib import Path
@@ -74,7 +76,8 @@ QPS_FLOOR = 5_000 if QUICK else 50_000
 #: quick-mode segments are noise-dominated, so the bound loosens there.
 OVERHEAD_CEILING = 0.25 if QUICK else 0.05
 OVERHEAD_SEGMENT = 5_000 if QUICK else 100_000
-OVERHEAD_ROUNDS = 3
+#: Interleaved instrumented/uninstrumented segment pairs.
+OVERHEAD_PAIRS = 5
 
 #: p99 arrival-to-answer latency bound while hot-reloads land (seconds).
 RELOAD_P99_CEILING = 2.0 if QUICK else 0.5
@@ -226,28 +229,48 @@ def test_serviced_load(baseline_report, figure, tmp_path):
     daemon.drain()
 
     # -- 2. instrumentation overhead ------------------------------------
-    # Best-of-N short segments per mode: on a shared box a single
-    # segment's q/s swings more than the effect being measured.
-    rates: dict[bool, float] = {}
-    for instrument in (True, False):
-        best = 0.0
-        dm = TuningDaemon(
+    # Interleaved on/off pairs, the order flipped in every other pair,
+    # so host drift and warm-up hit both modes alike; the verdict is
+    # the median pair overhead, not a best-of-N ratio.
+    daemons = {
+        instrument: TuningDaemon(
             report=baseline_report,
             workers=WORKERS,
             batch_max=BATCH_MAX,
             instrument=instrument,
         ).start()
+        for instrument in (True, False)
+    }
+    for dm in daemons.values():
         warm_up(dm, pool, refs)
-        for round_index in range(OVERHEAD_ROUNDS):
+    pair_rates: list[dict[bool, float]] = []
+    for pair_index in range(OVERHEAD_PAIRS):
+        order = (True, False) if pair_index % 2 == 0 else (False, True)
+        rates: dict[bool, float] = {}
+        for instrument in order:
             segment = drive_load(
-                dm, pool, {0: refs}, CLIENTS,
-                OVERHEAD_SEGMENT // CLIENTS, WINDOW, seed=50 + round_index,
+                daemons[instrument], pool, {0: refs}, CLIENTS,
+                OVERHEAD_SEGMENT // CLIENTS, WINDOW, seed=50 + pair_index,
             )
             assert segment["mismatches"] == 0
-            best = max(best, segment["queries_per_second"])
-        rates[instrument] = best
+            rates[instrument] = segment["queries_per_second"]
+        pair_rates.append(rates)
+    for dm in daemons.values():
         dm.drain()
-    overhead = 1.0 - rates[True] / rates[False] if rates[False] else 0.0
+    pair_overheads = [1.0 - r[True] / r[False] for r in pair_rates]
+    q1, overhead, q3 = statistics.quantiles(pair_overheads, n=4)
+    overhead_table = ascii_table(
+        ["pair", "order", "on q/s", "off q/s", "overhead"],
+        [
+            (str(index), "on, off" if index % 2 == 0 else "off, on",
+             f"{rates[True]:,.0f}", f"{rates[False]:,.0f}",
+             f"{pair_overhead:+.1%}")
+            for index, (rates, pair_overhead)
+            in enumerate(zip(pair_rates, pair_overheads))
+        ],
+        title=f"Instrumentation overhead: median {overhead:+.1%}, quartiles "
+        f"{q1:+.1%} .. {q3:+.1%} (ceiling {OVERHEAD_CEILING:.0%})",
+    )
 
     # -- 3. hot-reload under load ---------------------------------------
     backend = SimulatedBackend(dunnington(), seed=42, noise=0.0)
@@ -295,8 +318,9 @@ def test_serviced_load(baseline_report, figure, tmp_path):
             ("steady state (instrumented)", f"{steady['queries']:,}",
              f"{steady['queries_per_second']:,.0f}",
              f"{steady['p99'] * 1e3:.1f} ms", str(steady["mismatches"])),
-            ("metrics off (ceiling)", f"{OVERHEAD_ROUNDS * OVERHEAD_SEGMENT:,}",
-             f"{rates[False]:,.0f}", "-", "0"),
+            ("metrics off (ceiling, median pair)",
+             f"{OVERHEAD_PAIRS * OVERHEAD_SEGMENT:,}",
+             f"{statistics.median(r[False] for r in pair_rates):,.0f}", "-", "0"),
             ("hot-reload storm", f"{reload_run['queries']:,}",
              f"{reload_run['queries_per_second']:,.0f}",
              f"{reload_run['p99'] * 1e3:.1f} ms",
@@ -305,7 +329,7 @@ def test_serviced_load(baseline_report, figure, tmp_path):
         title=f"Serving daemon over loopback ({CLIENTS} clients, "
         f"window {WINDOW}, batch_max {BATCH_MAX}, zipf s={ZIPF_S})",
     )
-    figure("Serving daemon load", table)
+    figure("Serving daemon load", table + "\n\n" + overhead_table)
 
     payload = {}
     if BENCH_PATH.exists():
@@ -322,11 +346,14 @@ def test_serviced_load(baseline_report, figure, tmp_path):
         "window": WINDOW,
         "steady": steady,
         "instrumentation": {
-            "queries_per_second_on": rates[True],
-            "queries_per_second_off": rates[False],
+            "queries_per_second_on": [r[True] for r in pair_rates],
+            "queries_per_second_off": [r[False] for r in pair_rates],
+            "pair_overheads": pair_overheads,
             "overhead": overhead,
+            "overhead_q1": q1,
+            "overhead_q3": q3,
             "segment_queries": OVERHEAD_SEGMENT,
-            "rounds": OVERHEAD_ROUNDS,
+            "pairs": OVERHEAD_PAIRS,
         },
         "hot_reload": {
             **reload_run,
@@ -347,8 +374,8 @@ def test_serviced_load(baseline_report, figure, tmp_path):
         f"{QPS_FLOOR:,} floor"
     )
     assert overhead <= OVERHEAD_CEILING, (
-        f"instrumentation costs {overhead:.1%} "
-        f"({rates[True]:,.0f} vs {rates[False]:,.0f} q/s)"
+        f"instrumentation costs {overhead:.1%} in the median of "
+        f"{OVERHEAD_PAIRS} interleaved pairs (quartiles {q1:.1%} .. {q3:.1%})"
     )
     assert reload_run["mismatches"] == 0, "torn or stale answers under reload"
     assert reload_run["reloads"] >= len(VERSION_FACTORS) - 1

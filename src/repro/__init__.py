@@ -32,7 +32,6 @@ from .core import ServetReport, ServetSuite
 from .autotune import Advisor
 from .obs import MetricsRegistry, ParameterProvenance, Tracer, explain
 from .planner import (
-    MeasurementPlan,
     MessageProbe,
     PlanExecutor,
     PlannerStats,
@@ -85,7 +84,6 @@ __all__ = [
     "ParameterProvenance",
     "Tracer",
     "explain",
-    "MeasurementPlan",
     "MessageProbe",
     "PlanExecutor",
     "PlannerStats",

@@ -33,12 +33,6 @@ class Backend(abc.ABC):
     #: OS page size in bytes (available to user code via sysconf in the
     #: real suite, so not considered hidden information).
     page_size: int
-    #: True when measurements cost real wall-clock time (native
-    #: backends): the measurement planner may then overlap independent
-    #: probes on a worker pool.  Virtual-time backends stay False so
-    #: serial execution keeps their RNG streams and virtual-time
-    #: accounting deterministic.
-    wall_clock_bound: bool = False
 
     @abc.abstractmethod
     def traversal_cycles(

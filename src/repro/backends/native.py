@@ -73,10 +73,6 @@ class NativeBackend(Backend):
     orders of magnitude slower per access under CPython but faithful).
     """
 
-    #: Real measurements pay wall-clock time, so the measurement
-    #: planner is allowed to overlap core-disjoint probes (--jobs).
-    wall_clock_bound = True
-
     def __init__(self, repeats: int = 8, kernel: str = "gather") -> None:
         if kernel not in ("gather", "chase"):
             raise MeasurementError(f"unknown kernel {kernel!r}")

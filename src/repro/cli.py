@@ -201,25 +201,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "every pair ('off', the default)",
     )
     run.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run up to N independent measurements concurrently on "
-        "wall-clock-bound backends (simulated backends always run "
-        "serially to stay deterministic)",
-    )
-    run.add_argument(
-        "--probe-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="abandon and re-dispatch any pooled probe that produces no "
-        "result within this many wall seconds (requires --jobs > 1; "
-        "keeps one hung measurement from stalling the plan)",
-    )
-
-    run.add_argument(
         "--trace",
         default=None,
         metavar="FILE",
@@ -743,13 +724,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("error: --resume requires --checkpoint", file=sys.stderr)
         return 2
     tracer = Tracer(virtual_clock=lambda: backend.virtual_time) if args.trace else None
-    suite = ServetSuite(
-        backend,
-        jobs=args.jobs,
-        prune=args.prune,
-        tracer=tracer,
-        probe_timeout=args.probe_timeout,
-    )
+    suite = ServetSuite(backend, prune=args.prune, tracer=tracer)
     report = suite.run(
         strict=not args.lenient,
         checkpoint=args.checkpoint,

@@ -126,7 +126,7 @@ def detect_comm_layers(
     ("it allows to find differences in communications when sharing
     other cache levels").  The all-pairs probe batch goes through the
     measurement ``planner`` (a pass-through executor by default), which
-    may prune symmetric pairs and overlap independent probes.
+    may prune symmetric pairs.
     """
     if cores is None:
         cores = list(range(backend.n_cores))

@@ -83,7 +83,7 @@ def characterize_memory_overhead(
 
     The all-pairs bandwidth batch goes through the measurement
     ``planner`` (pass-through by default), which may prune
-    topology-equivalent pairs and overlap independent probes.
+    topology-equivalent pairs.
     """
     if cores is None:
         cores = list(range(backend.n_cores))

@@ -137,8 +137,8 @@ class ServetReport:
     #: phase name -> captured error message (failed phases only).
     phase_errors: dict[str, str] = field(default_factory=dict)
     #: Measurement-planner accounting: probes issued vs saved by
-    #: memoization and symmetry pruning, plus the prune/jobs
-    #: configuration (empty for runs without a planner).
+    #: memoization and symmetry pruning, plus the prune mode
+    #: (empty for runs without a planner).
     planner: dict = field(default_factory=dict)
     #: Parameter path -> provenance record (probe IDs + measurements
     #: that justified the detected value); see
@@ -369,8 +369,6 @@ class ServetReport:
             detail = []
             if self.planner.get("prune"):
                 detail.append(f"prune={self.planner['prune']}")
-            if self.planner.get("jobs"):
-                detail.append(f"jobs={self.planner['jobs']}")
             suffix = f" [{', '.join(detail)}]" if detail else ""
             lines.append(
                 f"Planner: {issued} measurement(s) issued, {saved} "

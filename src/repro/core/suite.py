@@ -112,10 +112,6 @@ class ServetSuite:
         Wall-clock source for the per-phase timings (defaults to
         :func:`time.perf_counter`; tests inject a deterministic clock
         so checkpoint/resume reports compare byte-for-byte).
-    jobs:
-        Worker-pool width for wall-clock-bound backends (see
-        :class:`repro.planner.PlanExecutor`; no-op for virtual-time
-        backends, whose determinism it would break).
     prune:
         Symmetry-pruning mode for pairwise batches: ``"off"`` (measure
         everything), ``"topology"`` (one representative per
@@ -123,7 +119,7 @@ class ServetSuite:
         measured spot check per class).
     planner:
         Inject a pre-built :class:`~repro.planner.PlanExecutor`
-        (overrides ``jobs``/``prune``); one executor is shared by every
+        (overrides ``prune``); one executor is shared by every
         phase so later phases reuse earlier measurements.
     tracer:
         Collector (:class:`repro.obs.Tracer`) of ``phase``, ``probe``
@@ -134,11 +130,6 @@ class ServetSuite:
         Metrics registry shared with the planner (so the planner's
         probe accounting and the exported metrics document agree).
         Defaults to the injected planner's registry, else a fresh one.
-    probe_timeout:
-        Per-probe wall-clock deadline for the worker pool (see
-        :class:`~repro.planner.PlanExecutor`): a hung wall-clock probe
-        is abandoned, counted, and re-dispatched instead of stalling
-        the whole plan.  Ignored when ``planner`` is injected.
     """
 
     def __init__(
@@ -148,12 +139,10 @@ class ServetSuite:
         comm_cores: Sequence[int] | None = None,
         probe_tlb: bool = True,
         clock: Callable[[], float] = time.perf_counter,
-        jobs: int = 1,
         prune: str = "off",
         planner: PlanExecutor | None = None,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
-        probe_timeout: float | None = None,
     ) -> None:
         self.backend = backend
         self.probe_tlb = probe_tlb
@@ -168,19 +157,13 @@ class ServetSuite:
             planner
             if planner is not None
             else PlanExecutor(
-                backend,
-                prune=prune,
-                jobs=jobs,
-                tracer=tracer,
-                metrics=self.metrics,
-                probe_timeout=probe_timeout,
+                backend, prune=prune, tracer=tracer, metrics=self.metrics
             )
         )
         if self.planner.tracer is None:
             self.planner.tracer = tracer
         instrument_backend(backend, tracer=tracer, metrics=self.metrics)
         self.prune = self.planner.prune
-        self.jobs = self.planner.jobs
         #: Probes issued by the planner, per phase (checkpoint-resumable
         #: breakdown; sums to the planner's ``issued`` counter).
         self._phase_probes: dict[str, int] = {}
@@ -555,7 +538,6 @@ class ServetSuite:
     def _planner_dict(self) -> dict:
         data: dict = dict(self.planner.stats.as_dict())
         data["prune"] = self.prune
-        data["jobs"] = self.jobs
         data["per_phase"] = dict(self._phase_probes)
         return data
 

@@ -11,9 +11,9 @@ bookkeeping path to drift out of sync.
 Design constraints:
 
 - **No dependencies** beyond the standard library.
-- **Thread safety** — the planner's worker pool and the tuning
-  service's client threads update metrics concurrently; every mutation
-  takes the instrument's lock.
+- **Thread safety** — the tuning service's client threads and the
+  daemon's workers update metrics concurrently; every mutation takes
+  the instrument's lock.
 - **Determinism** — export order is sorted by metric name and label,
   so two identical runs produce byte-identical JSON at noise=0 (wall
   clock values excluded by callers that need that).

@@ -18,12 +18,10 @@ Two design points worth naming:
   seconds went, not just the simulator's wall overhead.  The clock is
   reset between phases by the suite, so virtual durations are clamped
   at zero rather than reported negative across a reset.
-- **Worker pools.**  ``contextvars`` do not propagate into
-  ``ThreadPoolExecutor`` workers, so the implicit current-span parent
-  would be lost exactly where nesting matters most (the planner's
-  pooled probes).  Span creation therefore accepts an explicit
-  ``parent_id``; the planner captures its current span before
-  submitting and passes it through.
+- **Threads.**  The current span lives in a ``contextvars`` variable,
+  so each thread nests its own spans.  A tracer shared between
+  threads (the tuning service answers queries on several) collects
+  their finished spans under one lock.
 """
 
 from __future__ import annotations
@@ -168,22 +166,16 @@ class Tracer:
 
     # -- span lifecycle -----------------------------------------------------
 
-    def span(
-        self, name: str, parent_id: str | None = None, **attributes
-    ) -> _SpanContext:
-        """Open a span as a context manager.
-
-        ``parent_id`` overrides the implicit current span — required
-        when the span is created on a worker thread that did not
-        inherit the submitting thread's context.
-        """
+    def span(self, name: str, **attributes) -> _SpanContext:
+        """Open a span as a context manager, under this thread's
+        innermost open span."""
         with self._lock:
             self._next_id += 1
             span_id = f"s{self._next_id}"
         span = Span(
             span_id=span_id,
             name=name,
-            parent_id=parent_id if parent_id is not None else self.current_span_id,
+            parent_id=_current_span.get(),
             start_wall=self._clock(),
             attributes=dict(attributes),
         )
@@ -197,11 +189,6 @@ class Tracer:
             span.end_virtual = float(self._virtual_clock())
         with self._lock:
             self._spans.append(span)
-
-    @property
-    def current_span_id(self) -> str | None:
-        """The innermost open span of *this* thread (None outside any)."""
-        return _current_span.get()
 
     # -- access & export ----------------------------------------------------
 

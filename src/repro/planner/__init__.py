@@ -1,24 +1,20 @@
-"""Measurement planner: plan → prune → execute.
+"""Measurement planner: probe → prune → measure.
 
 Sits between the phase algorithms of :mod:`repro.core` and the
-:class:`~repro.backends.base.Backend`.  The three pairwise topology
-phases (shared caches, memory overhead, communication costs) emit
-:class:`MeasurementPlan` batches instead of issuing blocking backend
-calls inline; the :class:`PlanExecutor` deduplicates repeated probes,
-prunes symmetric core pairs down to one representative per
-topology-equivalence class, and overlaps independent probes for
-wall-clock-bound backends — while keeping virtual-time accounting and
-RNG streams deterministic for the simulated ones.
+:class:`~repro.backends.base.Backend`.  Phases describe each
+measurement as a hashable probe; the :class:`PlanExecutor`
+deduplicates repeated probes, prunes symmetric core pairs down to one
+representative per topology-equivalence class, and measures the rest
+one at a time, in order, so no probe disturbs another and simulated
+backends stay deterministic.
 
-See DESIGN.md §6 ("Measurement planner") for the pipeline, determinism
-guarantees, and when ``--jobs`` / ``--prune`` are safe.
+See DESIGN.md §6 ("Measurement planner") for the pipeline, its
+determinism guarantees, and when ``--prune`` is safe.
 """
 
 from .plan import (
     ConcurrentMessageProbe,
-    MeasurementPlan,
     MessageProbe,
-    PlanStep,
     Probe,
     StreamProbe,
     TraversalProbe,
@@ -37,9 +33,7 @@ from .executor import VERIFY_TOLERANCE, PlanExecutor, PlannerStats
 
 __all__ = [
     "ConcurrentMessageProbe",
-    "MeasurementPlan",
     "MessageProbe",
-    "PlanStep",
     "Probe",
     "StreamProbe",
     "TraversalProbe",

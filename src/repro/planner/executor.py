@@ -1,4 +1,4 @@
-"""The memoizing, pruning, (optionally) concurrent plan executor.
+"""The memoizing, pruning, serial probe executor.
 
 :class:`PlanExecutor` sits between the phase algorithms and the
 :class:`~repro.backends.base.Backend`:
@@ -16,13 +16,13 @@
   ``verify`` mode additionally measures one spot-check pair per class
   and falls back to full measurement when it diverges from the
   representative.
-- **Scheduling** — for wall-clock-bound backends (``jobs > 1`` and
-  ``backend.wall_clock_bound``) independent probes run on a worker
-  pool, overlapping only probes whose core sets are disjoint (two
-  measurements sharing a core would perturb each other).  Virtual-time
-  backends always execute serially in plan order, so their RNG streams
-  and virtual-time accounting stay deterministic regardless of
-  ``jobs``.
+- **Serial execution** — probes reach the backend one at a time, in
+  the order they are asked for.  Servet's shared-cache and memory-bus
+  phases measure how concurrent work on some cores slows down others,
+  so overlapping two probes — even on disjoint cores, which may still
+  share an L3 or a front-side bus — would corrupt exactly what they
+  measure.  Serial order also keeps simulated backends' RNG streams
+  and virtual-time accounting deterministic.
 
 Every decision is counted in :class:`PlannerStats` so the suite can
 report measurements issued versus measurements saved.
@@ -30,22 +30,17 @@ report measurements issued versus measurements saved.
 
 from __future__ import annotations
 
-import time
-from collections import Counter as _Multiset
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from contextlib import nullcontext
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from ..backends.base import Backend, ConcurrentLatency
-from ..errors import ConfigurationError, MeasurementTimeout
+from ..errors import ConfigurationError
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer
 from ..topology.machine import CorePair
 from .plan import (
     ConcurrentMessageProbe,
-    MeasurementPlan,
     MessageProbe,
-    PlanStep,
     Probe,
     StreamProbe,
     TraversalProbe,
@@ -80,8 +75,6 @@ class PlannerStats:
     #: verify_fallbacks — classes re-measured in full after divergence;
     #: pairwise_requested / pairwise_measured — asked-for vs reached-
     #: the-backend pairwise probes.
-    #: probe_timeouts — pooled probes abandoned because they exceeded
-    #: the per-future timeout (each is retried, then fails the plan).
     _COUNTERS = (
         "issued",
         "cache_hits",
@@ -90,7 +83,6 @@ class PlannerStats:
         "verify_fallbacks",
         "pairwise_requested",
         "pairwise_measured",
-        "probe_timeouts",
     )
 
     def __init__(self, registry: MetricsRegistry | None = None, **initial: int):
@@ -120,7 +112,13 @@ class PlannerStats:
         return data
 
     def merge(self, data: dict) -> None:
-        """Add previously accumulated counters (checkpoint resume)."""
+        """Add previously accumulated counters (checkpoint resume).
+
+        Keys that are not counters are ignored: report dicts carry
+        ``prune`` and ``saved``, and reports written while the planner
+        still had a worker pool also carry its ``jobs`` width and
+        timeout counter.
+        """
         for name in self._COUNTERS:
             increment = int(data.get(name, 0))
             if increment:
@@ -143,7 +141,7 @@ del _name
 
 
 class PlanExecutor:
-    """Execute measurement plans against a backend.
+    """Measure probes against a backend, one at a time.
 
     Parameters
     ----------
@@ -154,10 +152,6 @@ class PlanExecutor:
         ``"off"`` | ``"topology"`` | ``"verify"`` — see the module
         docstring.  Topology modes require the backend to expose a
         ``cluster`` model (the simulated backends do).
-    jobs:
-        Worker-pool width for wall-clock-bound backends.  Ignored (a
-        deliberate no-op, to keep results deterministic) for
-        virtual-time backends.
     classifier:
         Override the pair classifier (tests inject adversarial ones).
     verify_tolerance:
@@ -169,40 +163,19 @@ class PlanExecutor:
     metrics:
         Registry backing :attr:`stats` and the per-kind probe counters;
         a private registry is created when not given.
-    probe_timeout:
-        Wall seconds a *pooled* probe may run before it is abandoned
-        (None disables the guard).  A native measurement that wedges —
-        a stuck perf counter, a hung pinned process — would otherwise
-        stall the whole plan at the next dependency or shared-core
-        barrier.  On timeout the probe is recorded as failed
-        (``planner.probe_timeouts``, plus a ``timeouts`` incident on
-        backends that keep incident counters, so the suite marks the
-        phase degraded) and re-dispatched up to ``timeout_retries``
-        times before :class:`~repro.errors.MeasurementTimeout` aborts
-        the plan.  Serial (virtual-time) execution ignores it: those
-        backends cannot wedge, they only *simulate* hangs.
-    timeout_retries:
-        Fresh dispatch attempts granted to a timed-out probe before the
-        plan gives up on it.
     """
 
     def __init__(
         self,
         backend: Backend,
         prune: str = "off",
-        jobs: int = 1,
         classifier: TopologyClassifier | None = None,
         verify_tolerance: float = VERIFY_TOLERANCE,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
-        probe_timeout: float | None = None,
-        timeout_retries: int = 2,
     ) -> None:
         self.backend = backend
         self.prune = validate_prune_mode(prune)
-        if jobs < 1:
-            raise ConfigurationError("jobs must be >= 1")
-        self.jobs = jobs
         if classifier is None and self.prune != "off":
             classifier = classifier_for(backend)
             if classifier is None:
@@ -216,43 +189,19 @@ class PlanExecutor:
         self.verify_tolerance = verify_tolerance
         self.tracer = tracer
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        if probe_timeout is not None and probe_timeout <= 0:
-            raise ConfigurationError("probe_timeout must be > 0 (or None)")
-        self.probe_timeout = probe_timeout
-        if timeout_retries < 0:
-            raise ConfigurationError("timeout_retries must be >= 0")
-        self.timeout_retries = timeout_retries
         self.stats = PlannerStats(registry=self.metrics)
         self._memo: dict[Probe, object] = {}
         self._issue_counters: dict[str, object] = {}
 
-    # -- plan execution -----------------------------------------------------
+    # -- batch execution ----------------------------------------------------
 
-    def execute(self, plan: MeasurementPlan) -> dict[Probe, object]:
-        """Run a plan (memoized, dependency-ordered) and return results."""
-        fresh: list[PlanStep] = []
-        queued: set[Probe] = set()
-        for step in plan:
-            if step.probe in self._memo or step.probe in queued:
-                self.stats.cache_hits += 1
-                continue
-            queued.add(step.probe)
-            fresh.append(step)
-        self._run_steps(fresh)
-        return {step.probe: self._memo[step.probe] for step in plan}
+    def execute(self, probes: Iterable[Probe]) -> dict[Probe, object]:
+        """Measure every probe not yet memoized, in order; return results.
 
-    def _run_steps(self, steps: list[PlanStep]) -> None:
-        if self._threaded and len(steps) > 1:
-            self._run_steps_pooled(steps)
-            return
-        for step in steps:
-            for dep in step.after:
-                if dep not in self._memo:
-                    raise ConfigurationError(
-                        f"probe depends on unexecuted probe {dep!r}"
-                    )
-            self._memo[step.probe] = self._measure(step.probe)
-            self.stats.issued += 1
+        A probe already answered (earlier, or earlier in ``probes``)
+        counts as a cache hit and does not reach the backend again.
+        """
+        return {probe: self._memoized(probe) for probe in probes}
 
     def _issue_counter(self, probe: Probe):
         kind = probe_kind(probe)
@@ -262,134 +211,11 @@ class PlanExecutor:
             self._issue_counters[kind] = counter
         return counter
 
-    @property
-    def _threaded(self) -> bool:
-        return self.jobs > 1 and bool(
-            getattr(self.backend, "wall_clock_bound", False)
-        )
-
-    def _run_steps_pooled(self, steps: list[PlanStep]) -> None:
-        """Wave-schedule independent probes on a worker pool.
-
-        Two probes may overlap only when their dependency edges allow it
-        *and* their core sets are disjoint — concurrent measurements
-        pinned to a common core would contend and corrupt each other.
-
-        With :attr:`probe_timeout` set, a future that produces no result
-        in time is *abandoned*: its probe is counted failed and
-        re-dispatched (up to :attr:`timeout_retries` times), so one
-        wedged measurement cannot stall the rest of the plan.  The hung
-        thread keeps its pool slot until it dies on its own; its cores
-        are released to the scheduler on the assumption that a wedged
-        probe is stuck in a syscall, not generating memory traffic.
-        """
-        remaining = list(steps)
-        busy: _Multiset = _Multiset()
-        # Workers run in their own context: capture the submitting
-        # thread's span here so pooled probe spans nest correctly.
-        parent_span = self.tracer.current_span_id if self.tracer else None
-        abandoned_any = False
-        pool = ThreadPoolExecutor(max_workers=self.jobs)
-        try:
-            # future -> (probe, submitted-at monotonic time, attempt)
-            futures: dict = {}
-
-            def submit(probe: Probe, attempt: int) -> None:
-                for core in probe_cores(probe):
-                    busy[core] += 1
-                futures[pool.submit(self._measure, probe, parent_span)] = (
-                    probe,
-                    time.monotonic(),
-                    attempt,
-                )
-
-            def release(probe: Probe) -> None:
-                for core in probe_cores(probe):
-                    busy[core] -= 1
-                    if not busy[core]:
-                        del busy[core]
-
-            while remaining or futures:
-                launched = True
-                while launched and len(futures) < self.jobs and remaining:
-                    launched = False
-                    for i, step in enumerate(remaining):
-                        cores = set(probe_cores(step.probe))
-                        deps_met = all(d in self._memo for d in step.after)
-                        if deps_met and not any(busy[c] for c in cores):
-                            submit(step.probe, attempt=0)
-                            remaining.pop(i)
-                            launched = True
-                            break
-                if not futures:
-                    stuck = [step.probe for step in remaining]
-                    raise ConfigurationError(
-                        f"plan cannot make progress (circular or missing "
-                        f"dependencies): {stuck!r}"
-                    )
-                timeout = None
-                if self.probe_timeout is not None:
-                    now = time.monotonic()
-                    timeout = max(
-                        0.0,
-                        min(
-                            submitted + self.probe_timeout - now
-                            for _, submitted, _ in futures.values()
-                        ),
-                    )
-                finished, _ = wait(
-                    futures, timeout=timeout, return_when=FIRST_COMPLETED
-                )
-                for future in finished:
-                    probe, _, _ = futures.pop(future)
-                    release(probe)
-                    self._memo[probe] = future.result()
-                    self.stats.issued += 1
-                if self.probe_timeout is None:
-                    continue
-                now = time.monotonic()
-                for future, (probe, submitted, attempt) in list(futures.items()):
-                    if now - submitted < self.probe_timeout:
-                        continue
-                    # Abandon the wedged future; its eventual result (if
-                    # any) is discarded.
-                    del futures[future]
-                    future.cancel()
-                    release(probe)
-                    abandoned_any = True
-                    self.stats.probe_timeouts += 1
-                    self._note_timeout_incident()
-                    if attempt >= self.timeout_retries:
-                        raise MeasurementTimeout(
-                            f"probe {probe_id(probe)} produced no result "
-                            f"within {self.probe_timeout:g}s in "
-                            f"{attempt + 1} attempt(s)",
-                            waited=self.probe_timeout * (attempt + 1),
-                        )
-                    submit(probe, attempt=attempt + 1)
-        finally:
-            # Never block shutdown on a thread we already gave up on.
-            pool.shutdown(wait=not abandoned_any, cancel_futures=True)
-
-    def _note_timeout_incident(self) -> None:
-        """Count a pooled-probe timeout as a resilience incident.
-
-        When the backend is wrapped in
-        :class:`~repro.resilience.HardenedBackend` this feeds the same
-        ``timeouts`` counter its own retry path uses, so the suite marks
-        the phase ``degraded`` — the timed-out probe *was* recovered
-        from, not silently absorbed.
-        """
-        incidents = getattr(self.backend, "incidents", None)
-        if isinstance(incidents, dict) and "timeouts" in incidents:
-            incidents["timeouts"] += 1
-
-    def _measure(self, probe: Probe, parent_span: str | None = None):
+    def _measure(self, probe: Probe):
         self._issue_counter(probe).inc()
         span = (
             self.tracer.span(
                 "probe",
-                parent_id=parent_span,
                 kind=probe_kind(probe),
                 probe_id=probe_id(probe),
                 cores=list(probe_cores(probe)),
@@ -494,8 +320,7 @@ class PlanExecutor:
         the pair's per-sample raw results to the scalar the phase
         clusters on.
 
-        With pruning off every pair is measured (still memoized and,
-        for wall-clock backends, scheduled concurrently).  With
+        With pruning off every pair is measured (still memoized).  With
         ``topology``/``verify`` pruning only class representatives (and
         spot checks) reach the backend; everything else is broadcast.
         """
@@ -565,16 +390,11 @@ class PlanExecutor:
         probe_factory: Callable[[CorePair, int], Probe],
         samples: int,
     ) -> None:
-        plan = MeasurementPlan()
-        seen: set[Probe] = set()
-        for pair in pairs:
-            for s in range(samples):
-                probe = probe_factory(pair, s)
-                if probe not in seen:
-                    seen.add(probe)
-                    plan.add(probe)
+        probes = dict.fromkeys(
+            probe_factory(pair, s) for pair in pairs for s in range(samples)
+        )
         before = self.stats.issued
-        self.execute(plan)
+        self.execute(probes)
         self.stats.pairwise_measured += self.stats.issued - before
 
     def _raws(self, pair, probe_factory, samples: int) -> list:

@@ -1,16 +1,11 @@
-"""Measurement plans: what to probe, not how or when.
+"""Probes: what to measure, as hashable values.
 
-The phase algorithms of :mod:`repro.core` historically issued blocking
-:class:`~repro.backends.base.Backend` calls inline, which makes every
-all-pairs stage O(n²) backend round-trips with no opportunity to
-deduplicate, prune, or overlap them.  A :class:`MeasurementPlan` turns
-each stage into data: a list of :class:`PlanStep` entries, each holding
-one *probe* (a frozen, hashable description of a single backend
-measurement) plus the probes it explicitly depends on.  The
-:class:`~repro.planner.executor.PlanExecutor` consumes plans and
-decides scheduling (serial and deterministic for simulated backends,
-a worker pool for wall-clock-bound ones), memoization, and symmetry
-pruning.
+A *probe* is a frozen description of a single
+:class:`~repro.backends.base.Backend` measurement.  The phase
+algorithms of :mod:`repro.core` hand probes (one at a time, or as a
+batch of core pairs) to the
+:class:`~repro.planner.executor.PlanExecutor`, which memoizes, prunes
+and measures them one after another.
 
 Probes are value objects: two probes compare equal iff they describe
 the same measurement, which is exactly the memoization key.  The
@@ -21,7 +16,7 @@ indices and are never deduplicated against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
@@ -98,8 +93,8 @@ def probe_kind(probe: Probe) -> str:
 
 
 def probe_cores(probe: Probe) -> tuple[int, ...]:
-    """Every core a probe pins work to (conflict detection for the
-    wall-clock scheduler: probes sharing a core must not overlap)."""
+    """Every core a probe pins work to, in the probe's own order (the
+    order a pruned representative's per-core result is re-keyed by)."""
     return probe.cores
 
 
@@ -116,57 +111,3 @@ def probe_id(probe: Probe) -> str:
     """
     digest = sha256_hex(f"{probe_kind(probe)}|{probe!r}")
     return f"{probe_kind(probe)}:{digest[:12]}"
-
-
-@dataclass(frozen=True)
-class PlanStep:
-    """One plan entry: a probe plus its explicit dependencies.
-
-    ``after`` lists probes that must have completed before this one may
-    run.  Dependencies exist for *measurement validity*, not dataflow:
-    e.g. a contention probe that must not overlap the baseline it will
-    be compared against.
-    """
-
-    probe: Probe
-    after: tuple[Probe, ...] = ()
-
-
-@dataclass
-class MeasurementPlan:
-    """An ordered batch of probes with explicit dependencies.
-
-    Steps must be added dependencies-first; :meth:`add` enforces this so
-    a plan is always a valid topological order and the serial executor
-    can simply walk it front to back.
-    """
-
-    steps: list[PlanStep] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        # Incremental mirror of {step.probe for step in steps}: rebuilding
-        # that set inside every add() made plan construction O(n²) — 15%
-        # of an unpruned suite run, profiled.
-        self._known: set[Probe] = {step.probe for step in self.steps}
-
-    def add(self, probe: Probe, after: tuple[Probe, ...] = ()) -> Probe:
-        """Append a probe (returns it, for chaining into ``after``)."""
-        for dep in after:
-            if dep not in self._known:
-                raise ConfigurationError(
-                    f"dependency {dep!r} must be added to the plan before "
-                    f"the probe that needs it"
-                )
-        self.steps.append(PlanStep(probe=probe, after=tuple(after)))
-        self._known.add(probe)
-        return probe
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def __iter__(self):
-        return iter(self.steps)
-
-    @property
-    def probes(self) -> list[Probe]:
-        return [step.probe for step in self.steps]

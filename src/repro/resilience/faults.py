@@ -174,8 +174,6 @@ class FaultInjectingBackend(Backend):
         self.name = inner.name
         self.n_cores = inner.n_cores
         self.page_size = inner.page_size
-        # Class attribute on Backend would shadow __getattr__ delegation.
-        self.wall_clock_bound = getattr(inner, "wall_clock_bound", False)
         self.rng = ensure_rng(plan.seed)
         self.calls = 0
         self.log = FaultLog()

@@ -220,8 +220,6 @@ class HardenedBackend(Backend):
         self.name = inner.name
         self.n_cores = inner.n_cores
         self.page_size = inner.page_size
-        # Class attribute on Backend would shadow __getattr__ delegation.
-        self.wall_clock_bound = getattr(inner, "wall_clock_bound", False)
         self.incidents: dict[str, int] = {kind: 0 for kind in INCIDENT_KINDS}
 
     @property

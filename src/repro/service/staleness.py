@@ -192,7 +192,6 @@ def incremental_refresh(
     base: str = "latest",
     options: dict | None = None,
     strict: bool = True,
-    jobs: int = 1,
     checkpoint_dir: str | Path | None = None,
 ) -> RefreshResult:
     """Bring a stored report up to date with a live backend.
@@ -241,7 +240,7 @@ def incremental_refresh(
             entry=entry,
         )
 
-    suite = _build_suite(backend, opts, jobs)
+    suite = _build_suite(backend, opts)
     if staleness.full:
         report = suite.run(strict=strict)
         entry = registry.put(live, report)
@@ -280,14 +279,13 @@ def incremental_refresh(
     )
 
 
-def _build_suite(backend, opts: dict, jobs: int) -> ServetSuite:
+def _build_suite(backend, opts: dict) -> ServetSuite:
     return ServetSuite(
         backend,
         node_cores=opts["node_cores"],
         comm_cores=opts["comm_cores"],
         probe_tlb=opts["probe_tlb"],
         prune=opts["prune"],
-        jobs=jobs,
     )
 
 

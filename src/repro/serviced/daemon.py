@@ -91,6 +91,8 @@ class _Connection:
         self.rfile = sock.makefile("rb")
         self.wlock = threading.Lock()
         self.alive = True
+        #: The thread reading this connection's requests.
+        self.reader: threading.Thread | None = None
 
     def send(self, payloads: list[dict]) -> None:
         """Encode and write response payloads (see :meth:`send_raw`)."""
@@ -118,6 +120,9 @@ class _Connection:
         except OSError:
             pass
         try:
+            # The reader file holds a reference on the socket: closing
+            # only the socket would keep its descriptor open.
+            self.rfile.close()
             self.sock.close()
         except OSError:
             pass
@@ -292,7 +297,8 @@ class TuningDaemon:
         for conn in conns:
             conn.close()
         self._stop_watch.set()
-        for thread in list(self._threads):
+        readers = [conn.reader for conn in conns if conn.reader is not None]
+        for thread in [*self._threads, *readers]:
             if thread is not threading.current_thread():
                 thread.join(timeout=10.0)
         self._stopped.set()
@@ -377,11 +383,13 @@ class TuningDaemon:
             self._spawn_reader(conn)
 
     def _spawn_reader(self, conn: _Connection) -> None:
-        thread = threading.Thread(
+        # Tracked on the connection, not in _threads: a reader leaves
+        # with its connection, so a long-lived daemon keeps no record
+        # of every client it ever served.
+        conn.reader = threading.Thread(
             target=self._reader_loop, args=(conn,), name="serviced-reader", daemon=True
         )
-        thread.start()
-        self._threads.append(thread)
+        conn.reader.start()
 
     def _reader_loop(self, conn: _Connection) -> None:
         close_on_exit = True
@@ -410,6 +418,9 @@ class TuningDaemon:
         finally:
             if close_on_exit:
                 conn.close()
+                with self._conns_lock:
+                    if conn in self._conns:
+                        self._conns.remove(conn)
 
     def _handle_frame(self, conn: _Connection, frame: dict) -> bool | None:
         """Dispatch one request.

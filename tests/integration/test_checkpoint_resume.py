@@ -86,6 +86,36 @@ class TestByteIdenticalResume:
         resumed = make_suite().run(checkpoint=path, resume=True)
         assert json.dumps(resumed.to_dict(), sort_keys=True) == ref_bytes
 
+    def test_worker_pool_era_checkpoint_resumes_to_same_report(
+        self, tmp_path, monkeypatch
+    ):
+        # A checkpoint written while the planner had a worker pool carries
+        # ``jobs`` and ``probe_timeouts`` in its report's planner counters.
+        reference = make_suite().run()
+        orig = suite_mod.run_comm_costs
+        calls = {"n": 0}
+
+        def flaky(*args, **kwargs):
+            if calls["n"] == 0:
+                calls["n"] += 1
+                raise MeasurementError("crash in comm phase")
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(suite_mod, "run_comm_costs", flaky)
+        path = tmp_path / "ckpt.json"
+        with pytest.raises(MeasurementError):
+            make_suite().run(checkpoint=path)
+        data = json.loads(path.read_text())
+        assert data["report"]["planner"]["issued"] > 0
+        data["report"]["planner"].update(jobs=4, probe_timeouts=0)
+        path.write_text(json.dumps(data))
+
+        resumed = make_suite().run(checkpoint=path, resume=True)
+        assert resumed.planner["issued"] == reference.planner["issued"]
+        assert json.dumps(resumed.to_dict(), sort_keys=True) == json.dumps(
+            reference.to_dict(), sort_keys=True
+        )
+
     def test_saved_report_files_are_byte_identical(self, tmp_path, monkeypatch):
         ref_path = tmp_path / "ref.json"
         make_suite().run().save(ref_path)

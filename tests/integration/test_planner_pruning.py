@@ -80,7 +80,8 @@ class TestPrunedReportsMatch:
     def test_planner_accounting_in_report(self, ft2_pruned, ft2_plain):
         stats = ft2_pruned.planner
         assert stats["prune"] == "topology"
-        assert stats["jobs"] == 1
+        # Probes are measured serially; there is no pool width to record.
+        assert "jobs" not in stats and "probe_timeouts" not in stats
         assert stats["pruned"] > 0
         assert stats["saved"] >= stats["pruned"]
         assert ft2_plain.planner["pruned"] == 0

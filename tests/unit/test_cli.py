@@ -57,6 +57,15 @@ def test_run_resume_requires_checkpoint(capsys):
     assert "--resume requires --checkpoint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["--jobs", "2"], ["--probe-timeout", "5"]])
+def test_run_rejects_removed_worker_pool_flags(flag, capsys):
+    # Probes are measured one at a time; the pool's flags are gone.
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--machine", "dunnington", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_run_with_checkpoint_then_resume(tmp_path, capsys):
     ckpt = tmp_path / "ckpt.json"
     assert main(["run", "--machine", "dempsey", "--checkpoint", str(ckpt)]) == 0

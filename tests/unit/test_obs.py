@@ -2,9 +2,8 @@
 
 Covers the three behaviors the rest of the suite leans on:
 
-- span nesting stays correct through the planner's worker pool (where
-  contextvars do not propagate and an explicit parent must be threaded
-  through);
+- span nesting stays correct from a suite phase through the planner's
+  probes down to the backend calls;
 - histogram percentiles agree with a straightforward reference
   implementation (and with the tuning service's historical convention);
 - provenance survives a ``ServetReport.save``/``load`` round trip
@@ -90,14 +89,12 @@ def test_trace_jsonl_round_trip(tmp_path):
     assert "cache_size" in summary and "traversal=1" in summary
 
 
-class WallClockBackend(Backend):
-    """Constant-answer backend the planner treats as wall-clock bound,
-    so ``jobs > 1`` really runs its probes on the worker pool."""
+class ConstantBackend(Backend):
+    """Constant-answer backend: cheap probes for span-tree tests."""
 
-    name = "wall-clock"
+    name = "constant"
     n_cores = 6
     page_size = 4096
-    wall_clock_bound = True
 
     def traversal_cycles(self, arrays, stride):
         return {core: 10.0 for core, _ in arrays}
@@ -112,13 +109,13 @@ class WallClockBackend(Backend):
         return ConcurrentLatency(mean=1e-6, worst=1e-6)
 
 
-def test_spans_nest_correctly_under_planner_worker_pool():
-    """Pooled probe spans must still hang off the submitting span, even
-    though worker threads never see the submitter's contextvars."""
-    backend = WallClockBackend()
+def test_spans_nest_phase_probe_backend():
+    """Every probe span hangs off the phase that asked for it, and every
+    backend call off its probe: phase ⊃ probe ⊃ ``backend.*``."""
+    backend = ConstantBackend()
     tracer = Tracer()
     instrument_backend(backend, tracer=tracer)
-    executor = PlanExecutor(backend, jobs=3, tracer=tracer)
+    executor = PlanExecutor(backend, tracer=tracer)
     pairs = all_pairs(list(range(6)))
     with tracer.span("phase", phase="communication_costs") as phase_span:
         executor.pairwise_message_latency(pairs, 16 * 1024)
@@ -126,13 +123,10 @@ def test_spans_nest_correctly_under_planner_worker_pool():
     assert len(probe_spans) == len(pairs)
     by_id = {s.span_id: s for s in tracer.spans()}
     for span in probe_spans:
-        node = span
-        while node.parent_id is not None:
-            node = by_id[node.parent_id]
-        assert node.span_id == phase_span.span_id, span.span_id
+        assert span.parent_id == phase_span.span_id, span.span_id
     # every backend call nests under its probe span
     backend_spans = [s for s in tracer.spans() if s.name.startswith("backend.")]
-    assert backend_spans
+    assert len(backend_spans) == len(probe_spans)
     for span in backend_spans:
         assert by_id[span.parent_id].name == "probe", span.name
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro import SimulatedBackend, dunnington, finis_terrae
@@ -9,11 +12,9 @@ from repro.backends.base import Backend, ConcurrentLatency
 from repro.errors import ConfigurationError
 from repro.planner import (
     ConcurrentMessageProbe,
-    MeasurementPlan,
     MessageProbe,
     PairClass,
     PlanExecutor,
-    PlanStep,
     PlannerStats,
     StreamProbe,
     TopologyClassifier,
@@ -27,8 +28,6 @@ from repro.topology.machine import all_pairs
 
 class CountingBackend(Backend):
     """Deterministic fake backend that counts every measurement."""
-
-    wall_clock_bound = False
 
     def __init__(self, n_cores: int = 8) -> None:
         self.name = "counting"
@@ -69,36 +68,11 @@ class TestPlanRepresentation:
             ConcurrentMessageProbe(pairs=((0, 1), (2, 3)), nbytes=8)
         ) == (0, 1, 2, 3)
 
-    def test_plan_rejects_unknown_dependency(self):
-        plan = MeasurementPlan()
-        ghost = MessageProbe(pair=(0, 1), nbytes=8)
-        with pytest.raises(ConfigurationError):
-            plan.add(MessageProbe(pair=(2, 3), nbytes=8), after=(ghost,))
-
     def test_plan_preserves_order(self):
-        plan = MeasurementPlan()
-        first = plan.add(MessageProbe(pair=(0, 1), nbytes=8))
-        second = plan.add(MessageProbe(pair=(2, 3), nbytes=8), after=(first,))
-        assert [step.probe for step in plan] == [first, second]
-        assert list(plan)[1].after == (first,)
-
-    def test_plan_seeded_with_steps_knows_their_probes(self):
-        # The incremental known-probe set must cover steps passed to the
-        # constructor, not just ones added through add().
-        seeded = MessageProbe(pair=(0, 1), nbytes=8)
-        plan = MeasurementPlan(steps=[PlanStep(probe=seeded)])
-        plan.add(MessageProbe(pair=(2, 3), nbytes=8), after=(seeded,))
-        assert len(plan) == 2
-
-    def test_large_plan_add_is_linear(self):
-        # 4000 adds with a dependency each: quadratic membership checks
-        # would make this visibly slow; mostly this guards the invariant
-        # that every added probe is immediately usable as a dependency.
-        plan = MeasurementPlan()
-        prev = plan.add(MessageProbe(pair=(0, 1), nbytes=1))
-        for n in range(2, 4000):
-            prev = plan.add(MessageProbe(pair=(0, 1), nbytes=n), after=(prev,))
-        assert len(plan) == 3999
+        executor = PlanExecutor(CountingBackend())
+        first = MessageProbe(pair=(2, 3), nbytes=8)
+        second = MessageProbe(pair=(0, 1), nbytes=8)
+        assert list(executor.execute([first, second])) == [first, second]
 
 
 class TestMemoization:
@@ -139,11 +113,12 @@ class TestMemoization:
     def test_execute_dedupes_within_plan(self):
         backend = CountingBackend()
         executor = PlanExecutor(backend)
-        plan = MeasurementPlan()
-        plan.add(StreamProbe(cores=(0,)))
-        plan.add(StreamProbe(cores=(0, 1)))
-        plan.add(StreamProbe(cores=(0,)))  # duplicate
-        results = executor.execute(plan)
+        probes = [
+            StreamProbe(cores=(0,)),
+            StreamProbe(cores=(0, 1)),
+            StreamProbe(cores=(0,)),  # duplicate
+        ]
+        results = executor.execute(probes)
         assert len(backend.calls) == 2
         assert StreamProbe(cores=(0,)) in results
 
@@ -296,59 +271,56 @@ class TestPrunedPairwise:
 
 class TestScheduling:
     def test_simulated_backend_never_threads(self):
-        executor = PlanExecutor(SimulatedBackend(dunnington()), jobs=8)
-        assert not executor._threaded
+        # Every measurement runs on the caller's thread: a pool would
+        # make the simulated backend's RNG streams order-dependent.
+        threads = set()
 
-    def test_jobs_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            PlanExecutor(CountingBackend(), jobs=0)
+        class Recording(SimulatedBackend):
+            def message_latency(self, core_a, core_b, nbytes):
+                threads.add(threading.get_ident())
+                return super().message_latency(core_a, core_b, nbytes)
 
-    def test_pool_runs_core_disjoint_probes(self):
-        class WallClockBackend(CountingBackend):
-            wall_clock_bound = True
+        executor = PlanExecutor(Recording(dunnington(), seed=3, noise=0.0))
+        executor.pairwise_message_latency(all_pairs([0, 1, 2, 6, 12]), 1024)
+        assert threads == {threading.get_ident()}
 
-        backend = WallClockBackend(n_cores=8)
-        executor = PlanExecutor(backend, jobs=4)
-        plan = MeasurementPlan()
+    def test_execute_measures_serially_in_input_order(self):
+        class NonReentrant(CountingBackend):
+            """Fails if a measurement starts while another is running."""
+
+            busy = False
+
+            def message_latency(self, core_a, core_b, nbytes):
+                assert not self.busy, "backend re-entered"
+                self.busy = True
+                try:
+                    time.sleep(0.001)  # leave room for an overlap to show
+                    return super().message_latency(core_a, core_b, nbytes)
+                finally:
+                    self.busy = False
+
+        backend = NonReentrant(n_cores=8)
+        executor = PlanExecutor(backend)
+        executor.message_latency(4, 5, 64)  # memoized before the batch
+        # Disjoint and shared cores, repeats within the batch and one
+        # probe answered earlier.
         probes = [
-            MessageProbe(pair=(2 * i, 2 * i + 1), nbytes=256) for i in range(4)
+            MessageProbe(pair=(6, 7), nbytes=64),
+            MessageProbe(pair=(0, 1), nbytes=64),
+            MessageProbe(pair=(2, 3), nbytes=64),
+            MessageProbe(pair=(0, 1), nbytes=64),
+            MessageProbe(pair=(4, 5), nbytes=64),
+            MessageProbe(pair=(0, 2), nbytes=64),
+            MessageProbe(pair=(6, 7), nbytes=64),
         ]
-        for probe in probes:
-            plan.add(probe)
-        results = executor.execute(plan)
-        assert len(results) == 4
-        assert executor.stats.issued == 4
-        serial = CountingBackend(n_cores=8)
-        expected = {
-            probe: serial.message_latency(*probe.pair, probe.nbytes)
-            for probe in probes
-        }
-        assert results == expected
-
-    def test_pool_respects_dependencies(self):
-        class WallClockBackend(CountingBackend):
-            wall_clock_bound = True
-
-        backend = WallClockBackend(n_cores=4)
-        executor = PlanExecutor(backend, jobs=4)
-        plan = MeasurementPlan()
-        first = plan.add(MessageProbe(pair=(0, 1), nbytes=64))
-        plan.add(MessageProbe(pair=(2, 3), nbytes=64), after=(first,))
-        executor.execute(plan)
-        assert [c[0] for c in backend.calls] == ["latency", "latency"]
-        assert backend.calls[0][1:3] == (0, 1)
-
-    def test_same_core_probes_are_serialized(self):
-        # All probes share core 0, so the pool can never overlap them;
-        # the memo must still collect every result.
-        class WallClockBackend(CountingBackend):
-            wall_clock_bound = True
-
-        backend = WallClockBackend(n_cores=8)
-        executor = PlanExecutor(backend, jobs=4)
-        plan = MeasurementPlan()
-        for other in range(1, 6):
-            plan.add(MessageProbe(pair=(0, other), nbytes=64))
-        results = executor.execute(plan)
-        assert len(results) == 5
-        assert executor.stats.issued == 5
+        before = executor.stats.as_dict()
+        results = executor.execute(probes)
+        issued = executor.stats.issued - before["issued"]
+        hits = executor.stats.cache_hits - before["cache_hits"]
+        distinct = list(dict.fromkeys(probes))
+        fresh = [p for p in distinct if p.pair != (4, 5)]
+        # Each distinct probe reached the backend once, in input order.
+        assert [c[1:3] for c in backend.calls[1:]] == [p.pair for p in fresh]
+        assert issued == len(fresh)
+        assert issued + hits == len(probes)
+        assert list(results) == distinct

@@ -6,6 +6,7 @@ loads through the migration hook with an identical
 never crashed on — with fallback to the newest intact version.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -36,6 +37,20 @@ def test_put_get_roundtrip(registry, small_report):
     assert entry.system == "dempsey"
     loaded = registry.get(fp.digest)
     assert loaded.measurement_dict() == report.measurement_dict()
+
+
+def test_report_with_worker_pool_planner_keys_loads(registry, small_report):
+    # Reports stored while the planner had a worker pool carry its width
+    # and timeout counter in ``planner``; they still load and render.
+    report, fp = small_report
+    planner = dict(report.planner, jobs=4, probe_timeouts=0)
+    registry.put(fp, dataclasses.replace(report, planner=planner))
+    loaded = registry.get(fp.digest)
+    assert loaded.measurement_dict() == report.measurement_dict()
+    assert loaded.planner == planner
+    summary = loaded.summary()
+    assert f"Planner: {planner['issued']} measurement(s) issued" in summary
+    assert "jobs" not in summary
 
 
 def test_versions_accumulate_and_pin(registry, small_report):

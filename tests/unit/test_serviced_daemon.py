@@ -6,9 +6,11 @@ has its own integration drill in
 ``tests/integration/test_serviced_reload.py``.
 """
 
+import os
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -21,7 +23,7 @@ from repro.service.server import (
     default_query_pool,
 )
 from repro.serviced import ServicedClient, TuningDaemon
-from repro.serviced.protocol import encode_frame
+from repro.serviced.protocol import encode_frame, query_request
 
 
 @pytest.fixture(scope="module")
@@ -255,3 +257,50 @@ def test_reload_labels_report_with_the_version_it_loaded(
     assert (daemon.version, daemon.report.system) == (2, "v2")
     assert daemon.check_reload()
     assert (daemon.version, daemon.report.system) == (3, "v3")
+
+
+# -- failure drills ------------------------------------------------------
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _settle(check, timeout: float = 10.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not check():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_client_hangup_mid_batch_leaves_no_trace(dunnington_report):
+    """A client that hangs up with its pipelined batch still in flight
+    must not disturb another client's answers, and must leave no reader
+    thread, single-flight entry or open socket behind."""
+    pool = default_query_pool(dunnington_report)
+    reference = Advisor(dunnington_report)
+    with TuningDaemon(report=dunnington_report, workers=2, batch_max=8) as d:
+        flights = d._snapshot.service.single_flight
+        threads, fds = threading.active_count(), _open_fds()
+        threads_at_start = len(d._threads)
+
+        for _ in range(3):
+            hangup = socket.create_connection((d.host, d.port))
+            batch = b"".join(
+                encode_frame(query_request(q, i)) for i, q in enumerate(pool * 4)
+            )
+            hangup.sendall(batch)
+            with ServicedClient(d.host, d.port) as steady:
+                hangup.close()  # gone before its answers come back
+                got = steady.query_many(pool)
+            assert [g for g, _v in got] == [answer(reference, q) for q in pool]
+
+        assert _settle(lambda: threading.active_count() == threads)
+        assert _settle(lambda: flights.live() == 0)
+        assert _settle(lambda: _open_fds() == fds), (_open_fds(), fds)
+        with d._conns_lock:
+            assert d._conns == []
+        assert len(d._threads) == threads_at_start
