@@ -20,9 +20,7 @@ same.
 from __future__ import annotations
 
 import json
-import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,9 +39,9 @@ from repro.workload import (
     parse_workload,
 )
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_coschedule.json"
+from bench_paths import QUICK, bench_path
 
-QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
+BENCH_PATH = bench_path("BENCH_coschedule.json")
 
 #: Four archetypes with equal stream lengths: a hog bigger than the
 #: shared cache, a tiny cache-friendly kernel, and two mid-size

@@ -21,9 +21,7 @@ smallest fleet plus the 200-machine acceptance point.
 from __future__ import annotations
 
 import json
-import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -35,9 +33,9 @@ from repro.fleet import (
 )
 from repro.viz import ascii_table
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_fleet.json"
+from bench_paths import QUICK, bench_path
 
-QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
+BENCH_PATH = bench_path("BENCH_fleet.json")
 
 #: (n_machines, n_classes) scaling points; 200/40 is the acceptance
 #: configuration from the ISSUE.

@@ -20,9 +20,7 @@ Asserted, not just recorded:
 from __future__ import annotations
 
 import json
-import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,9 +33,9 @@ from repro.simmpi.events import Engine
 from repro.topology import dunnington
 from repro.viz import ascii_table
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_memsim.json"
+from bench_paths import QUICK, bench_path
 
-QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
+BENCH_PATH = bench_path("BENCH_memsim.json")
 
 #: Wall seconds of this exact configuration (unpruned Dunnington suite,
 #: seed=42, noise=0) in the seed repository's BENCH_planner.json —

@@ -21,9 +21,7 @@ defined on always runs.
 from __future__ import annotations
 
 import json
-import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -32,9 +30,9 @@ from repro.core import ServetSuite
 from repro.topology import dunnington, finis_terrae
 from repro.viz import ascii_table
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_planner.json"
+from bench_paths import QUICK, bench_path
 
-QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
+BENCH_PATH = bench_path("BENCH_planner.json")
 
 MACHINES = {
     "dunnington": dunnington,

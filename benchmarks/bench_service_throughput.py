@@ -26,9 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -44,9 +42,9 @@ from repro.service import (
 from repro.topology import dunnington
 from repro.viz import ascii_table
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_service.json"
+from bench_paths import QUICK, bench_path
 
-QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
+BENCH_PATH = bench_path("BENCH_service.json")
 
 CLIENTS = 4 if QUICK else 8
 QUERIES_PER_CLIENT = 250 if QUICK else 1000

@@ -33,13 +33,11 @@ import bisect
 import copy
 import itertools
 import json
-import os
 import random
 import socket
 import statistics
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
@@ -54,9 +52,9 @@ from repro.serviced.protocol import encode_frame, query_request, read_frame
 from repro.topology import dunnington
 from repro.viz import ascii_table
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_service.json"
+from bench_paths import QUICK, bench_path
 
-QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
+BENCH_PATH = bench_path("BENCH_service.json")
 
 #: Zipf skew of the query mix.
 ZIPF_S = 1.1

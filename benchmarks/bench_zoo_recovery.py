@@ -21,18 +21,16 @@ family (24 machines); the zero-WRONG bar still applies.
 from __future__ import annotations
 
 import json
-import os
 import time
-from pathlib import Path
 
 import pytest
 
 from repro.viz import ascii_table
 from repro.zoo import family_names, generate_zoo, recover_all
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_zoo.json"
+from bench_paths import QUICK, bench_path
 
-QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
+BENCH_PATH = bench_path("BENCH_zoo.json")
 
 #: Machines per family.  8 families x 25 seeds = 200 machines in the
 #: full run — the ISSUE's acceptance floor.

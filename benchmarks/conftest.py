@@ -4,17 +4,17 @@ Each bench regenerates one table/figure of the paper and registers its
 rendered form through the ``figure`` fixture; everything is printed in
 the terminal summary (so ``pytest benchmarks/ --benchmark-only`` shows
 the paper-comparable output) and archived under
-``benchmarks/results/`` for EXPERIMENTS.md.
+``benchmarks/results/`` for EXPERIMENTS.md (under ``bench-quick/results/``
+in quick mode; see ``bench_paths.py``).
 """
 
 from __future__ import annotations
 
 import re
-from pathlib import Path
 
 import pytest
 
-RESULTS_DIR = Path(__file__).parent / "results"
+from bench_paths import RESULTS_DIR
 
 _collected: list[tuple[str, str, str]] = []
 
@@ -25,7 +25,7 @@ def figure(request):
 
     def emit(title: str, text: str) -> None:
         _collected.append((request.node.nodeid, title, text))
-        RESULTS_DIR.mkdir(exist_ok=True)
+        RESULTS_DIR.mkdir(parents=True, exist_ok=True)
         slug = re.sub(r"[^a-zA-Z0-9._-]+", "_", title.lower()).strip("_")
         (RESULTS_DIR / f"{slug}.txt").write_text(text + "\n")
 

@@ -21,6 +21,14 @@ Semantics (modelled on real MPI middleware, as the paper assumes):
   approximation of fluid sharing).
 
 Matching is FIFO per (source, tag) with MPI-style wildcards.
+
+The runtime does per message only the work that changes per message.
+Each process's resume callback is built once, when it is added; the
+layer serving a rank pair is looked up once per world, and each
+(size, concurrency) it carries is priced once; a rank's blocker is
+kept as the request it yielded and formatted lazily, only when a
+watchdog or deadlock diagnostic names it (``rank 3 blocked on
+recv(source=1, tag=0)``).
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from collections.abc import Callable, Generator, Sequence
+from functools import partial
 
 from ..errors import ConfigurationError, SimulationError, WatchdogError
 from ..netsim.model import CommConfig
@@ -55,40 +64,55 @@ DEFAULT_EVENT_BUDGET_PER_RANK = 250_000
 ProcessFn = Callable[["Rank"], Generator]
 
 
-@dataclass(frozen=True)
 class _SendReq:
-    dest: int
-    nbytes: int
-    tag: int
+    __slots__ = ("dest", "nbytes", "tag")
+
+    def __init__(self, dest: int, nbytes: int, tag: int) -> None:
+        self.dest = dest
+        self.nbytes = nbytes
+        self.tag = tag
+
+    def __str__(self) -> str:
+        return f"send(dest={self.dest}, tag={self.tag})"
 
 
-@dataclass(frozen=True)
 class _RecvReq:
-    source: int
-    tag: int
+    __slots__ = ("source", "tag")
+
+    def __init__(self, source: int, tag: int) -> None:
+        self.source = source
+        self.tag = tag
+
+    def __str__(self) -> str:
+        return f"recv(source={self.source}, tag={self.tag})"
 
 
-@dataclass(frozen=True)
 class _ComputeReq:
-    seconds: float
+    __slots__ = ("seconds",)
+
+    def __init__(self, seconds: float) -> None:
+        self.seconds = seconds
+
+    def __str__(self) -> str:
+        return f"compute({self.seconds:g}s)"
 
 
-@dataclass(frozen=True)
-class _IsendReq:
-    dest: int
-    nbytes: int
-    tag: int
+class _IsendReq(_SendReq):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class _IrecvReq:
-    source: int
-    tag: int
+class _IrecvReq(_RecvReq):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class _WaitReq:
-    handle: "Handle"
+    __slots__ = ("handle",)
+
+    def __init__(self, handle: "Handle") -> None:
+        self.handle = handle
+
+    def __str__(self) -> str:
+        return "wait(handle)"
 
 
 class Handle:
@@ -131,7 +155,7 @@ class Rank:
 
     def send(self, dest: int, nbytes: int, tag: int = 0) -> _SendReq:
         """Request: send ``nbytes`` to rank ``dest``."""
-        if not (0 <= dest < self.size):
+        if not (0 <= dest < len(self._world.placement)):
             raise SimulationError(f"send to invalid rank {dest}")
         if dest == self.id:
             raise SimulationError("send to self is not supported")
@@ -141,7 +165,7 @@ class Rank:
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> _RecvReq:
         """Request: receive a message; resumes with ``(source, nbytes)``."""
-        if source != ANY_SOURCE and not (0 <= source < self.size):
+        if source != ANY_SOURCE and not (0 <= source < len(self._world.placement)):
             raise SimulationError(f"recv from invalid rank {source}")
         if source == self.id:
             raise SimulationError("recv from self is not supported")
@@ -200,36 +224,56 @@ class Rank:
         return allgather(self, nbytes, tag=tag)
 
 
-@dataclass
 class _Proc:
-    rank: int
-    gen: Generator
-    finished: bool = False
-    finish_time: float = 0.0
-    blocked_on: str = ""
+    __slots__ = ("rank", "gen", "finished", "finish_time", "blocked_on", "resume")
+
+    def __init__(self, rank: int, gen: Generator) -> None:
+        self.rank = rank
+        self.gen = gen
+        self.finished = False
+        self.finish_time = 0.0
+        #: The request the process waits on; ``None`` before its first.
+        self.blocked_on: object = None
+        #: ``resume(value=None)`` sends ``value`` into the generator;
+        #: built once by :meth:`World.add_process`, dropped at finish.
+        self.resume: Callable[..., None] | None = None
 
 
-@dataclass
 class _PendingSend:
-    src: int
-    dest: int
-    nbytes: int
-    tag: int
-    #: Absolute arrival time of an already-in-flight eager payload;
-    #: ``None`` for a rendezvous send still waiting for its receiver.
-    eager_arrival: float | None = None
-    #: Called when the sender's buffer becomes reusable (rendezvous
-    #: sends only — eager sends complete before being queued).
-    sender_done: object | None = None
+    __slots__ = ("src", "nbytes", "tag", "eager_arrival", "sender_done")
+
+    def __init__(self, src, nbytes, tag, eager_arrival, sender_done) -> None:
+        self.src = src
+        self.nbytes = nbytes
+        self.tag = tag
+        #: Absolute arrival time of an already-in-flight eager payload;
+        #: ``None`` for a rendezvous send still waiting for its receiver.
+        self.eager_arrival = eager_arrival
+        #: Called when the sender's buffer becomes reusable (rendezvous
+        #: sends only — eager sends complete before being queued).
+        self.sender_done = sender_done
 
 
-@dataclass
 class _PendingRecv:
-    rank: int
-    source: int
-    tag: int
-    #: Called with ``(source, nbytes)`` when the message lands.
-    receiver_done: object = None
+    __slots__ = ("source", "tag", "receiver_done")
+
+    def __init__(self, source, tag, receiver_done) -> None:
+        self.source = source
+        self.tag = tag
+        #: Called with ``(source, nbytes)`` when the message lands.
+        self.receiver_done = receiver_done
+
+
+class _Wire:
+    """Transfers in flight in one layer of a world."""
+
+    __slots__ = ("active",)
+
+    def __init__(self) -> None:
+        self.active = 0
+
+    def release(self) -> None:
+        self.active -= 1
 
 
 @dataclass
@@ -262,9 +306,12 @@ class World:
         self.placement = list(placement)
         self.engine = Engine()
         self._procs: dict[int, _Proc] = {}
-        self._pending_sends: dict[int, deque[_PendingSend]] = {}
-        self._pending_recvs: dict[int, deque[_PendingRecv]] = {}
-        self._active_in_layer: dict[str, int] = {}
+        self._pending_sends = [deque() for _ in self.placement]
+        self._pending_recvs = [deque() for _ in self.placement]
+        #: (src rank, dest rank) -> (layer params, its wire, and the
+        #: durations it has priced, keyed by (nbytes, concurrency)).
+        self._routes: dict[tuple[int, int], tuple] = {}
+        self._wires: dict[str, _Wire] = {}
         self._messages = 0
         self._bytes = 0
         self._per_layer: dict[str, int] = {}
@@ -283,7 +330,9 @@ class World:
         gen = fn(Rank(self, rank))
         if not isinstance(gen, Generator):
             raise ConfigurationError("process function must be a generator function")
-        self._procs[rank] = _Proc(rank=rank, gen=gen)
+        proc = _Proc(rank, gen)
+        proc.resume = partial(self._advance, proc)
+        self._procs[rank] = proc
 
     def spawn_all(self, fn: ProcessFn) -> None:
         """Run the same program on every rank (SPMD)."""
@@ -312,7 +361,9 @@ class World:
         if max_events is None:
             max_events = DEFAULT_EVENT_BUDGET_PER_RANK * max(self.size, 1)
         for proc in self._procs.values():
-            self.engine.schedule(0.0, lambda p=proc: self._advance(p, None))
+            # Not ``proc.resume``: a finished process has none, and
+            # re-running its world must still be refused by _advance.
+            self.engine.schedule(0.0, partial(self._advance, proc))
         try:
             self.engine.run(max_time=max_time, max_events=max_events)
         except WatchdogError as exc:
@@ -341,7 +392,7 @@ class World:
             f"rank {p.rank} blocked on {p.blocked_on or '??'}" for p in unfinished
         )
 
-    def _advance(self, proc: _Proc, value: object) -> None:
+    def _advance(self, proc: _Proc, value: object = None) -> None:
         if proc.finished:
             raise SimulationError(f"rank {proc.rank} resumed after finishing")
         try:
@@ -349,40 +400,39 @@ class World:
         except StopIteration:
             proc.finished = True
             proc.finish_time = self.engine.now
+            # The callback refers back to this world; dropping it lets a
+            # finished world be freed by reference counting instead of
+            # waiting for the cycle collector.
+            proc.resume = None
             return
-        if isinstance(request, _ComputeReq):
-            proc.blocked_on = f"compute({request.seconds:g}s)"
-            self.engine.schedule(request.seconds, lambda: self._advance(proc, None))
-        elif isinstance(request, _SendReq):
-            proc.blocked_on = f"send(dest={request.dest}, tag={request.tag})"
-            self._handle_send(proc, request)
-        elif isinstance(request, _RecvReq):
-            proc.blocked_on = f"recv(source={request.source}, tag={request.tag})"
-            self._handle_recv(
-                proc,
-                request,
-                receiver_done=lambda value: self._advance(proc, value),
-            )
-        elif isinstance(request, _IsendReq):
-            self._handle_isend(proc, request)
-        elif isinstance(request, _IrecvReq):
+        kind = type(request)
+        if kind is _SendReq:
+            proc.blocked_on = request
+            self._post_send(proc.rank, request, proc.resume, True)
+        elif kind is _RecvReq:
+            proc.blocked_on = request
+            self._post_recv(proc.rank, request.source, request.tag, proc.resume)
+        elif kind is _ComputeReq:
+            proc.blocked_on = request
+            self.engine.schedule(request.seconds, proc.resume)
+        elif kind is _IsendReq:
             handle = Handle()
-            self._handle_recv(
-                proc,
-                _RecvReq(request.source, request.tag),
-                receiver_done=lambda value, h=handle: self._complete(h, value),
+            self.engine.schedule(0.0, partial(proc.resume, handle))
+            self._post_send(proc.rank, request, partial(self._complete, handle), False)
+        elif kind is _IrecvReq:
+            handle = Handle()
+            self._post_recv(
+                proc.rank, request.source, request.tag, partial(self._complete, handle)
             )
-            self.engine.schedule(0.0, lambda: self._advance(proc, handle))
-        elif isinstance(request, _WaitReq):
+            self.engine.schedule(0.0, partial(proc.resume, handle))
+        elif kind is _WaitReq:
             handle = request.handle
             if handle.done:
-                self.engine.schedule(
-                    0.0, lambda: self._advance(proc, handle.value)
-                )
+                self.engine.schedule(0.0, partial(proc.resume, handle.value))
             else:
                 if handle._waiter is not None:
                     raise SimulationError("two processes waiting on one handle")
-                proc.blocked_on = "wait(handle)"
+                proc.blocked_on = request
                 handle._waiter = proc
         else:
             raise SimulationError(
@@ -397,148 +447,104 @@ class World:
             waiter, handle._waiter = handle._waiter, None
             self._advance(waiter, value)
 
-    def _match_recv(self, dest: int, src: int, tag: int):
-        """Pop the first posted recv at ``dest`` matching (src, tag)."""
-        queue = self._pending_recvs.get(dest)
-        if queue:
-            for i, pending in enumerate(queue):
-                if _recv_matches(pending, src, tag):
-                    del queue[i]
-                    return pending
-        return None
-
-    def _handle_send(self, proc: _Proc, req: _SendReq) -> None:
-        sender_done = lambda: self._advance(proc, None)  # noqa: E731
-        pending = self._match_recv(req.dest, proc.rank, req.tag)
-        if pending is not None:
-            self._start_transfer(
-                proc.rank, req.dest, req.nbytes, req.tag,
-                sender_done, pending.receiver_done,
-            )
-            return
+    def _new_route(self, src: int, dest: int) -> tuple:
+        """Look up the layer serving ``src`` -> ``dest`` (once per world)."""
         params = self.config.params_for_pair(
-            self.cluster, self.placement[proc.rank], self.placement[req.dest]
+            self.cluster, self.placement[src], self.placement[dest]
         )
-        if params.is_eager(req.nbytes):
+        wire = self._wires.get(params.name)
+        if wire is None:
+            wire = self._wires[params.name] = _Wire()
+        route = self._routes[src, dest] = (params, wire, {})
+        return route
+
+    def _post_send(self, src: int, req: _SendReq, sender_done, blocking: bool) -> None:
+        """Match a send against the posted receives, else queue it.
+
+        ``sender_done`` runs when the sender's buffer is reusable.  An
+        unmatched eager message goes on the wire now; its blocking
+        sender resumes in a zero-delay event, a nonblocking one's
+        handle completes at once.
+        """
+        dest, nbytes, tag = req.dest, req.nbytes, req.tag
+        queue = self._pending_recvs[dest]
+        for i, pending in enumerate(queue):
+            if (pending.source == src or pending.source == ANY_SOURCE) and (
+                pending.tag == tag or pending.tag == ANY_TAG
+            ):
+                del queue[i]
+                self._start_transfer(
+                    src, dest, nbytes, sender_done, pending.receiver_done
+                )
+                return
+        route = self._routes.get((src, dest)) or self._new_route(src, dest)
+        if route[0].is_eager(nbytes):
             # Unmatched eager send: the payload goes on the wire now and
             # the sender continues; the receiver will pick it up from
             # the unexpected-message queue whenever it posts its recv.
-            duration = self._begin_wire_transfer(params, req.nbytes)
-            self._pending_sends.setdefault(req.dest, deque()).append(
-                _PendingSend(
-                    proc.rank,
-                    req.dest,
-                    req.nbytes,
-                    req.tag,
-                    eager_arrival=self.engine.now + duration,
-                )
+            arrival = self.engine.now + self._begin_wire_transfer(route, nbytes)
+            self._pending_sends[dest].append(
+                _PendingSend(src, nbytes, tag, arrival, None)
             )
-            self.engine.schedule(0.0, sender_done)
+            if blocking:
+                self.engine.schedule(0.0, sender_done)
+            else:
+                sender_done()  # eager buffer handed off immediately
         else:
-            self._pending_sends.setdefault(req.dest, deque()).append(
-                _PendingSend(
-                    proc.rank, req.dest, req.nbytes, req.tag,
-                    sender_done=sender_done,
-                )
+            self._pending_sends[dest].append(
+                _PendingSend(src, nbytes, tag, None, sender_done)
             )
 
-    def _handle_isend(self, proc: _Proc, req: _IsendReq) -> None:
-        handle = Handle()
-        self.engine.schedule(0.0, lambda: self._advance(proc, handle))
-        sender_done = lambda: self._complete(handle)  # noqa: E731
-        pending = self._match_recv(req.dest, proc.rank, req.tag)
-        if pending is not None:
-            self._start_transfer(
-                proc.rank, req.dest, req.nbytes, req.tag,
-                sender_done, pending.receiver_done,
-            )
-            return
-        params = self.config.params_for_pair(
-            self.cluster, self.placement[proc.rank], self.placement[req.dest]
-        )
-        if params.is_eager(req.nbytes):
-            duration = self._begin_wire_transfer(params, req.nbytes)
-            self._pending_sends.setdefault(req.dest, deque()).append(
-                _PendingSend(
-                    proc.rank,
-                    req.dest,
-                    req.nbytes,
-                    req.tag,
-                    eager_arrival=self.engine.now + duration,
-                )
-            )
-            self._complete(handle)  # eager buffer handed off immediately
-        else:
-            self._pending_sends.setdefault(req.dest, deque()).append(
-                _PendingSend(
-                    proc.rank, req.dest, req.nbytes, req.tag,
-                    sender_done=sender_done,
-                )
-            )
+    def _post_recv(self, rank: int, source: int, tag: int, receiver_done) -> None:
+        """Match a receive against the queued sends, else post it."""
+        queue = self._pending_sends[rank]
+        for i, pending in enumerate(queue):
+            if (source == pending.src or source == ANY_SOURCE) and (
+                tag == pending.tag or tag == ANY_TAG
+            ):
+                del queue[i]
+                if pending.eager_arrival is not None:
+                    # Payload is already in flight (or has landed).
+                    delay = max(0.0, pending.eager_arrival - self.engine.now)
+                    self.engine.schedule(
+                        delay, partial(receiver_done, (pending.src, pending.nbytes))
+                    )
+                else:
+                    self._start_transfer(
+                        pending.src,
+                        rank,
+                        pending.nbytes,
+                        pending.sender_done,
+                        receiver_done,
+                    )
+                return
+        self._pending_recvs[rank].append(_PendingRecv(source, tag, receiver_done))
 
-    def _handle_recv(self, proc: _Proc, req: _RecvReq, receiver_done) -> None:
-        queue = self._pending_sends.get(proc.rank)
-        if queue:
-            for i, pending in enumerate(queue):
-                if _send_matches(pending, req):
-                    del queue[i]
-                    if pending.eager_arrival is not None:
-                        # Payload is already in flight (or has landed).
-                        delay = max(0.0, pending.eager_arrival - self.engine.now)
-                        src, nbytes = pending.src, pending.nbytes
-                        self.engine.schedule(
-                            delay, lambda: receiver_done((src, nbytes))
-                        )
-                    else:
-                        self._start_transfer(
-                            pending.src,
-                            proc.rank,
-                            pending.nbytes,
-                            pending.tag,
-                            pending.sender_done,
-                            receiver_done,
-                        )
-                    return
-        self._pending_recvs.setdefault(proc.rank, deque()).append(
-            _PendingRecv(proc.rank, req.source, req.tag, receiver_done)
-        )
+    def _begin_wire_transfer(self, route: tuple, nbytes: int) -> float:
+        """Account for one message entering the layer; returns duration.
 
-    def _begin_wire_transfer(self, params, nbytes: int) -> float:
-        """Account for one message entering the layer; returns duration."""
-        active = self._active_in_layer.get(params.name, 0)
-        duration = params.latency(nbytes, concurrency=active + 1)
-        self._active_in_layer[params.name] = active + 1
+        A route prices each (size, concurrency) once: the layer model is
+        a pure function of both.
+        """
+        params, wire, durations = route
+        active = wire.active + 1
+        duration = durations.get((nbytes, active))
+        if duration is None:
+            duration = durations[nbytes, active] = params.latency(nbytes, active)
+        wire.active = active
         self._messages += 1
         self._bytes += nbytes
         self._per_layer[params.name] = self._per_layer.get(params.name, 0) + 1
-
-        def release() -> None:
-            self._active_in_layer[params.name] -= 1
-
-        self.engine.schedule(duration, release)
+        self.engine.schedule(duration, wire.release)
         return duration
 
     def _start_transfer(
-        self, src: int, dest: int, nbytes: int, tag: int, sender_done, receiver_done
+        self, src: int, dest: int, nbytes: int, sender_done, receiver_done
     ) -> None:
-        core_s = self.placement[src]
-        core_d = self.placement[dest]
-        params = self.config.params_for_pair(self.cluster, core_s, core_d)
-        duration = self._begin_wire_transfer(params, nbytes)
-
-        if params.is_eager(nbytes):
-            # Sender continues immediately; receiver pays the latency.
-            self.engine.schedule(0.0, sender_done)
-        else:
-            self.engine.schedule(duration, sender_done)
-        self.engine.schedule(duration, lambda: receiver_done((src, nbytes)))
-
-
-def _recv_matches(pending: _PendingRecv, src: int, tag: int) -> bool:
-    return (pending.source in (ANY_SOURCE, src)) and (pending.tag in (ANY_TAG, tag))
-
-
-def _send_matches(pending: _PendingSend, req: _RecvReq) -> bool:
-    return (req.source in (ANY_SOURCE, pending.src)) and (
-        req.tag in (ANY_TAG, pending.tag)
-    )
+        route = self._routes.get((src, dest)) or self._new_route(src, dest)
+        duration = self._begin_wire_transfer(route, nbytes)
+        schedule = self.engine.schedule
+        # Eager: the sender continues at once and the receiver pays the
+        # latency.  Rendezvous: both wait for the whole transfer.
+        schedule(0.0 if route[0].is_eager(nbytes) else duration, sender_done)
+        schedule(duration, partial(receiver_done, (src, nbytes)))

@@ -11,8 +11,8 @@ through the same engine.
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Callable
+from heapq import heappop, heappush
 
 from ..errors import SimulationError, WatchdogError
 
@@ -29,7 +29,7 @@ class Engine:
         """Run ``fn`` ``delay`` virtual seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        heapq.heappush(self._queue, (self.now + delay, self._seq, fn))
+        heappush(self._queue, (self.now + delay, self._seq, fn))
         self._seq += 1
 
     def schedule_at(self, time: float, fn: Callable[[], None]) -> None:
@@ -38,7 +38,7 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule into the past (t={time:g} < now={self.now:g})"
             )
-        heapq.heappush(self._queue, (time, self._seq, fn))
+        heappush(self._queue, (time, self._seq, fn))
         self._seq += 1
 
     @property
@@ -50,7 +50,7 @@ class Engine:
         """Execute the earliest callback; False when nothing is pending."""
         if not self._queue:
             return False
-        self.now, _, fn = heapq.heappop(self._queue)
+        self.now, _, fn = heappop(self._queue)
         fn()
         return True
 
@@ -74,7 +74,7 @@ class Engine:
                     f"event budget of {max_events} callbacks exhausted at "
                     f"virtual time {self.now:g}s ({len(queue)} still pending)"
                 )
-            self.now, _, fn = heapq.heappop(queue)
+            self.now, _, fn = heappop(queue)
             fn()
             executed += 1
         return executed

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from collections.abc import Iterable, Iterator, Sequence
 
 from ..errors import ConfigurationError
@@ -367,33 +368,44 @@ class Cluster:
         """
         if a == b:
             raise ConfigurationError("relationship needs two distinct cores")
-        if not self.same_node(a, b):
+        n = self.node.n_cores
+        total = self.n_nodes * n
+        if not (0 <= a < total and 0 <= b < total):
+            self._check(a)
+            self._check(b)
+        if a // n != b // n:
             return "inter-node"
-        la, lb = self.local_core(a), self.local_core(b)
-        deepest = self.node.closest_shared_level(la, lb)
-        if deepest is not None:
-            return f"shared-l{deepest}"
-        # "same-cell" is only a distinct relationship on machines that
-        # actually have more than one cell (NUMA domain).
-        if len(self.node.cells) > 1 and self.node.same_cell(la, lb):
-            return "same-cell"
-        return "same-node"
+        return self._node_relationships[a % n][b % n]
 
     def relationships(self) -> set[str]:
         """All relationship keys that occur between the cluster's cores."""
-        keys: set[str] = set()
-        node = self.node
-        for a, b in all_pairs(range(node.n_cores)):
-            deepest = node.closest_shared_level(a, b)
-            if deepest is not None:
-                keys.add(f"shared-l{deepest}")
-            elif len(node.cells) > 1 and node.same_cell(a, b):
-                keys.add("same-cell")
-            else:
-                keys.add("same-node")
+        keys = {key for row in self._node_relationships for key in row if key}
         if self.n_nodes > 1:
             keys.add("inter-node")
         return keys
+
+    @cached_property
+    def _node_relationships(self) -> tuple[tuple[str | None, ...], ...]:
+        """Relationship of every node-local core pair (``None`` when equal).
+
+        Built on first use and kept in the instance ``__dict__``, outside
+        the dataclass fields, so ``repr``, ``==`` and ``hash`` ignore it.
+        """
+        node = self.node
+        multi_cell = len(node.cells) > 1
+        table: list[list[str | None]] = [[None] * node.n_cores for _ in node.cores]
+        for a, b in all_pairs(node.cores):
+            deepest = node.closest_shared_level(a, b)
+            if deepest is not None:
+                key = f"shared-l{deepest}"
+            # "same-cell" is only a distinct relationship on machines
+            # that actually have more than one cell (NUMA domain).
+            elif multi_cell and node.same_cell(a, b):
+                key = "same-cell"
+            else:
+                key = "same-node"
+            table[a][b] = table[b][a] = key
+        return tuple(map(tuple, table))
 
     def _check(self, core: int) -> None:
         if not (0 <= core < self.n_cores):

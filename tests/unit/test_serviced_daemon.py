@@ -23,7 +23,7 @@ from repro.service.server import (
     default_query_pool,
 )
 from repro.serviced import ServicedClient, TuningDaemon
-from repro.serviced.protocol import encode_frame, query_request
+from repro.serviced.protocol import encode_frame, query_request, read_frame
 
 
 @pytest.fixture(scope="module")
@@ -297,6 +297,72 @@ def test_client_hangup_mid_batch_leaves_no_trace(dunnington_report):
                 hangup.close()  # gone before its answers come back
                 got = steady.query_many(pool)
             assert [g for g, _v in got] == [answer(reference, q) for q in pool]
+
+        assert _settle(lambda: threading.active_count() == threads)
+        assert _settle(lambda: flights.live() == 0)
+        assert _settle(lambda: _open_fds() == fds), (_open_fds(), fds)
+        with d._conns_lock:
+            assert d._conns == []
+        assert len(d._threads) == threads_at_start
+
+
+def _replies_until_close(sock: socket.socket) -> list[dict]:
+    """Every frame the daemon sends on ``sock`` until it hangs up.
+
+    A reset or a frame cut short by the hangup also ends the stream:
+    the daemon closes while the frames it never read still sit in its
+    receive buffer, so its close may reach the client as a reset.
+    """
+    rfile = sock.makefile("rb")
+    replies = []
+    try:
+        while (frame := read_frame(rfile.read)) is not None:
+            replies.append(frame)
+    except (ConnectionResetError, ServicedError):
+        pass
+    finally:
+        rfile.close()
+    return replies
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_malformed_frame_mid_batch_leaves_no_trace(dunnington_report):
+    """A malformed frame in the middle of a pipelined batch ends that
+    connection with a typed error reply or a clean close.  Frames before
+    it may still be answered, correctly; none after it is read.  Another
+    client's answers stay correct, and no reader thread, single-flight
+    entry or open socket is left behind."""
+    pool = default_query_pool(dunnington_report)
+    reference = Advisor(dunnington_report)
+    expected = {i: answer(reference, q) for i, q in enumerate(pool * 4)}
+    good = [encode_frame(query_request(q, i)) for i, q in enumerate(pool * 4)]
+    half = len(good) // 2
+    body = b"{broken"
+    batch = b"".join(
+        [*good[:half], struct.pack(">I", len(body)) + body, *good[half:]]
+    )
+    with TuningDaemon(report=dunnington_report, workers=2, batch_max=8) as d:
+        flights = d._snapshot.service.single_flight
+        threads, fds = threading.active_count(), _open_fds()
+        threads_at_start = len(d._threads)
+
+        for _ in range(3):
+            bad = socket.create_connection((d.host, d.port))
+            bad.sendall(batch)
+            with ServicedClient(d.host, d.port) as steady:
+                got = steady.query_many(pool)
+            assert [g for g, _v in got] == [answer(reference, q) for q in pool]
+            replies = _replies_until_close(bad)
+            bad.close()
+            errors = [r for r in replies if not r["ok"]]
+            assert len(errors) <= 1
+            for error in errors:
+                assert error["id"] is None
+                assert "malformed frame payload" in error["error"]
+            for reply in replies:
+                if reply["ok"]:
+                    assert reply["id"] < half  # sent before the bad frame
+                    assert reply["answer"] == expected[reply["id"]]
 
         assert _settle(lambda: threading.active_count() == threads)
         assert _settle(lambda: flights.live() == 0)

@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event MPI runtime."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import SimulationError
@@ -190,6 +193,39 @@ class TestWorldBasics:
         world.add_process(bad, 0)
         world.add_process(idle, 1)
         with pytest.raises(SimulationError):
+            world.run()
+
+    def test_finished_world_is_freed_without_the_cycle_collector(self):
+        """A suite builds thousands of worlds; one that outlived its run
+        in a reference cycle would cost a garbage-collector pass."""
+        world = _world(n=3)
+
+        def program(rank):
+            if rank.id == 0:
+                yield rank.isend(1, 64)
+                yield rank.send(2, 256 * KiB)
+            elif rank.id == 1:
+                handle = yield rank.irecv(0)
+                yield rank.wait(handle)
+            else:
+                yield rank.recv(0)
+
+        world.spawn_all(program)
+        world.run()
+        alive = weakref.ref(world)
+        gc.disable()
+        try:
+            del world
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_a_second_run_of_a_finished_world_is_refused(self):
+        world = _world()
+        world.add_process(lambda rank: (yield rank.send(1, 64)), 0)
+        world.add_process(lambda rank: (yield rank.recv(0)), 1)
+        world.run()
+        with pytest.raises(SimulationError, match="resumed after finishing"):
             world.run()
 
 

@@ -6,13 +6,11 @@ from repro.errors import SimulationError, WatchdogError
 from repro.netsim.presets import default_comm_config
 from repro.simmpi.comm import World
 from repro.simmpi.events import Engine
-from repro.topology import dempsey
+from repro.topology import Cluster, dempsey, dunnington
 
 
 def make_world(placement=(0, 1)):
     machine = dempsey()
-    from repro.topology.machine import Cluster
-
     cluster = Cluster(machine.name, machine, n_nodes=1)
     return World(cluster, default_comm_config(cluster), placement=list(placement))
 
@@ -87,6 +85,33 @@ class TestWorldWatchdog:
         message = str(err.value)
         assert "rank 0 blocked on recv(source=1, tag=1)" in message
         assert "rank 1 blocked on recv(source=0, tag=2)" in message
+
+    def test_each_blocker_kind_reads_in_its_exact_words(self):
+        """The runtime keeps each blocker as the request a rank yielded
+        and formats it only for the diagnostic; the words stay fixed."""
+        cluster = Cluster("dunnington", dunnington())
+        world = World(cluster, default_comm_config(cluster), [0, 1, 2, 3])
+
+        def program(rank):
+            if rank.id == 0:
+                yield rank.recv(1, tag=5)
+            elif rank.id == 1:
+                handle = yield rank.irecv(0)
+                yield rank.wait(handle)
+            elif rank.id == 2:
+                yield rank.send(0, 1 << 20, tag=3)  # rendezvous, never matched
+            else:
+                while True:
+                    yield rank.compute(0.25)
+
+        world.spawn_all(program)
+        with pytest.raises(WatchdogError) as err:
+            world.run(max_events=50)
+        assert str(err.value).endswith(
+            "; rank 0 blocked on recv(source=1, tag=5), rank 1 blocked on "
+            "wait(handle), rank 2 blocked on send(dest=0, tag=3), rank 3 "
+            "blocked on compute(0.25s)"
+        )
 
     def test_watchdog_error_is_a_simulation_error(self):
         assert issubclass(WatchdogError, SimulationError)
