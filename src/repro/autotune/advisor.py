@@ -58,7 +58,6 @@ class Advisor:
         comm_matrix: np.ndarray,
         candidate_cores: Sequence[int] | None = None,
         message_size: int | None = None,
-        memory_weight: float = 0.0,
     ) -> PlacementResult:
         """Optimized rank-to-core placement for a communication matrix."""
         return optimize_placement(
@@ -66,7 +65,6 @@ class Advisor:
             comm_matrix,
             candidate_cores=candidate_cores,
             message_size=message_size,
-            memory_weight=memory_weight,
         )
 
     def placement_cost(
@@ -78,11 +76,9 @@ class Advisor:
         """Modelled cost of an explicit placement."""
         return placement_cost(self.report, placement, comm_matrix, message_size)
 
-    def streaming_placement(
-        self, n_ranks: int, candidate_cores: Sequence[int] | None = None
-    ) -> list[int]:
+    def streaming_placement(self, n_ranks: int) -> list[int]:
         """Cores for bandwidth-bound ranks, avoiding measured contention."""
-        return bandwidth_aware_placement(self.report, n_ranks, candidate_cores)
+        return bandwidth_aware_placement(self.report, n_ranks)
 
     # -- collectives ----------------------------------------------------------
 

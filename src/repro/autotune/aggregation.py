@@ -35,8 +35,6 @@ class AggregationAdvice:
     #: Estimated time for one aggregated message of N * size bytes
     #: (plus a per-message packing overhead).
     aggregated_time: float
-    #: Slowdown multiplier applied when the layer is congested.
-    congestion: float = 1.0
 
     @property
     def aggregate(self) -> bool:
@@ -51,33 +49,22 @@ class AggregationAdvice:
         return self.separate_time / self.aggregated_time
 
 
-def aggregation_advice(
-    layer: CommLayerReport,
-    n_messages: int,
-    message_size: int,
-    packing_overhead: float = 2e-7,
-    concurrent_senders: int = 1,
-) -> AggregationAdvice:
-    """Compare N separate sends against one aggregated message.
+#: Copy cost of gathering one piece into the aggregation buffer
+#: (seconds per piece; a memcpy of a few KB).
+PACKING_OVERHEAD: float = 2e-7
 
-    ``packing_overhead`` models the copy cost of gathering each piece
-    into the aggregation buffer (seconds per piece; a memcpy of a few
-    KB).  ``concurrent_senders`` applies the layer's measured
-    concurrency slowdown to both alternatives (with C senders the
-    un-aggregated scheme keeps C messages in flight and the aggregated
-    one C bigger messages, so the factor applies to both transfer
-    estimates — but the aggregated scheme pays it on far fewer
-    latencies).
-    """
+
+def aggregation_advice(
+    layer: CommLayerReport, n_messages: int, message_size: int
+) -> AggregationAdvice:
+    """Compare N separate sends from one sender against one aggregated
+    message that also pays :data:`PACKING_OVERHEAD` per piece."""
     if n_messages < 1 or message_size < 1:
         raise ReproError("n_messages and message_size must be positive")
-    if concurrent_senders < 1:
-        raise ReproError("concurrent_senders must be >= 1")
-    congestion = layer.slowdown_at(concurrent_senders)
-    separate = n_messages * layer.estimate_latency(message_size) * congestion
+    separate = n_messages * layer.estimate_latency(message_size)
     aggregated = (
-        layer.estimate_latency(n_messages * message_size) * congestion
-        + packing_overhead * n_messages
+        layer.estimate_latency(n_messages * message_size)
+        + PACKING_OVERHEAD * n_messages
     )
     return AggregationAdvice(
         layer_index=layer.index,
@@ -85,7 +72,6 @@ def aggregation_advice(
         message_size=message_size,
         separate_time=separate,
         aggregated_time=aggregated,
-        congestion=congestion,
     )
 
 

@@ -9,8 +9,9 @@ placements.
 
 Cost model: every (i, j) message pays the measured latency of the layer
 serving the core pair, interpolated at the message size
-(:meth:`CommLayerReport.estimate_latency`); concurrent memory pressure
-adds a penalty when two ranks land in the same measured overhead group.
+(:meth:`CommLayerReport.estimate_latency`).  Bandwidth-bound ranks are
+placed separately, away from measured memory overhead groups
+(:func:`bandwidth_aware_placement`).
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ import numpy as np
 
 from ..core.report import ServetReport
 from ..errors import ReproError
+
+#: Cap on :func:`optimize_placement`'s improvement rounds.
+MAX_ROUNDS: int = 20
 
 
 def _check_matrix(comm_matrix: np.ndarray) -> np.ndarray:
@@ -60,16 +64,12 @@ def placement_cost(
     placement: Sequence[int],
     comm_matrix: np.ndarray,
     message_size: int | None = None,
-    memory_weight: float = 0.0,
 ) -> float:
     """Modelled cost (seconds) of one iteration under ``placement``.
 
     ``comm_matrix[i, j]`` is the number of messages rank i sends to
     rank j per iteration; each costs the measured layer latency at
-    ``message_size`` (default: the report's probe size).  When
-    ``memory_weight > 0``, pairs of ranks inside one measured memory
-    overhead group add ``memory_weight * (1 - BW_group/BW_ref)`` each —
-    the bandwidth-loss signal of Fig. 6.
+    ``message_size`` (default: the report's probe size).
     """
     matrix = _check_matrix(comm_matrix)
     n = matrix.shape[0]
@@ -85,21 +85,10 @@ def placement_cost(
                 continue
             layer = report.comm_layer_of(placement[i], placement[j])
             cost += matrix[i, j] * layer.estimate_latency(size)
-    if memory_weight > 0.0 and report.memory_reference > 0.0:
-        for i in range(n):
-            for j in range(i + 1, n):
-                level = report.memory_level_of(placement[i], placement[j])
-                if level is not None:
-                    loss = 1.0 - level.bandwidth / report.memory_reference
-                    cost += memory_weight * max(loss, 0.0)
     return cost
 
 
-def bandwidth_aware_placement(
-    report: ServetReport,
-    n_ranks: int,
-    candidate_cores: Sequence[int] | None = None,
-) -> list[int]:
+def bandwidth_aware_placement(report: ServetReport, n_ranks: int) -> list[int]:
     """Place bandwidth-bound ranks to minimize memory contention.
 
     Greedy: repeatedly pick the core whose addition hurts the aggregate
@@ -110,11 +99,7 @@ def bandwidth_aware_placement(
     access", Section II): without the Fig. 6 measurements every
     placement looks the same.
     """
-    cores = (
-        list(candidate_cores)
-        if candidate_cores is not None
-        else list(range(report.n_cores))
-    )
+    cores = list(range(report.n_cores))
     if n_ranks > len(cores):
         raise ReproError(f"cannot place {n_ranks} ranks on {len(cores)} cores")
     if report.memory_reference <= 0:
@@ -162,16 +147,14 @@ def optimize_placement(
     comm_matrix: np.ndarray,
     candidate_cores: Sequence[int] | None = None,
     message_size: int | None = None,
-    memory_weight: float = 0.0,
-    max_rounds: int = 20,
-    seed: int | None = None,
 ) -> PlacementResult:
     """Hill-climbing placement optimizer (pairwise swaps + relocations).
 
-    Starts from the compact placement and repeatedly applies the best
-    improving move: swapping the cores of two ranks, or relocating a
-    rank to an unused candidate core.  Deterministic for a given seed;
-    guaranteed never to return something worse than compact.
+    Starts from the compact placement and, for up to :data:`MAX_ROUNDS`
+    rounds, applies every improving move: swapping the cores of two
+    ranks, or relocating a rank to an unused candidate core (tried in a
+    fresh-entropy shuffled order).  Guaranteed never to return something
+    worse than compact.
     """
     matrix = _check_matrix(comm_matrix)
     n = matrix.shape[0]
@@ -183,17 +166,15 @@ def optimize_placement(
     if n > len(cores):
         raise ReproError(f"cannot place {n} ranks on {len(cores)} cores")
     placement = [cores[i] for i in range(n)]
-    baseline = placement_cost(
-        report, placement, matrix, message_size, memory_weight
-    )
+    baseline = placement_cost(report, placement, matrix, message_size)
 
     def cost_of(p: Sequence[int]) -> float:
-        return placement_cost(report, p, matrix, message_size, memory_weight)
+        return placement_cost(report, p, matrix, message_size)
 
     current = baseline
     rounds = 0
-    rng = np.random.default_rng(seed)
-    for rounds in range(1, max_rounds + 1):
+    rng = np.random.default_rng()
+    for rounds in range(1, MAX_ROUNDS + 1):
         improved = False
         # Pairwise swaps.
         for i in range(n):

@@ -21,6 +21,11 @@ from ..errors import ReproError
 #: shared-cache benchmark's observation that (2/3)*CS already conflicts.
 DEFAULT_FILL_FRACTION: float = 0.5
 
+#: Cache line size the tile and traffic models assume (bytes).
+LINE_SIZE: int = 64
+#: float64 elements per :data:`LINE_SIZE` line (the traffic model's unit).
+LINE_ELEMS: int = LINE_SIZE // 8
+
 
 def tile_elements(
     report: ServetReport,
@@ -85,14 +90,12 @@ def _cache_level(report: ServetReport, level: int):
 
 
 def conflict_aware_tile(
-    report: ServetReport,
-    level: int,
-    elem_size: int = 8,
-    line_size: int = 64,
+    report: ServetReport, level: int, elem_size: int = 8
 ) -> int:
     """Tile side minimizing modelled traffic + conflict refetches.
 
-    Cost of tile ``b`` per block interaction, in cache lines:
+    Cost of tile ``b`` per block interaction, in :data:`LINE_SIZE` cache
+    lines of ``L`` elements:
     ``3 b^2 / L  +  m(b) * (2 b^2 (b-1) + b^2) / L`` where ``m(b)`` is
     the working set's conflict-miss probability from the binomial
     page-color model — evaluated with the report's measured size and
@@ -108,7 +111,7 @@ def conflict_aware_tile(
         raise ReproError(
             f"L{level} has no measured associativity; use fill_fraction"
         )
-    line_elems = max(line_size // elem_size, 1)
+    line_elems = max(LINE_SIZE // elem_size, 1)
     colors = max(cache.size // (cache.ways * report.page_size), 1)
     max_side = int(math.isqrt(cache.size // (3 * elem_size)))
     best_side, best_cost = 1, float("inf")
@@ -146,40 +149,40 @@ class TilePlan:
         return self.sides[max(self.sides)]
 
 
-def matmul_plan(
-    report: ServetReport, elem_size: int = 8, fill_fraction: float = DEFAULT_FILL_FRACTION
-) -> TilePlan:
-    """Tile sides for every detected cache level (multi-level blocking)."""
+def matmul_plan(report: ServetReport, elem_size: int = 8) -> TilePlan:
+    """Tile sides for every detected cache level (multi-level blocking),
+    each from the classic :data:`DEFAULT_FILL_FRACTION` rule."""
     return TilePlan(
         sides={
             cache.level: matmul_tile_side(
-                report, cache.level, elem_size, fill_fraction
+                report, cache.level, elem_size, DEFAULT_FILL_FRACTION
             )
             for cache in report.caches
         }
     )
 
 
-def matmul_traffic(n: int, tile: int | None, line_elems: int = 8) -> float:
-    """Modelled cache-line traffic of an ``n x n`` matmul (lines fetched).
+def matmul_traffic(n: int, tile: int | None) -> float:
+    """Modelled cache-line traffic of an ``n x n`` float64 matmul (lines
+    fetched, :data:`LINE_ELEMS` elements per line).
 
     The standard blocking analysis (e.g. Hennessy & Patterson):
 
     - untiled (``tile=None``): every element of B is refetched for each
-      of the n iterations of i — ``n^3 / line_elems`` line fetches
+      of the n iterations of i — ``n^3 / LINE_ELEMS`` line fetches
       dominate (A streams, C accumulates in registers).
     - tiled with side ``b``: each of the ``(n/b)^3`` block interactions
-      refetches two ``b x b`` blocks — ``2 n^3 / (b * line_elems)``
-      plus the compulsory ``3 n^2 / line_elems``.
+      refetches two ``b x b`` blocks — ``2 n^3 / (b * LINE_ELEMS)``
+      plus the compulsory ``3 n^2 / LINE_ELEMS``.
 
     Used by the tiling example to show the measured cache sizes turning
     into a traffic reduction; not a timing model.
     """
     if n <= 0:
         raise ReproError("matrix dimension must be positive")
-    compulsory = 3 * n * n / line_elems
+    compulsory = 3 * n * n / LINE_ELEMS
     if tile is None or tile >= n:
-        return n**3 / line_elems + compulsory
+        return n**3 / LINE_ELEMS + compulsory
     if tile < 1:
         raise ReproError("tile side must be >= 1")
-    return 2 * n**3 / (tile * line_elems) + compulsory
+    return 2 * n**3 / (tile * LINE_ELEMS) + compulsory

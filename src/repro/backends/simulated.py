@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-import numpy as np
-
 from ..errors import MeasurementError
 from ..ioutils import sha256_hex
 from ..memsim.outcome import GLOBAL_COMM_CACHE

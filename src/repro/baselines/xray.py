@@ -19,7 +19,7 @@ import numpy as np
 
 from ..backends.base import Backend
 from ..core.cache_size import MIN_RISE, _extend_region, _gradient_regions
-from ..core.mcalibrator import MAX_CACHE, MIN_CACHE, STRIDE, McalibratorResult, run_mcalibrator
+from ..core.mcalibrator import MAX_CACHE, McalibratorResult, run_mcalibrator
 from ..errors import DetectionError
 
 
@@ -31,29 +31,16 @@ class XRayResult:
     mcalibrator: McalibratorResult
 
 
-def xray_cache_sizes(
-    backend: Backend,
-    core: int = 0,
-    min_cache: int = MIN_CACHE,
-    max_cache: int = MAX_CACHE,
-    stride: int = STRIDE,
-    samples: int = 5,
-) -> XRayResult:
+def xray_cache_sizes(backend: Backend, max_cache: int = MAX_CACHE) -> XRayResult:
     """Estimate every cache level positionally (the X-Ray approach).
 
-    Each significant gradient region contributes one level whose size
-    is the array size at the region's steepest gradient.  No
-    probabilistic correction is applied — this is the baseline the
-    paper improves on.
+    The sweep is Servet's own mcalibrator run on core 0, with its paper
+    range, stride and sample count.  Each significant gradient region
+    contributes one level whose size is the array size at the region's
+    steepest gradient.  No probabilistic correction is applied — this
+    is the baseline the paper improves on.
     """
-    mres = run_mcalibrator(
-        backend,
-        core=core,
-        min_cache=min_cache,
-        max_cache=max_cache,
-        stride=stride,
-        samples=samples,
-    )
+    mres = run_mcalibrator(backend, max_cache=max_cache)
     gradients = mres.gradients
     regions = _gradient_regions(gradients)
     if not regions:

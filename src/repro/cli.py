@@ -32,6 +32,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import signal
@@ -96,6 +97,12 @@ DEFAULT_REGISTRY = os.environ.get(
 )
 
 
+def _api_default(fn, name: str):
+    """The default of ``fn``'s parameter ``name``.  A flag that feeds the
+    parameter takes its default from this one definition."""
+    return inspect.signature(fn).parameters[name].default
+
+
 def _add_query_options(parser: argparse.ArgumentParser, kind: QueryKind) -> None:
     """The flags of one query kind, generated from its table entry."""
     for option in kind.options:
@@ -125,13 +132,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"one of: {', '.join(builder_names())}",
     )
     run.add_argument(
-        "--preset",
-        dest="machine",
-        default=argparse.SUPPRESS,
-        metavar="NAME",
-        help="alias for --machine",
-    )
-    run.add_argument(
         "--machine-file",
         default=None,
         help="JSON cluster description (see 'servet export-machine'); "
@@ -145,7 +145,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--seed", type=int, default=42, help="measurement RNG seed")
     run.add_argument(
-        "--noise", type=float, default=0.01, help="relative measurement noise"
+        "--noise",
+        type=float,
+        default=_api_default(SimulatedBackend, "noise"),
+        help="relative measurement noise",
     )
     run.add_argument(
         "-o", "--output", default=None, help="write the JSON report here"
@@ -194,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--prune",
         choices=list(PRUNE_MODES),
-        default="off",
+        default=_api_default(ServetSuite, "prune"),
         help="symmetry-prune pairwise measurements: measure one "
         "representative per topology-equivalence class ('topology'), "
         "additionally spot-check each class ('verify'), or measure "
@@ -293,22 +296,22 @@ def _build_parser() -> argparse.ArgumentParser:
     srv.add_argument(
         "--workers",
         type=int,
-        default=4,
-        help="daemon worker threads (with --listen; default 4)",
+        default=_api_default(TuningDaemon, "workers"),
+        help="daemon worker threads (with --listen; default %(default)s)",
     )
     srv.add_argument(
         "--batch-max",
         type=int,
-        default=64,
+        default=_api_default(TuningDaemon, "batch_max"),
         help="max requests a worker batches per loop (with --listen; "
-        "default 64)",
+        "default %(default)s)",
     )
     srv.add_argument(
         "--poll-interval",
         type=float,
-        default=0.5,
+        default=_api_default(TuningDaemon, "poll_interval"),
         help="seconds between registry hot-reload probes (with --listen; "
-        "default 0.5)",
+        "default %(default)s)",
     )
     srv.add_argument(
         "--report", default=None, metavar="PATH", help="serve this report file"
@@ -321,21 +324,37 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument(
         "--fingerprint",
-        default="latest",
+        default=_api_default(TuningDaemon, "spec"),
         help="registry spec to serve: digest, unique prefix, or 'latest'",
     )
-    srv.add_argument("--clients", type=int, default=8, help="concurrent clients")
     srv.add_argument(
-        "--queries", type=int, default=500, help="queries per client"
+        "--clients",
+        type=int,
+        default=_api_default(run_harness, "clients"),
+        help="concurrent clients",
     )
-    srv.add_argument("--seed", type=int, default=1234, help="harness RNG seed")
     srv.add_argument(
-        "--capacity", type=int, default=4096, help="answer-cache capacity"
+        "--queries",
+        type=int,
+        default=_api_default(run_harness, "queries_per_client"),
+        help="queries per client",
+    )
+    srv.add_argument(
+        "--seed",
+        type=int,
+        default=_api_default(run_harness, "seed"),
+        help="harness RNG seed",
+    )
+    srv.add_argument(
+        "--capacity",
+        type=int,
+        default=_api_default(TuningService, "capacity"),
+        help="answer-cache capacity",
     )
     srv.add_argument(
         "--ttl",
         type=float,
-        default=None,
+        default=_api_default(TuningService, "ttl"),
         help="answer-cache TTL in seconds (default: no expiry)",
     )
     srv.add_argument(
@@ -441,10 +460,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     reg_refresh.add_argument("--seed", type=int, default=42, help="RNG seed")
     reg_refresh.add_argument(
-        "--noise", type=float, default=0.01, help="relative measurement noise"
+        "--noise",
+        type=float,
+        default=_api_default(SimulatedBackend, "noise"),
+        help="relative measurement noise",
     )
     reg_refresh.add_argument(
-        "--prune", choices=list(PRUNE_MODES), default="off", help="prune mode"
+        "--prune",
+        choices=list(PRUNE_MODES),
+        default=_api_default(ServetSuite, "prune"),
+        help="prune mode",
     )
 
     fleet = sub.add_parser(
@@ -467,11 +492,21 @@ def _build_parser() -> argparse.ArgumentParser:
         default=40,
         help="distinct hardware classes (default 40)",
     )
-    fgen.add_argument("--seed", type=int, default=0, help="fleet RNG seed")
     fgen.add_argument(
-        "--noise", type=float, default=0.0, help="measurement noise (default 0)"
+        "--seed",
+        type=int,
+        default=_api_default(generate_fleet, "seed"),
+        help="fleet RNG seed",
     )
-    fgen.add_argument("--name", default="fleet", help="fleet name")
+    fgen.add_argument(
+        "--noise",
+        type=float,
+        default=_api_default(generate_fleet, "noise"),
+        help="measurement noise (default %(default)s)",
+    )
+    fgen.add_argument(
+        "--name", default=_api_default(generate_fleet, "name"), help="fleet name"
+    )
 
     def _add_survey_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("spec", help="fleet spec JSON (see 'fleet generate')")
@@ -482,10 +517,16 @@ def _build_parser() -> argparse.ArgumentParser:
             help="sharded report store root (class reports + fleet_report.json)",
         )
         p.add_argument(
-            "--shards", type=int, default=16, help="store shard count (default 16)"
+            "--shards",
+            type=int,
+            default=_api_default(ShardedFleetStore, "shards"),
+            help="store shard count (default %(default)s)",
         )
         p.add_argument(
-            "--workers", type=int, default=8, help="worker count (default 8)"
+            "--workers",
+            type=int,
+            default=_api_default(FleetConfig, "workers"),
+            help="worker count (default %(default)s)",
         )
         p.add_argument(
             "--checkpoint",
@@ -579,7 +620,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     zrec.add_argument("--seed", type=int, default=0, help="machine seed")
     zrec.add_argument(
-        "--noise", type=float, default=0.0, help="backend noise (default 0)"
+        "--noise",
+        type=float,
+        default=_api_default(recover_machine, "noise"),
+        help="backend noise (default %(default)s)",
     )
     zrec.add_argument(
         "--json", action="store_true", help="print the full verdict JSON"
@@ -598,7 +642,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seeds", type=int, default=25, help="machines per family (default 25)"
     )
     zsweep.add_argument(
-        "--noise", type=float, default=0.0, help="backend noise (default 0)"
+        "--noise",
+        type=float,
+        default=_api_default(recover_all, "noise"),
+        help="backend noise (default %(default)s)",
     )
     zsweep.add_argument(
         "-o", "--output", default=None, help="write the sweep report JSON here"

@@ -25,7 +25,7 @@ from ..backends.base import Backend
 from ..errors import DetectionError
 from ..obs.provenance import ParameterProvenance
 from ..planner.plan import TraversalProbe, probe_id
-from .mcalibrator import MAX_CACHE, MIN_CACHE, STRIDE, McalibratorResult, run_mcalibrator
+from .mcalibrator import MAX_CACHE, SAMPLES, STRIDE, McalibratorResult, run_mcalibrator
 from .probabilistic import ProbabilisticEstimate, probabilistic_cache_size
 
 #: A gradient above this marks a significant rise (5 % over flat).
@@ -428,7 +428,6 @@ def _refine_probabilistic(
     stride: int,
     estimate: CacheLevelEstimate,
     mres: McalibratorResult,
-    samples: int,
 ) -> CacheLevelEstimate:
     """Re-estimate a level from a densified size sweep over its window.
 
@@ -452,7 +451,7 @@ def _refine_probabilistic(
             np.mean(
                 [
                     backend.traversal_cycles([(core, size)], stride)[core]
-                    for _ in range(samples)
+                    for _ in range(SAMPLES)
                 ]
             )
         )
@@ -480,35 +479,28 @@ def _refine_probabilistic(
 def detect_caches(
     backend: Backend,
     core: int = 0,
-    min_cache: int = MIN_CACHE,
     max_cache: int = MAX_CACHE,
     stride: int = STRIDE,
-    samples: int = 5,
     refine: bool = True,
 ) -> CacheDetectionResult:
     """Run mcalibrator on ``backend`` and detect levels (Fig. 4 driver).
 
-    With ``refine`` (default), probabilistic estimates whose analysis
-    window contains fewer than :data:`MIN_WINDOW_POINTS` measurements
-    are re-estimated from a densified sweep of the window.
+    The sweep starts at the paper's ``MIN_CACHE`` and averages
+    :data:`~repro.core.mcalibrator.SAMPLES` allocations per size.  With
+    ``refine`` (default), probabilistic estimates whose analysis window
+    contains fewer than :data:`MIN_WINDOW_POINTS` measurements are
+    re-estimated from a densified sweep of the window.
     """
-    mres = run_mcalibrator(
-        backend,
-        core=core,
-        min_cache=min_cache,
-        max_cache=max_cache,
-        stride=stride,
-        samples=samples,
-    )
+    mres = run_mcalibrator(backend, core=core, max_cache=max_cache, stride=stride)
     result = detect_cache_levels(mres, backend.page_size)
     if refine:
         for i, est in enumerate(result.levels):
             c_lo, c_hi = est.used_range
             if est.method == "probabilistic" and c_hi - c_lo < MIN_WINDOW_POINTS:
                 result.levels[i] = _refine_probabilistic(
-                    backend, core, stride, est, mres, samples
+                    backend, core, stride, est, mres
                 )
-        _merge_refined_levels(result, backend, core, stride, mres, samples)
+        _merge_refined_levels(result, backend, core, stride, mres)
     return result
 
 
@@ -518,7 +510,6 @@ def _merge_refined_levels(
     core: int,
     stride: int,
     mres: McalibratorResult,
-    samples: int,
 ) -> None:
     """Re-run the close-levels merge after refinement (in place).
 
@@ -549,7 +540,7 @@ def _merge_refined_levels(
                 used_range=(c_lo, c_hi),
             )
             merged = _refine_probabilistic(
-                backend, core, stride, seed_est, mres, samples
+                backend, core, stride, seed_est, mres
             )
             if merged is seed_est:  # window too narrow to densify
                 estimate = probabilistic_cache_size(

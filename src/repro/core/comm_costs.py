@@ -24,7 +24,7 @@ from ..errors import MeasurementError
 from ..obs.provenance import ParameterProvenance
 from ..planner import MessageProbe, PlanExecutor, probe_id
 from ..topology.machine import CorePair, all_pairs
-from ..units import KiB, MiB
+from ..units import KiB
 from .clustering import cluster_similar
 
 #: Relative tolerance for "similar" latencies (Fig. 7 clustering).
@@ -117,14 +117,14 @@ def detect_comm_layers(
     backend: Backend,
     probe_size: int,
     cores: Sequence[int] | None = None,
-    similarity: float = SIMILARITY_TOLERANCE,
     planner: PlanExecutor | None = None,
 ) -> CommCostsResult:
     """Stage 1 (Fig. 7): measure every pair and cluster latencies.
 
     ``probe_size`` should be the detected L1 cache size, per the paper
     ("it allows to find differences in communications when sharing
-    other cache levels").  The all-pairs probe batch goes through the
+    other cache levels").  Latencies within
+    :data:`SIMILARITY_TOLERANCE` of a layer's mean join that layer.  The all-pairs probe batch goes through the
     measurement ``planner`` (a pass-through executor by default), which
     may prune symmetric pairs.
     """
@@ -144,7 +144,7 @@ def detect_comm_layers(
                 f"({latency!r})"
             )
         items.append(((a, b), latency))
-    clusters = cluster_similar(items, rel_tol=similarity)
+    clusters = cluster_similar(items, rel_tol=SIMILARITY_TOLERANCE)
     layers = [
         CommLayer(index=i, latency=c.value, pairs=sorted(c.members))  # type: ignore[arg-type]
         for i, c in enumerate(clusters)
@@ -168,7 +168,7 @@ def detect_comm_layers(
                 measurements=measurements,
                 note=(
                     f"all-pairs latency at probe size {probe_size} B "
-                    f"clustered at {similarity:.0%} relative tolerance; "
+                    f"clustered at {SIMILARITY_TOLERANCE:.0%} relative tolerance; "
                     "each probe carries the pair's measured latency (s)"
                 ),
             )
@@ -249,20 +249,18 @@ def run_comm_costs(
     backend: Backend,
     l1_size: int,
     cores: Sequence[int] | None = None,
-    message_sizes: Sequence[int] = DEFAULT_MESSAGE_SIZES,
     planner: PlanExecutor | None = None,
 ) -> CommCostsResult:
     """All three stages of Section III-D in order.
 
-    One planner serves all three stages so stage 2 and 3 reuse stage-1
-    measurements (memoized probes, pruned pairs) for free.
+    Stage 2 sweeps :data:`DEFAULT_MESSAGE_SIZES`.  One planner serves
+    all three stages so stage 2 and 3 reuse stage-1 measurements
+    (memoized probes, pruned pairs) for free.
     """
     executor = planner if planner is not None else PlanExecutor(backend)
     result = detect_comm_layers(
         backend, probe_size=l1_size, cores=cores, planner=executor
     )
-    characterize_layers(
-        backend, result, message_sizes=message_sizes, planner=executor
-    )
+    characterize_layers(backend, result, planner=executor)
     layer_scalability(backend, result, planner=executor)
     return result

@@ -23,6 +23,8 @@ from ..units import KiB, MiB, format_size
 MIN_CACHE: int = 1 * KiB
 MAX_CACHE: int = 32 * MiB
 STRIDE: int = 1 * KiB
+#: Fresh allocations measured and averaged per array size.
+SAMPLES: int = 5
 
 
 def default_sizes(
@@ -103,7 +105,7 @@ def run_mcalibrator(
     min_cache: int = MIN_CACHE,
     max_cache: int = MAX_CACHE,
     stride: int = STRIDE,
-    samples: int = 5,
+    samples: int = SAMPLES,
 ) -> McalibratorResult:
     """Run the Fig. 1 loop on ``core`` and return (S, C).
 

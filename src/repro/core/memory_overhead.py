@@ -75,12 +75,13 @@ def characterize_memory_overhead(
     backend: Backend,
     cores: Sequence[int] | None = None,
     reference_core: int = 0,
-    similarity: float = SIMILARITY_TOLERANCE,
-    significance: float = SIGNIFICANCE,
     planner: PlanExecutor | None = None,
 ) -> MemoryOverheadResult:
     """Run the Fig. 6 algorithm (plus group inference and scalability).
 
+    A pair has overhead when its bandwidth falls more than
+    :data:`SIGNIFICANCE` below the single-core reference; overhead pairs
+    within :data:`SIMILARITY_TOLERANCE` of each other form one level.
     The all-pairs bandwidth batch goes through the measurement
     ``planner`` (pass-through by default), which may prune
     topology-equivalent pairs.
@@ -106,10 +107,10 @@ def characterize_memory_overhead(
     overhead_items: list[tuple[CorePair, float]] = [
         (pair, bw)
         for pair, bw in pair_bw.items()
-        if bw < ref * (1.0 - significance)
+        if bw < ref * (1.0 - SIGNIFICANCE)
     ]
 
-    clusters = cluster_similar(overhead_items, rel_tol=similarity)
+    clusters = cluster_similar(overhead_items, rel_tol=SIMILARITY_TOLERANCE)
     levels = [
         OverheadLevel(
             bandwidth=c.value,
@@ -143,8 +144,8 @@ def characterize_memory_overhead(
                 probes=probes,
                 measurements=measurements,
                 note=(
-                    f"pairs at least {significance:.0%} below the reference "
-                    f"(first probe, bytes/s), clustered at {similarity:.0%} "
+                    f"pairs at least {SIGNIFICANCE:.0%} below the reference "
+                    f"(first probe, bytes/s), clustered at {SIMILARITY_TOLERANCE:.0%} "
                     "relative tolerance"
                 ),
             )

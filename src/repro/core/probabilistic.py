@@ -26,6 +26,9 @@ from ..units import KiB, MiB
 #: Associativities tried by default; covers the paper's machines
 #: (including the 9-way Itanium2 L3 and 24-way Dunnington L3).
 DEFAULT_ASSOCIATIVITIES: tuple[int, ...] = (2, 4, 8, 9, 12, 16, 18, 24, 32)
+#: Lowest-divergence (size, associativity) entries the winner is picked
+#: from (the paper's five).
+MODE_POOL: int = 5
 
 
 def default_candidates(max_size: int) -> list[int]:
@@ -165,18 +168,16 @@ def probabilistic_cache_size(
     cycles: np.ndarray,
     page_size: int,
     candidates: list[int] | None = None,
-    associativities: tuple[int, ...] = DEFAULT_ASSOCIATIVITIES,
-    mode_pool: int = 5,
     size_biased: bool = True,
     affine_fit: bool = True,
-    weighted_mode: bool = True,
 ) -> ProbabilisticEstimate:
     """Estimate a physically indexed cache's size from mcalibrator data.
 
     ``sizes``/``cycles`` should span one rise of the cycles curve, from
     the plateau before it to the plateau after it (the Fig. 4 driver
     selects that window); MIN/MAX-based miss-rate normalization assumes
-    those plateaus are present.
+    those plateaus are present.  Every candidate size is tried at each
+    of :data:`DEFAULT_ASSOCIATIVITIES`.
 
     With ``affine_fit`` (default) the hit time and miss overhead are
     fitted per candidate by least squares instead of being read off the
@@ -208,7 +209,7 @@ def probabilistic_cache_size(
 
     divergences: list[tuple[float, int, int]] = []
     for cache_size in candidates:
-        for ways in associativities:
+        for ways in DEFAULT_ASSOCIATIVITIES:
             color_bytes = ways * page_size
             if cache_size % color_bytes != 0:
                 continue
@@ -229,25 +230,20 @@ def probabilistic_cache_size(
         raise DetectionError("no admissible (size, associativity) candidates")
 
     divergences.sort()
-    pool = divergences[: min(mode_pool, len(divergences))]
+    pool = divergences[: min(MODE_POOL, len(divergences))]
     # Select the winning size from the pool.  The paper takes the
     # statistical mode of CS over the five lowest entries; empirically
     # (see the model-variant ablation) that lets a noise-shifted size
     # admissible under several associativities outvote the clearly
-    # best-fitting size through multiplicity alone.  The default
-    # therefore scores each *distinct* size once — by its best entry,
-    # weighted by the squared ratio to the pool's best divergence — and
-    # picks the top score; ``weighted_mode=False`` restores the
-    # verbatim counting rule.
+    # best-fitting size through multiplicity alone.  So each *distinct*
+    # size is scored once — by its best entry, weighted by the squared
+    # ratio to the pool's best divergence — and the top score wins.
     counts: dict[int, float] = {}
     best_div: dict[int, float] = {}
     pool_best = max(pool[0][0], 1e-12)
     for div, cache_size, _ in pool:
         best_div[cache_size] = min(best_div.get(cache_size, np.inf), div)
-        if weighted_mode:
-            counts[cache_size] = (pool_best / max(best_div[cache_size], 1e-12)) ** 2
-        else:
-            counts[cache_size] = counts.get(cache_size, 0.0) + 1.0
+        counts[cache_size] = (pool_best / max(best_div[cache_size], 1e-12)) ** 2
     winner = min(counts, key=lambda cs: (-counts[cs], best_div[cs]))
     winner_ways = next(w for d, cs, w in pool if cs == winner)
     return ProbabilisticEstimate(

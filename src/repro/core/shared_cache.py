@@ -22,6 +22,11 @@ from .mcalibrator import STRIDE
 
 #: The Fig. 5 decision threshold on ``c / ref``.
 RATIO_THRESHOLD: float = 2.0
+#: Fresh allocations averaged per measurement.  On a physically indexed
+#: cache the conflict miss rate at ``(2/3)*CS`` depends on the random
+#: page placement, so single-allocation ratios have heavy tails that can
+#: cross the threshold spuriously.
+SAMPLES: int = 3
 
 
 @dataclass
@@ -55,13 +60,14 @@ def detect_shared_caches(
     backend: Backend,
     cache_sizes: Sequence[int],
     cores: Sequence[int] | None = None,
-    stride: int = STRIDE,
-    ratio_threshold: float = RATIO_THRESHOLD,
     reference_core: int = 0,
-    samples: int = 3,
     planner: PlanExecutor | None = None,
 ) -> SharedCacheResult:
     """Run the Fig. 5 algorithm.
+
+    Arrays are traversed at the 1 KB mcalibrator :data:`STRIDE`, each
+    measurement averages :data:`SAMPLES` fresh allocations, and a pair
+    whose ratio exceeds :data:`RATIO_THRESHOLD` shares the level.
 
     Parameters
     ----------
@@ -72,11 +78,6 @@ def detect_shared_caches(
     cores:
         Cores to test pairwise (default: every core of the backend;
         the paper tests one node since caches never span nodes).
-    samples:
-        Fresh allocations averaged per measurement.  On a physically
-        indexed cache the conflict miss rate at ``(2/3)*CS`` depends on
-        the random page placement, so single-allocation ratios have
-        heavy tails that can cross the threshold spuriously.
     planner:
         Measurement executor (pass-through by default).  The per-level
         single-core reference is emitted once through it and memoized,
@@ -122,14 +123,14 @@ def detect_shared_caches(
     for level_idx, cache_size in enumerate(cache_sizes, start=1):
         array_bytes = (2 * cache_size) // 3
         ref = executor.traversal_reference(
-            reference_core, array_bytes, stride, samples=samples
+            reference_core, array_bytes, STRIDE, samples=SAMPLES
         )
 
         def pair_probe(pair: CorePair, sample: int) -> TraversalProbe:
             a, b = pair
             return TraversalProbe(
                 arrays=((a, array_bytes), (b, array_bytes)),
-                stride=stride,
+                stride=STRIDE,
                 sample=sample,
             )
 
@@ -143,20 +144,20 @@ def detect_shared_caches(
             return float(sum(observations)) / len(observations)
 
         level_cycles = executor.pairwise(
-            pairs, probe_factory=pair_probe, value=pair_cycles, samples=samples
+            pairs, probe_factory=pair_probe, value=pair_cycles, samples=SAMPLES
         )
         level_ratios: dict[CorePair, float] = {}
         level_shared: list[CorePair] = []
         for pair in pairs:
             ratio = level_cycles[pair] / ref
             level_ratios[pair] = ratio
-            if ratio > ratio_threshold:
+            if ratio > RATIO_THRESHOLD:
                 level_shared.append(pair)
         shared_pairs.append(level_shared)
         ratios.append(level_ratios)
         references.append(ref)
         ref_pid = probe_id(
-            TraversalProbe(((reference_core, array_bytes),), stride, 0)
+            TraversalProbe(((reference_core, array_bytes),), STRIDE, 0)
         )
         measurements = {ref_pid: float(ref)}
         probes = [ref_pid]
@@ -172,7 +173,7 @@ def detect_shared_caches(
                 probes=probes,
                 measurements=measurements,
                 note=(
-                    f"pairwise cycles / reference > {ratio_threshold} marks "
+                    f"pairwise cycles / reference > {RATIO_THRESHOLD} marks "
                     f"sharing; arrays of {array_bytes} B (2/3 of "
                     f"{cache_size} B); reference probe listed first "
                     "(cycles), pair probes carry ratios"

@@ -48,13 +48,19 @@ from .report import (
 from .shared_cache import detect_shared_caches
 from .tlb import detect_tlb_entries
 
-#: Canonical phase names (Table I rows).
-PHASES: tuple[str, ...] = (
+#: Every phase the suite can run, in the order :meth:`ServetSuite.run`
+#: executes them.
+ALL_PHASES: tuple[str, ...] = (
     "cache_size",
     "shared_caches",
+    "tlb_detection",
     "memory_overhead",
     "communication_costs",
 )
+
+#: Canonical phase names (Table I rows): the paper's four benchmarks,
+#: without the TLB extension.
+PHASES: tuple[str, ...] = tuple(p for p in ALL_PHASES if p != "tlb_detection")
 
 #: Terminal statuses a phase can reach in the report.
 PHASE_STATUSES: tuple[str, ...] = ("ok", "degraded", "failed", "skipped")
@@ -116,20 +122,18 @@ class ServetSuite:
         Symmetry-pruning mode for pairwise batches: ``"off"`` (measure
         everything), ``"topology"`` (one representative per
         topology-equivalence class), or ``"verify"`` (topology plus a
-        measured spot check per class).
-    planner:
-        Inject a pre-built :class:`~repro.planner.PlanExecutor`
-        (overrides ``prune``); one executor is shared by every
-        phase so later phases reuse earlier measurements.
+        measured spot check per class).  One
+        :class:`~repro.planner.PlanExecutor` serves every phase, so later
+        phases reuse earlier measurements.
     tracer:
         Collector (:class:`repro.obs.Tracer`) of ``phase``, ``probe``
         and ``backend.*`` spans.  ``None`` (the default) records no span;
         phase timings still reach ``report.timings`` and the
         ``suite.phase_*`` gauges, and ``backend.calls`` still counts.
-    metrics:
-        Metrics registry shared with the planner (so the planner's
-        probe accounting and the exported metrics document agree).
-        Defaults to the injected planner's registry, else a fresh one.
+
+    The suite's :attr:`metrics` registry is shared with its planner, so
+    the planner's probe accounting and the exported metrics document
+    agree.
     """
 
     def __init__(
@@ -140,28 +144,15 @@ class ServetSuite:
         probe_tlb: bool = True,
         clock: Callable[[], float] = time.perf_counter,
         prune: str = "off",
-        planner: PlanExecutor | None = None,
         tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
         self.backend = backend
         self.probe_tlb = probe_tlb
-        if metrics is not None:
-            self.metrics = metrics
-        elif planner is not None:
-            self.metrics = planner.metrics
-        else:
-            self.metrics = MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.tracer = tracer
-        self.planner = (
-            planner
-            if planner is not None
-            else PlanExecutor(
-                backend, prune=prune, tracer=tracer, metrics=self.metrics
-            )
+        self.planner = PlanExecutor(
+            backend, prune=prune, tracer=tracer, metrics=self.metrics
         )
-        if self.planner.tracer is None:
-            self.planner.tracer = tracer
         instrument_backend(backend, tracer=tracer, metrics=self.metrics)
         self.prune = self.planner.prune
         #: Probes issued by the planner, per phase (checkpoint-resumable

@@ -32,6 +32,8 @@ from .mcalibrator import McalibratorResult
 #: Cache line size assumed by the probe (the suite's compile-time
 #: assumption; every machine modelled here uses 64-byte lines).
 LINE_SIZE: int = 64
+#: Fresh allocations averaged per probed size.
+SAMPLES: int = 3
 
 
 @dataclass
@@ -53,7 +55,6 @@ def detect_tlb_entries(
     core: int = 0,
     min_pages: int = 4,
     max_pages: int = 8192,
-    samples: int = 3,
 ) -> TLBDetection:
     """Detect the TLB entry count (None when nothing unambiguous shows).
 
@@ -79,7 +80,7 @@ def detect_tlb_entries(
             np.mean(
                 [
                     backend.traversal_cycles([(core, size)], stride)[core]
-                    for _ in range(samples)
+                    for _ in range(SAMPLES)
                 ]
             )
         )

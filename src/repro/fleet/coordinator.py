@@ -162,14 +162,13 @@ class FleetCoordinator:
         store: ShardedFleetStore | None = None,
         config: FleetConfig | None = None,
         fault_plan: FleetFaultPlan | None = None,
-        metrics: MetricsRegistry | None = None,
         checkpoint: str | Path | None = None,
     ) -> None:
         self.spec = spec
         self.store = store
         self.config = config if config is not None else FleetConfig()
         self.fault_plan = fault_plan
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.checkpoint_path = Path(checkpoint) if checkpoint is not None else None
         self.engine = Engine()
         self._on_class_complete: Callable[[_ClassState], None] | None = None

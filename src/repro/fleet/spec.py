@@ -293,16 +293,14 @@ def generate_fleet(
     seed: int = 0,
     name: str = "fleet",
     noise: float = 0.0,
-    options: dict | None = None,
 ) -> FleetSpec:
     """A reproducible heterogeneous fleet for surveys and benchmarks.
 
     Draws ``n_classes`` *distinct* hardware classes from the quantized
     palettes and deals machines onto them round-robin, so every class
     has at least one member and the dedup ratio is exactly
-    ``n_machines / n_classes``.  TLB probing defaults off — fleet
-    surveys optimize for breadth over per-machine depth; pass
-    ``options={"probe_tlb": True}`` to override.
+    ``n_machines / n_classes``.  TLB probing is off — fleet surveys
+    optimize for breadth over per-machine depth.
     """
     if n_machines < 1:
         raise FleetError("a fleet needs >= 1 machine")
@@ -332,8 +330,10 @@ def generate_fleet(
         MachineSpec(machine_id=f"m{i:0{width}d}", hardware=classes[i % n_classes])
         for i in range(n_machines)
     )
-    if options is None:
-        options = {"probe_tlb": False}
     return FleetSpec(
-        name=name, machines=machines, seed=seed, noise=noise, options=options
+        name=name,
+        machines=machines,
+        seed=seed,
+        noise=noise,
+        options={"probe_tlb": False},
     )

@@ -19,9 +19,7 @@ refused.
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
-from collections.abc import Callable
 
 from ..core.report import ServetReport
 from ..errors import FleetError
@@ -40,14 +38,12 @@ class ShardedFleetStore:
         self,
         root: str | Path,
         shards: int = 16,
-        clock: Callable[[], float] = time.time,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if not 1 <= shards <= 256:
             raise FleetError(f"shard count must be in [1, 256], got {shards}")
         self.root = Path(root)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._clock = clock
         self.shards = self._reconcile_shard_count(shards)
         self._registries: dict[int, ReportRegistry] = {}
 
@@ -79,14 +75,13 @@ class ShardedFleetStore:
     def registry_for(self, digest: str) -> ReportRegistry:
         """The shard registry owning ``digest`` (created lazily)."""
         shard = self.shard_of(digest)
-        registry = self._registries.get(shard)
+        return self._registry(shard, self.root / f"shard-{shard:02d}")
+
+    def _registry(self, index: int, path: Path) -> ReportRegistry:
+        registry = self._registries.get(index)
         if registry is None:
-            registry = ReportRegistry(
-                self.root / f"shard-{shard:02d}",
-                clock=self._clock,
-                metrics=self.metrics,
-            )
-            self._registries[shard] = registry
+            registry = ReportRegistry(path, metrics=self.metrics)
+            self._registries[index] = registry
         return registry
 
     # -- write side --------------------------------------------------------
@@ -120,13 +115,7 @@ class ShardedFleetStore:
         """
         found: list[RegistryEntry] = []
         for shard in self._shard_dirs():
-            index = int(shard.name.split("-")[1])
-            registry = self._registries.get(index)
-            if registry is None:
-                registry = ReportRegistry(
-                    shard, clock=self._clock, metrics=self.metrics
-                )
-                self._registries[index] = registry
+            registry = self._registry(int(shard.name.split("-")[1]), shard)
             found.extend(
                 sorted(registry.entries(), key=lambda e: (e.seq, e.digest))
             )
@@ -136,13 +125,7 @@ class ShardedFleetStore:
         """Quarantined files per digest, aggregated across shards."""
         counts: dict[str, int] = {}
         for shard in self._shard_dirs():
-            index = int(shard.name.split("-")[1])
-            registry = self._registries.get(index)
-            if registry is None:
-                registry = ReportRegistry(
-                    shard, clock=self._clock, metrics=self.metrics
-                )
-                self._registries[index] = registry
+            registry = self._registry(int(shard.name.split("-")[1]), shard)
             counts.update(registry.quarantined_counts())
         return counts
 

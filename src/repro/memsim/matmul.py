@@ -30,6 +30,9 @@ from ..errors import ConfigurationError
 from ..topology.cache import CacheLevel, Indexing
 from ..topology.machine import Machine
 
+#: Element size of the modelled matrices (float64).
+ELEM_SIZE: int = 8
+
 
 @dataclass
 class MatmulCostEstimate:
@@ -45,13 +48,10 @@ class MatmulCostEstimate:
 
 
 def blocked_matmul_cost(
-    machine: Machine,
-    n: int,
-    tile: int,
-    level: int = 2,
-    elem_size: int = 8,
+    machine: Machine, n: int, tile: int, level: int = 2
 ) -> MatmulCostEstimate:
-    """Estimate beyond-``level`` line fetches of a blocked n x n matmul.
+    """Estimate beyond-``level`` line fetches of a blocked n x n float64
+    matmul (:data:`ELEM_SIZE`-byte elements).
 
     ``tile`` is the square block side.  The model counts the element
     traffic of the blocking analysis and inflates the reuse-dependent
@@ -61,15 +61,13 @@ def blocked_matmul_cost(
     """
     if n <= 0 or tile <= 0:
         raise ConfigurationError("n and tile must be positive")
-    if elem_size <= 0:
-        raise ConfigurationError("elem_size must be positive")
     tile = min(tile, n)
     cache: CacheLevel = machine.level(level)
     spec = cache.spec
-    line_elems = max(spec.line_size // elem_size, 1)
+    line_elems = max(spec.line_size // ELEM_SIZE, 1)
 
     # Working set: three b x b blocks.
-    ws_bytes = 3 * tile * tile * elem_size
+    ws_bytes = 3 * tile * tile * ELEM_SIZE
     if ws_bytes > spec.size:
         # Pure capacity overflow: no reuse survives.
         miss_rate = 1.0
@@ -110,26 +108,12 @@ def blocked_matmul_cost(
 
 
 def tile_sweep(
-    machine: Machine,
-    n: int,
-    tiles: list[int],
-    level: int = 2,
-    elem_size: int = 8,
+    machine: Machine, n: int, tiles: list[int]
 ) -> list[MatmulCostEstimate]:
-    """Cost estimates over a list of candidate tile sides."""
-    return [
-        blocked_matmul_cost(machine, n, tile, level=level, elem_size=elem_size)
-        for tile in tiles
-    ]
+    """L2 cost estimates over a list of candidate tile sides."""
+    return [blocked_matmul_cost(machine, n, tile) for tile in tiles]
 
 
-def best_tile(
-    machine: Machine,
-    n: int,
-    tiles: list[int],
-    level: int = 2,
-    elem_size: int = 8,
-) -> int:
-    """Tile side minimizing the estimated line fetches (oracle answer)."""
-    sweep = tile_sweep(machine, n, tiles, level=level, elem_size=elem_size)
-    return min(sweep, key=lambda e: e.lines_fetched).tile
+def best_tile(machine: Machine, n: int, tiles: list[int]) -> int:
+    """Tile side minimizing the estimated L2 line fetches (oracle answer)."""
+    return min(tile_sweep(machine, n, tiles), key=lambda e: e.lines_fetched).tile

@@ -482,9 +482,8 @@ class TraversalEngine:
         self,
         array_bytes: int,
         stride: int,
-        core: int = 0,
         rng: np.random.Generator | int | None = None,
     ) -> float:
-        """Average cycles/access for one isolated core (convenience)."""
-        result = self.run([Traversal(core, array_bytes, stride)], rng=rng)
-        return result.cycles_per_access[core]
+        """Average cycles/access for core 0 alone (convenience)."""
+        result = self.run([Traversal(0, array_bytes, stride)], rng=rng)
+        return result.cycles_per_access[0]

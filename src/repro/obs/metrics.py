@@ -205,12 +205,12 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._instruments: dict[tuple, Counter | Gauge | Histogram] = {}
 
-    def _get(self, factory, name: str, labels: dict[str, str], **kwargs):
+    def _get(self, factory, name: str, labels: dict[str, str]):
         key = (factory.kind, name, _label_key(labels))
         with self._lock:
             instrument = self._instruments.get(key)
             if instrument is None:
-                instrument = factory(name, _label_key(labels), **kwargs)
+                instrument = factory(name, _label_key(labels))
                 self._instruments[key] = instrument
             return instrument
 
@@ -220,10 +220,8 @@ class MetricsRegistry:
     def gauge(self, name: str, **labels: str) -> Gauge:
         return self._get(Gauge, name, labels)
 
-    def histogram(
-        self, name: str, window: int = DEFAULT_HISTOGRAM_WINDOW, **labels: str
-    ) -> Histogram:
-        return self._get(Histogram, name, labels, window=window)
+    def histogram(self, name: str, **labels: str) -> Histogram:
+        return self._get(Histogram, name, labels)
 
     def instruments(self) -> list[Counter | Gauge | Histogram]:
         with self._lock:

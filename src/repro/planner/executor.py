@@ -154,9 +154,6 @@ class PlanExecutor:
         ``cluster`` model (the simulated backends do).
     classifier:
         Override the pair classifier (tests inject adversarial ones).
-    verify_tolerance:
-        Relative representative/spot-check disagreement that triggers a
-        full-measurement fallback in ``verify`` mode.
     tracer:
         Emit a ``probe`` span around every measurement that reaches the
         backend (None = no tracing overhead).
@@ -170,7 +167,6 @@ class PlanExecutor:
         backend: Backend,
         prune: str = "off",
         classifier: TopologyClassifier | None = None,
-        verify_tolerance: float = VERIFY_TOLERANCE,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
@@ -184,9 +180,6 @@ class PlanExecutor:
                     "topology model; this backend has none (use prune='off')"
                 )
         self.classifier = classifier
-        if verify_tolerance <= 0:
-            raise ConfigurationError("verify_tolerance must be > 0")
-        self.verify_tolerance = verify_tolerance
         self.tracer = tracer
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.stats = PlannerStats(registry=self.metrics)
@@ -265,10 +258,8 @@ class PlanExecutor:
         )
         return self._memoized(probe)
 
-    def copy_bandwidth(
-        self, cores: Sequence[int], sample: int = 0
-    ) -> dict[int, float]:
-        probe = StreamProbe(cores=tuple(int(c) for c in cores), sample=sample)
+    def copy_bandwidth(self, cores: Sequence[int]) -> dict[int, float]:
+        probe = StreamProbe(cores=tuple(int(c) for c in cores))
         return self._memoized(probe)
 
     def message_latency(
@@ -279,10 +270,10 @@ class PlanExecutor:
         return self._memoized(probe)
 
     def concurrent_message_latency(
-        self, pairs: Sequence[CorePair], nbytes: int, sample: int = 0
+        self, pairs: Sequence[CorePair], nbytes: int
     ) -> ConcurrentLatency:
         probe = ConcurrentMessageProbe(
-            pairs=tuple(tuple(p) for p in pairs), nbytes=nbytes, sample=sample
+            pairs=tuple(tuple(p) for p in pairs), nbytes=nbytes
         )
         return self._memoized(probe)
 
@@ -410,7 +401,7 @@ class PlanExecutor:
         scale = max(abs(v_rep), abs(v_spot))
         if scale == 0.0:
             return False
-        return abs(v_rep - v_spot) / scale > self.verify_tolerance
+        return abs(v_rep - v_spot) / scale > VERIFY_TOLERANCE
 
 
 def _rekey(src: Probe, dst: Probe, raw):

@@ -11,7 +11,7 @@ a backend and gives every measurement call
 - **per-reading validation** — finite, strictly positive, and inside
   per-channel plausibility bounds;
 - **repeat-sampling with outlier rejection** — take ``k`` validated
-  samples, combine them with a median or trimmed mean, and re-sample
+  samples, combine them with their median, and re-sample
   (up to a cap) while the relative spread exceeds a gate.
 
 The wrapper also counts every incident (retry, invalid reading, hang,
@@ -47,39 +47,23 @@ def relative_spread(values: Sequence[float]) -> float:
     """``(max - min) / median`` — 0 for constant or single samples."""
     if len(values) < 2:
         return 0.0
-    med = robust_estimate(values, estimator="median")
+    med = robust_estimate(values)
     if med == 0.0:
         return math.inf if max(values) > min(values) else 0.0
     return (max(values) - min(values)) / abs(med)
 
 
-def robust_estimate(
-    values: Sequence[float],
-    estimator: str = "median",
-    trim_fraction: float = 0.2,
-) -> float:
-    """Combine repeated samples into one robust estimate.
-
-    ``median`` survives up to half the samples being outliers;
-    ``trimmed_mean`` drops ``trim_fraction`` of each tail first (falling
-    back to the plain mean when too few samples remain to trim).
-    """
+def robust_estimate(values: Sequence[float]) -> float:
+    """Combine repeated samples into one robust estimate: their median,
+    which survives up to half the samples being outliers."""
     if not values:
         raise MeasurementError("cannot estimate from zero samples")
     ordered = sorted(values)
     n = len(ordered)
-    if estimator == "median":
-        mid = n // 2
-        if n % 2:
-            return ordered[mid]
-        return 0.5 * (ordered[mid - 1] + ordered[mid])
-    if estimator == "trimmed_mean":
-        k = int(n * trim_fraction)
-        trimmed = ordered[k : n - k] if n - 2 * k >= 1 else ordered
-        return sum(trimmed) / len(trimmed)
-    raise ConfigurationError(
-        f"unknown estimator {estimator!r}; expected 'median' or 'trimmed_mean'"
-    )
+    mid = n // 2
+    if n % 2:
+        return ordered[mid]
+    return 0.5 * (ordered[mid - 1] + ordered[mid])
 
 
 # -- policy knobs ----------------------------------------------------------
@@ -107,13 +91,11 @@ class RetryPolicy:
 
 @dataclass(frozen=True)
 class SamplingPolicy:
-    """Repeat-sampling with a relative-spread gate."""
+    """Repeat-sampling with a relative-spread gate; samples combine by
+    their median (:func:`robust_estimate`)."""
 
     #: Baseline number of validated samples per measurement.
     samples: int = 1
-    #: ``median`` or ``trimmed_mean``.
-    estimator: str = "median"
-    trim_fraction: float = 0.2
     #: Re-sample while any reading's relative spread exceeds this
     #: (``None`` disables the gate).
     spread_gate: float | None = 0.25
@@ -123,13 +105,10 @@ class SamplingPolicy:
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise ConfigurationError("samples must be >= 1")
-        if not 0.0 <= self.trim_fraction < 0.5:
-            raise ConfigurationError("trim_fraction must be in [0, 0.5)")
         if self.spread_gate is not None and self.spread_gate <= 0:
             raise ConfigurationError("spread_gate must be > 0 (or None)")
         if self.max_extra_samples < 0:
             raise ConfigurationError("max_extra_samples must be >= 0")
-        robust_estimate([1.0], self.estimator)  # validates the name
 
 
 @dataclass(frozen=True)
@@ -304,11 +283,7 @@ class HardenedBackend(Backend):
             return batches[0]
         keys = batches[0].keys()
         return {
-            key: robust_estimate(
-                [batch[key] for batch in batches],
-                estimator=sampling.estimator,
-                trim_fraction=sampling.trim_fraction,
-            )
+            key: robust_estimate([batch[key] for batch in batches])
             for key in keys
         }
 

@@ -460,6 +460,11 @@ class SingleFlightTable:
                         del self._entries[key]
 
 
+#: Default answer-cache capacity of a service (and of a daemon's
+#: per-snapshot service).
+ANSWER_CACHE_CAPACITY: int = 4096
+
+
 class TuningService:
     """Concurrent query answering over one report, with an answer cache.
 
@@ -472,9 +477,6 @@ class TuningService:
         disables expiry: a report is immutable, so answers only go stale
         when the service is pointed at a new report — the TTL exists for
         deployments that hot-swap the registry underneath.
-    timer:
-        Latency clock for the per-query metrics (injectable for
-        deterministic tests).
     metrics:
         Registry holding the service's counters and latency histogram
         (``service.queries{result=...}``, ``service.query_latency``);
@@ -492,10 +494,9 @@ class TuningService:
     def __init__(
         self,
         report: ServetReport,
-        capacity: int = 4096,
+        capacity: int = ANSWER_CACHE_CAPACITY,
         ttl: float | None = None,
         clock: Callable[[], float] = time.monotonic,
-        timer: Callable[[], float] = time.perf_counter,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         single_flight_cap: int = 128,
@@ -503,7 +504,6 @@ class TuningService:
         self.report = report
         self.advisor = Advisor(report)
         self.cache = LRUCache(capacity, ttl=ttl, clock=clock)
-        self._timer = timer
         self.metrics_registry = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer
         self._hit_counter = self.metrics_registry.counter(
@@ -523,15 +523,13 @@ class TuningService:
         self.single_flight = SingleFlightTable(cap=single_flight_cap)
 
     @classmethod
-    def from_registry(
-        cls, registry, spec: str = "latest", version: int | None = None, **kwargs
-    ) -> "TuningService":
-        """Serve the report a registry spec names (newest by default)."""
-        return cls(registry.get(spec, version=version), **kwargs)
+    def from_registry(cls, registry) -> "TuningService":
+        """Serve the newest report a registry holds."""
+        return cls(registry.get())
 
     def query(self, query: Query) -> dict:
         """Answer one query, cache-first."""
-        start = self._timer()
+        start = time.perf_counter()
         span_ctx = (
             self.tracer.span("service.query", query=type(query).__name__)
             if self.tracer is not None
@@ -554,7 +552,7 @@ class TuningService:
                         self.cache.put(query, value)
             if span_ctx is not None:
                 span_ctx.span.set(hit=bool(hit))
-        elapsed = self._timer() - start
+        elapsed = time.perf_counter() - start
         (self._hit_counter if hit else self._miss_counter).inc()
         self._latency.observe(elapsed)
         return value

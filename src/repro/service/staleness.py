@@ -41,11 +41,10 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 from collections.abc import Callable, Sequence
 
 from ..core.report import ServetReport
-from ..core.suite import ServetSuite
+from ..core.suite import ALL_PHASES, ServetSuite
 from ..errors import ServiceError
 from ..resilience.checkpoint import SuiteCheckpoint
 from .fingerprint import (
@@ -55,15 +54,6 @@ from .fingerprint import (
     normalize_options,
 )
 from .registry import ReportRegistry
-
-#: Every phase the suite can run, in canonical execution order.
-ALL_PHASES: tuple[str, ...] = (
-    "cache_size",
-    "shared_caches",
-    "tlb_detection",
-    "memory_overhead",
-    "communication_costs",
-)
 
 #: Phases whose inputs include another phase's output: invalidating the
 #: key re-measures the whole closure.  shared_caches sizes its arrays
@@ -191,16 +181,15 @@ def incremental_refresh(
     backend,
     base: str = "latest",
     options: dict | None = None,
-    strict: bool = True,
-    checkpoint_dir: str | Path | None = None,
 ) -> RefreshResult:
     """Bring a stored report up to date with a live backend.
 
     Fingerprints the backend, diffs against the registry entry ``base``
     names, and re-measures only the affected phases by resuming the
-    suite from a synthesized checkpoint in which every still-fresh
-    phase is already completed.  The refreshed report is stored as a
-    new version under the live fingerprint.
+    suite from a synthesized checkpoint (a temporary file) in which
+    every still-fresh phase is already completed.  The suite runs
+    strict: a phase failure raises.  The refreshed report is stored as
+    a new version under the live fingerprint.
 
     With ``noise=0`` backends this is exact: the merged report's
     ``measurement_dict()`` is byte-identical to a from-scratch run on
@@ -242,7 +231,7 @@ def incremental_refresh(
 
     suite = _build_suite(backend, opts)
     if staleness.full:
-        report = suite.run(strict=strict)
+        report = suite.run()
         entry = registry.put(live, report)
         return RefreshResult(
             report=report,
@@ -255,15 +244,11 @@ def incremental_refresh(
     stale = set(staleness.affected)
     stored = registry.get(base_digest)
     checkpoint = _synthesize_checkpoint(suite, backend, stored, stale)
-    fd, path = tempfile.mkstemp(
-        prefix="servet-refresh-",
-        suffix=".json",
-        dir=str(checkpoint_dir) if checkpoint_dir is not None else None,
-    )
+    fd, path = tempfile.mkstemp(prefix="servet-refresh-", suffix=".json")
     os.close(fd)
     try:
         checkpoint.save(path)
-        report = suite.run(strict=strict, checkpoint=path, resume=True)
+        report = suite.run(checkpoint=path, resume=True)
     finally:
         try:
             os.unlink(path)

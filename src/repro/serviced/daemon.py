@@ -53,13 +53,12 @@ import queue
 import socket
 import threading
 import time
-from collections.abc import Callable
 
 from ..core.report import ServetReport
 from ..errors import ReproError, ServicedError
 from ..obs.metrics import MetricsRegistry
 from ..service.registry import ReportRegistry
-from ..service.server import TuningService
+from ..service.server import ANSWER_CACHE_CAPACITY, TuningService
 from .protocol import (
     decode_query,
     encode_frame,
@@ -93,6 +92,24 @@ class _Connection:
         self.alive = True
         #: The thread reading this connection's requests.
         self.reader: threading.Thread | None = None
+        #: Queries read from this connection and not yet answered.
+        self.pending = 0
+        self.idle = threading.Condition(threading.Lock())
+
+    def queued(self) -> None:
+        with self.idle:
+            self.pending += 1
+
+    def answered(self, n: int) -> None:
+        with self.idle:
+            self.pending -= n
+            if self.pending == 0:
+                self.idle.notify_all()
+
+    def wait_idle(self) -> None:
+        """Block until every query read from this connection is answered."""
+        with self.idle:
+            self.idle.wait_for(lambda: self.pending == 0)
 
     def send(self, payloads: list[dict]) -> None:
         """Encode and write response payloads (see :meth:`send_raw`)."""
@@ -149,11 +166,9 @@ class TuningDaemon:
         workers: int = 4,
         batch_max: int = 64,
         poll_interval: float = 0.5,
-        capacity: int = 4096,
+        capacity: int = ANSWER_CACHE_CAPACITY,
         ttl: float | None = None,
-        metrics: MetricsRegistry | None = None,
         instrument: bool = True,
-        timer: Callable[[], float] = time.perf_counter,
     ) -> None:
         if (report is None) == (registry is None):
             raise ServicedError("give exactly one of report= or registry=")
@@ -169,8 +184,7 @@ class TuningDaemon:
         self._capacity = capacity
         self._ttl = ttl
         self._instrument = instrument
-        self._timer = timer
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self._registry = registry
         if registry is not None:
             digest = registry.resolve(spec)
@@ -398,8 +412,11 @@ class TuningDaemon:
                 try:
                     frame = read_frame(conn.rfile.read)
                 except ServicedError as exc:
-                    # Unknown protocol state: diagnose, then hang up.
+                    # Unknown protocol state: diagnose, stop reading, and
+                    # hang up once every query read before the bad frame
+                    # has its answer on the wire.
                     conn.send([error_response(None, str(exc))])
+                    conn.wait_idle()
                     break
                 except OSError:
                     break
@@ -441,7 +458,8 @@ class TuningDaemon:
             except ServicedError as exc:
                 self._respond_error(conn, rid, str(exc))
                 return True
-            arrival = self._timer() if self._instrument else 0.0
+            arrival = time.perf_counter() if self._instrument else 0.0
+            conn.queued()
             self._queue.put((conn, rid, query, arrival))
             return True
         if kind in ("stats", "ping", "reload", "drain"):
@@ -554,8 +572,9 @@ class TuningDaemon:
                     slot[1].append(frame)
         for conn, frames in per_conn.values():
             conn.send_raw(frames)
+            conn.answered(len(frames))
         if self._instrument:
-            done = self._timer()
+            done = time.perf_counter()
             self._batch_size.observe(len(batch))
             self._coalesced.inc(len(batch) - len(groups))
             self._resp_ok.inc(len(batch) - errors)

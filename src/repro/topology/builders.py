@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 
 from ..errors import ConfigurationError
-from ..units import KiB, MiB, GiB, parse_size
+from ..units import KiB, MiB, parse_size
 from .cache import CacheLevel, CacheSpec, Indexing, grouped, private_groups
 from .machine import BandwidthDomain, Cluster, Machine, partition_by
 
@@ -198,7 +198,6 @@ def generic_smp(
     mem_latency: float = 250.0,
     clock_hz: float = 2.0e9,
     core_stream_bw: float = 3.0 * GB_S,
-    node_bw: float | None = None,
     tlb=None,
 ) -> Machine:
     """Build an arbitrary SMP for tests and what-if studies.
@@ -206,7 +205,8 @@ def generic_smp(
     ``levels`` is a sequence of ``(size, ways, shared_by, latency)``;
     ``shared_by`` is the number of *consecutive* cores sharing each
     instance (1 = private).  L1 is virtually indexed, deeper levels
-    physically indexed, matching real hardware practice.
+    physically indexed, matching real hardware practice.  All cores
+    share one memory bus of 1.4 times a single core's stream bandwidth.
     """
     cache_levels = []
     for i, (size, ways, shared_by, latency) in enumerate(levels, start=1):
@@ -224,8 +224,7 @@ def generic_smp(
             )
         )
     cores = frozenset(range(n_cores))
-    capacity = node_bw if node_bw is not None else 1.4 * core_stream_bw
-    root = BandwidthDomain("mem", capacity=capacity, cores=cores)
+    root = BandwidthDomain("mem", capacity=1.4 * core_stream_bw, cores=cores)
     return Machine(
         name=name,
         n_cores=n_cores,

@@ -17,7 +17,7 @@ from collections.abc import Iterable, Iterator, Sequence
 
 from ..errors import ConfigurationError
 from ..units import format_size
-from .cache import CacheLevel, CacheOrganization, CacheSpec
+from .cache import CacheLevel, CacheOrganization
 
 #: An unordered pair of core ids, stored sorted.
 CorePair = tuple[int, int]

@@ -274,8 +274,9 @@ class TraversalReuseRecorder:
             raise MeasurementError(f"no accesses recorded for core {core}")
         return recorder
 
-    def profile(self, core: int, name: str, seed: int = 0):
-        """The finished :class:`ReuseProfile` for one core's stream."""
+    def profile(self, core: int, name: str):
+        """The finished :class:`ReuseProfile` for one core's stream
+        (seed 0: a traversal stream is not drawn from an RNG)."""
         from .profile import ReuseProfile
 
-        return ReuseProfile.from_recorder(self.recorder(core), name, seed)
+        return ReuseProfile.from_recorder(self.recorder(core), name, 0)

@@ -420,19 +420,17 @@ def score_report(report: ServetReport, truth: GroundTruth) -> list[ParamVerdict]
     return verdicts
 
 
-def recover_machine(
-    gm: GeneratedMachine,
-    noise: float = 0.0,
-    backend_seed: int | None = None,
-) -> MachineRecovery:
-    """Run the blind suite on one zoo machine and score the report."""
-    seed = (
-        backend_seed
-        if backend_seed is not None
-        else stable_seed("zoo.recover", gm.family, gm.seed)
-    )
+def recover_machine(gm: GeneratedMachine, noise: float = 0.0) -> MachineRecovery:
+    """Run the blind suite on one zoo machine and score the report.
+
+    The backend seed derives from the machine's family and seed, so a
+    recovery is reproducible.
+    """
     backend = SimulatedBackend(
-        gm.cluster, comm_config=gm.comm, noise=noise, seed=seed
+        gm.cluster,
+        comm_config=gm.comm,
+        noise=noise,
+        seed=stable_seed("zoo.recover", gm.family, gm.seed),
     )
     suite = ServetSuite(backend)
     start = time.perf_counter()
@@ -448,16 +446,10 @@ def recover_machine(
 
 
 def recover_all(
-    machines: list[GeneratedMachine],
-    noise: float = 0.0,
-    progress=None,
+    machines: list[GeneratedMachine], noise: float = 0.0
 ) -> ZooRecoveryReport:
-    """Recover every machine; ``progress(done, total, result)`` optional."""
+    """Recover every machine, in order."""
     out = ZooRecoveryReport()
-    total = len(machines)
-    for i, gm in enumerate(machines, start=1):
-        result = recover_machine(gm, noise=noise)
-        out.results.append(result)
-        if progress is not None:
-            progress(i, total, result)
+    for gm in machines:
+        out.results.append(recover_machine(gm, noise=noise))
     return out

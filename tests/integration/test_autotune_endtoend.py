@@ -12,7 +12,7 @@ import pytest
 from repro.autotune import Advisor, compact_placement, scatter_placement
 from repro.netsim import default_comm_config
 from repro.simmpi import World
-from repro.topology import Cluster, dunnington, finis_terrae
+from repro.topology import Cluster, dunnington
 from repro.units import KiB
 
 

@@ -86,13 +86,6 @@ class TestPlacementCost:
         slow = placement_cost(report, [0, 2, 1, 3], self.matrix(), 1024)
         assert fast < slow
 
-    def test_memory_weight_penalizes_contending_pairs(self):
-        report = sample_report()
-        m = np.zeros((2, 2))
-        base = placement_cost(report, [0, 1], m, 1024)
-        with_mem = placement_cost(report, [0, 1], m, 1024, memory_weight=1.0)
-        assert with_mem > base  # (0,1) is in a memory overhead group
-
     def test_rejects_duplicate_cores(self):
         with pytest.raises(ReproError):
             placement_cost(sample_report(), [0, 0], np.zeros((2, 2)))

@@ -6,7 +6,6 @@ from repro.autotune.tiling import conflict_aware_tile, matmul_tile_side
 from repro.errors import ConfigurationError, ReproError
 from repro.memsim.matmul import best_tile, blocked_matmul_cost, tile_sweep
 from repro.topology import dempsey, generic_smp
-from repro.units import KiB, MiB
 
 from .test_core_report import sample_report
 

@@ -72,17 +72,6 @@ class TestRobustStats:
     def test_median_survives_outlier(self):
         assert robust_estimate([10.0, 10.1, 500.0]) == 10.1
 
-    def test_trimmed_mean_drops_tails(self):
-        values = [1.0, 10.0, 10.0, 10.0, 100.0]
-        assert robust_estimate(values, "trimmed_mean", trim_fraction=0.2) == 10.0
-
-    def test_trimmed_mean_falls_back_to_mean_when_tiny(self):
-        assert robust_estimate([4.0, 6.0], "trimmed_mean", 0.4) == 5.0
-
-    def test_unknown_estimator_rejected(self):
-        with pytest.raises(ConfigurationError):
-            robust_estimate([1.0], estimator="mode")
-
     def test_empty_rejected(self):
         with pytest.raises(MeasurementError):
             robust_estimate([])
@@ -224,10 +213,6 @@ class TestPolicyValidation:
     def test_sampling_policy_validated(self):
         with pytest.raises(ConfigurationError):
             SamplingPolicy(samples=0)
-        with pytest.raises(ConfigurationError):
-            SamplingPolicy(estimator="mode")
-        with pytest.raises(ConfigurationError):
-            SamplingPolicy(trim_fraction=0.5)
 
     def test_bounds_problems(self):
         bounds = ReadingBounds(lo=1.0, hi=100.0)

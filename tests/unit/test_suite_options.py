@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro import ServetSuite, SimulatedBackend, dempsey, generic_smp
-from repro.core.suite import PHASES, SuiteTimings
+import repro.service
+from repro import ServetSuite, SimulatedBackend, dempsey, dunnington, generic_smp
+from repro.core.suite import ALL_PHASES, PHASES, SuiteTimings
 from repro.memsim import TLBSpec, clear_global_cache
 
 
@@ -23,6 +24,20 @@ class TestSuiteTimings:
             "memory_overhead",
             "communication_costs",
         )
+
+    def test_one_phase_order_for_suite_and_staleness(self):
+        # The staleness table imports the order the suite runs in, so
+        # the two cannot drift apart.
+        assert repro.service.ALL_PHASES is ALL_PHASES
+        assert ALL_PHASES == (
+            "cache_size",
+            "shared_caches",
+            "tlb_detection",
+            "memory_overhead",
+            "communication_costs",
+        )
+        report = ServetSuite(SimulatedBackend(dunnington(), seed=42, noise=0.0)).run()
+        assert tuple(report.phase_status) == ALL_PHASES
 
 
 class TestProbeTlbOption:

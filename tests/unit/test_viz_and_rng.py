@@ -1,7 +1,6 @@
 """Unit tests for the ASCII renderers and RNG helpers."""
 
 import numpy as np
-import pytest
 
 from repro.rng import DEFAULT_SEED, ensure_rng, spawn
 from repro.viz import ascii_chart, ascii_table
