@@ -152,9 +152,10 @@ def optimize_placement(
 
     Starts from the compact placement and, for up to :data:`MAX_ROUNDS`
     rounds, applies every improving move: swapping the cores of two
-    ranks, or relocating a rank to an unused candidate core (tried in a
-    fresh-entropy shuffled order).  Guaranteed never to return something
-    worse than compact.
+    ranks, or relocating a rank to an unused candidate core (tried in
+    ascending order, so one report and matrix always give one
+    placement).  Guaranteed never to return something worse than
+    compact.
     """
     matrix = _check_matrix(comm_matrix)
     n = matrix.shape[0]
@@ -173,7 +174,6 @@ def optimize_placement(
 
     current = baseline
     rounds = 0
-    rng = np.random.default_rng()
     for rounds in range(1, MAX_ROUNDS + 1):
         improved = False
         # Pairwise swaps.
@@ -185,8 +185,7 @@ def optimize_placement(
                 if c < current - 1e-15:
                     placement, current, improved = trial, c, True
         # Relocations onto free cores.
-        free = [c for c in cores if c not in placement]
-        rng.shuffle(free)
+        free = sorted(set(cores) - set(placement))
         for i in range(n):
             for core in free:
                 trial = list(placement)
@@ -194,7 +193,7 @@ def optimize_placement(
                 c = cost_of(trial)
                 if c < current - 1e-15:
                     placement, current, improved = trial, c, True
-                    free = [c2 for c2 in cores if c2 not in placement]
+                    free = sorted(set(cores) - set(placement))
                     break
         if not improved:
             break

@@ -51,7 +51,6 @@ from .fleet import (
     FleetFaultPlan,
     FleetReport,
     FleetSpec,
-    ShardedFleetStore,
     generate_fleet,
 )
 from .resilience import (
@@ -514,13 +513,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--store",
             required=True,
             metavar="DIR",
-            help="sharded report store root (class reports + fleet_report.json)",
-        )
-        p.add_argument(
-            "--shards",
-            type=int,
-            default=_api_default(ShardedFleetStore, "shards"),
-            help="store shard count (default %(default)s)",
+            help="report registry for the class reports (plus "
+            "fleet_report.json)",
         )
         p.add_argument(
             "--workers",
@@ -1193,7 +1187,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         )
         coordinator = FleetCoordinator(
             spec,
-            store=ShardedFleetStore(args.store, shards=args.shards),
+            store=ReportRegistry(args.store),
             config=config,
             fault_plan=fault_plan,
             checkpoint=args.checkpoint,

@@ -88,31 +88,6 @@ class CommLayerReport:
         s_last, t_last, _ = curve[-1]
         return t_last * nbytes / s_last
 
-    def slowdown_at(self, n_messages: int) -> float:
-        """Concurrency slowdown factor for ``n_messages`` in this layer.
-
-        Interpolates the measured scalability curve (1.0 when no curve
-        was recorded — a perfectly scalable layer).
-        """
-        curve = self.scalability
-        if not curve or n_messages <= 1:
-            return 1.0
-        if n_messages <= curve[0][0]:
-            # Between 1 message (factor 1.0) and the first sample.
-            n0, _, f0 = curve[0]
-            return 1.0 + (f0 - 1.0) * (n_messages - 1) / max(n0 - 1, 1)
-        for (n0, _, f0), (n1, _, f1) in zip(curve, curve[1:]):
-            if n0 <= n_messages <= n1:
-                frac = (n_messages - n0) / (n1 - n0)
-                return f0 + frac * (f1 - f0)
-        # Beyond the sweep: extrapolate the last linear segment.
-        if len(curve) >= 2:
-            (n0, _, f0), (n1, _, f1) = curve[-2], curve[-1]
-            slope = (f1 - f0) / (n1 - n0)
-            return f1 + slope * (n_messages - n1)
-        n1, _, f1 = curve[-1]
-        return f1 * n_messages / n1
-
 
 @dataclass
 class ServetReport:

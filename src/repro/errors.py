@@ -112,14 +112,6 @@ class FleetError(ReproError):
     """
 
 
-class FleetProtocolError(FleetError):
-    """A coordinator/worker message violates the typed protocol.
-
-    Examples: an unknown message type, a payload missing the fields its
-    type requires, or a decode of malformed JSON.
-    """
-
-
 class ServicedError(ServiceError):
     """The serving daemon or its wire protocol failed.
 

@@ -112,7 +112,14 @@ class FleetCheckpoint:
             raise CheckpointError(f"malformed fleet checkpoint: {exc}") from exc
 
     def save(self, path: str | Path) -> None:
-        atomic_write_text(path, json.dumps(self.to_dict(), indent=2))
+        """Replace the checkpoint atomically; a failed write leaves the
+        previous one intact and raises :class:`CheckpointError`."""
+        try:
+            atomic_write_text(path, json.dumps(self.to_dict(), indent=2))
+        except OSError as exc:
+            raise CheckpointError(
+                f"cannot write fleet checkpoint {path}: {exc}"
+            ) from exc
 
     @classmethod
     def load(cls, path: str | Path) -> "FleetCheckpoint":

@@ -4,28 +4,29 @@ One :class:`FleetCoordinator` surveys a whole :class:`FleetSpec`.  It
 owns the job queue (one job per *hardware class*, not per machine —
 identical hardware yields identical reports at noise=0, so one
 representative is measured and the result broadcast to the class), and
-drives a population of :class:`~repro.fleet.worker.FleetWorker` state
-machines through the typed protocol.  Message deliveries and lease
-checks are callbacks on one :class:`~repro.simmpi.events.Engine`, whose
-virtual clock is the survey's logical clock, so a survey is
-deterministic under a fixed fleet seed even with crashes, stragglers,
-and flaky machines injected.
+drives a population of :class:`~repro.fleet.worker.FleetWorker` objects.
+Every step of the survey — a job request, dispatch, heartbeat, result,
+failure, "no more jobs" or drain — and every lease check is a callback
+on one :class:`~repro.simmpi.events.Engine`, whose virtual clock is the
+survey's logical clock, so a survey is deterministic under a fixed
+fleet seed even with crashes, stragglers, and flaky machines injected.
+Each step is counted under ``fleet.messages{type=...}`` when it fires.
 
 Robustness machinery, all observable through ``repro.obs.metrics``:
 
-- **Leases.**  A dispatch carries a lease; every ``HEARTBEAT`` extends
+- **Leases.**  A dispatch carries a lease; every heartbeat extends
   it.  A worker that dies mid-job stops heartbeating, the lease check
   fires, and the job is reassigned — at most
   :attr:`FleetConfig.max_attempts` times, after which the class is
   marked ``failed`` with its full error chain preserved.
 - **Speculation.**  Logical job durations feed the windowed
   ``fleet.job_seconds`` histogram; a running job that exceeds
-  ``speculate_factor`` times its p90 is re-dispatched to an idle
-  worker.  The first ``RESULT`` wins; late duplicates are counted and
+  :data:`SPECULATE_FACTOR` times its p90 is re-dispatched to an idle
+  worker.  The first result wins; late duplicates are counted and
   ignored, never double-stored.
-- **Quarantine.**  Every ``RESULT`` passes the plausibility validators
+- **Quarantine.**  Every result passes the plausibility validators
   (:func:`repro.fleet.validate.report_problems`).  A machine that
-  returns :attr:`FleetConfig.quarantine_after` implausible reports is
+  returns :data:`QUARANTINE_AFTER` implausible reports is
   quarantined and the next member of its class promoted as
   representative.
 - **Checkpoint/drain.**  After every terminal class the coordinator
@@ -42,71 +43,70 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from collections.abc import Callable
 
 from ..core.report import ServetReport
-from ..errors import CheckpointError, FleetError, FleetProtocolError
+from ..errors import CheckpointError, FleetError
 from ..obs.metrics import MetricsRegistry
 from ..service.fingerprint import MachineFingerprint
+from ..service.registry import ReportRegistry
 from ..simmpi.events import Engine
 from .checkpoint import FleetCheckpoint
-from .protocol import (
-    COORDINATOR,
-    DRAIN,
-    FAILURE,
-    HEARTBEAT,
-    JOB_DISPATCH,
-    JOB_REQUEST,
-    NO_MORE_JOBS,
-    RESULT,
-    Message,
-)
 from .report import FleetReport
 from .spec import FleetSpec, MachineSpec, stable_seed
-from .store import ShardedFleetStore
 from .validate import report_problems
-from .worker import FleetFaultPlan, FleetWorker
+from .worker import HEARTBEAT_SECONDS, FleetFaultPlan, FleetWorker, Job, JobRun
 
 __all__ = ["FleetConfig", "FleetCoordinator"]
+
+#: The survey's steps, each counted under ``fleet.messages{type=...}``
+#: when it fires.  Workers take the first, announce themselves with
+#: ``JOB_REQUEST`` and answer with the next three; the coordinator
+#: takes those and answers with the last three.
+JOB_REQUEST = "JOB_REQUEST"
+JOB_DISPATCH = "JOB_DISPATCH"
+NO_MORE_JOBS = "NO_MORE_JOBS"
+HEARTBEAT = "HEARTBEAT"
+RESULT = "RESULT"
+FAILURE = "FAILURE"
+DRAIN = "DRAIN"
+STEPS = (JOB_REQUEST, JOB_DISPATCH, NO_MORE_JOBS, HEARTBEAT, RESULT, FAILURE, DRAIN)
+
+#: A running job this many times over the p90 job time gets a
+#: speculative duplicate.
+SPECULATE_FACTOR = 1.5
+#: Implausible reports after which a machine is quarantined.
+QUARANTINE_AFTER = 2
+#: Logical seconds from a coordinator decision to the worker acting on it.
+DISPATCH_OVERHEAD = 1.0
+#: Expected job time before any job has finished.
+DEFAULT_EXPECTED_SECONDS = 600.0
 
 
 @dataclass(frozen=True)
 class FleetConfig:
-    """Coordinator tuning knobs (defaults suit simulated surveys)."""
+    """What a survey's caller sets (defaults suit simulated surveys)."""
 
     workers: int = 8
     lease_seconds: float = 120.0
-    heartbeat_seconds: float = 30.0
     max_attempts: int = 4
-    quarantine_after: int = 2
     speculate_after: int = 5
-    speculate_factor: float = 1.5
-    dispatch_overhead: float = 1.0
-    default_expected_seconds: float = 600.0
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise FleetError("a fleet needs >= 1 worker")
-        if self.heartbeat_seconds <= 0 or self.lease_seconds <= 0:
-            raise FleetError("lease and heartbeat intervals must be > 0")
-        if self.lease_seconds <= self.heartbeat_seconds:
+        if self.lease_seconds <= HEARTBEAT_SECONDS:
             raise FleetError(
-                "lease_seconds must exceed heartbeat_seconds, or every "
-                "healthy job would expire between heartbeats"
+                f"lease_seconds must exceed the {HEARTBEAT_SECONDS:g} s "
+                "heartbeat interval, or every healthy job would expire "
+                "between heartbeats"
             )
         if self.max_attempts < 1:
             raise FleetError("max_attempts must be >= 1")
-        if self.quarantine_after < 1:
-            raise FleetError("quarantine_after must be >= 1")
         if self.speculate_after < 1:
             raise FleetError("speculate_after must be >= 1")
-        if self.speculate_factor <= 1.0:
-            raise FleetError("speculate_factor must be > 1")
-        if self.dispatch_overhead < 0:
-            raise FleetError("dispatch_overhead must be >= 0")
-        if self.default_expected_seconds <= 0:
-            raise FleetError("default_expected_seconds must be > 0")
 
 
 class _ClassState:
@@ -159,7 +159,7 @@ class FleetCoordinator:
     def __init__(
         self,
         spec: FleetSpec,
-        store: ShardedFleetStore | None = None,
+        store: ReportRegistry | None = None,
         config: FleetConfig | None = None,
         fault_plan: FleetFaultPlan | None = None,
         checkpoint: str | Path | None = None,
@@ -173,7 +173,6 @@ class FleetCoordinator:
         self.engine = Engine()
         self._on_class_complete: Callable[[_ClassState], None] | None = None
         self._drain_requested = False
-        self._drain_reason = ""
         self._draining = False
         self._machines: dict[str, MachineSpec] = {
             m.machine_id: m for m in spec.machines
@@ -192,10 +191,9 @@ class FleetCoordinator:
 
     # -- public API --------------------------------------------------------
 
-    def request_drain(self, reason: str = "drain requested") -> None:
+    def request_drain(self) -> None:
         """Ask the survey to wind down gracefully (signal-handler safe)."""
         self._drain_requested = True
-        self._drain_reason = reason
 
     def survey(
         self,
@@ -223,8 +221,8 @@ class FleetCoordinator:
             if not cls.terminal:
                 cls.status = "queued"
                 self._queue.append((key, False))
-        for worker in self.workers.values():
-            self._deliver_at(*worker.job_request(0.0))
+        for worker_id in self.workers:
+            self._at(0.0, JOB_REQUEST, partial(self._on_job_request, worker_id))
 
         self._on_class_complete = on_class_complete
         installed = self._install_sigint()
@@ -244,73 +242,62 @@ class FleetCoordinator:
 
     # -- event loop --------------------------------------------------------
 
-    def _at(self, when: float, handler: Callable, arg) -> None:
-        """Run ``handler(arg)`` at logical time ``when``.
+    def _at(
+        self,
+        when: float,
+        step: str | None,
+        handler: Callable[[], None] | None,
+    ) -> None:
+        """Run ``handler()`` at logical time ``when``, counted as ``step``.
 
-        A requested drain begins before the next event is handled.
+        Lease checks are no step (``None``); ``NO_MORE_JOBS`` has no
+        handler, since an idle worker just waits for a requeue.  A
+        requested drain begins before the next event is handled.
         """
 
         def fire() -> None:
             if self._drain_requested and not self._draining:
                 self._begin_drain()
-            handler(arg)
+            if step is not None:
+                self.metrics.counter("fleet.messages", type=step).inc()
+            if handler is not None:
+                handler()
 
         self.engine.schedule_at(when, fire)
 
-    def _deliver_at(self, when: float, msg: Message) -> None:
-        self._at(when, self._deliver, msg)
+    def _send(self, step: str, handler: Callable[[], None] | None = None) -> None:
+        """A coordinator step that reaches its worker after the overhead."""
+        self._at(self.engine.now + DISPATCH_OVERHEAD, step, handler)
 
-    def _deliver(self, msg: Message) -> None:
-        self.metrics.counter("fleet.messages", type=msg.type).inc()
-        if msg.recipient == COORDINATOR:
-            self._on_coordinator_message(msg)
-            return
-        worker = self.workers.get(msg.recipient)
-        if worker is None:
-            raise FleetProtocolError(
-                f"frame addressed to unknown worker {msg.recipient!r}"
+    # -- worker steps ------------------------------------------------------
+
+    def _run_job(self, worker: FleetWorker, job: Job) -> None:
+        run = worker.run(job, self.engine.now)
+        for at in run.heartbeats:
+            self._at(at, HEARTBEAT, partial(self._on_heartbeat, job.job_id))
+        if run.error is not None:
+            self._at(
+                run.finished_at, FAILURE, partial(self._on_failure, job, run.error)
             )
-        for fire_at, out in worker.on_message(msg, self.engine.now):
-            self._deliver_at(fire_at, out)
-
-    def _send(self, msg_type: str, recipient: str, payload: dict) -> None:
-        fire_at = self.engine.now + self.config.dispatch_overhead
-        self._deliver_at(
-            fire_at,
-            Message(
-                type=msg_type,
-                sender=COORDINATOR,
-                recipient=recipient,
-                time=fire_at,
-                payload=payload,
-            ),
+        elif run.finished_at is not None:
+            self._at(run.finished_at, RESULT, partial(self._on_result, job, run))
+        self._at(
+            run.next_request_at,
+            JOB_REQUEST,
+            partial(self._on_job_request, worker.worker_id),
         )
 
-    # -- coordinator message handlers --------------------------------------
-
-    def _on_coordinator_message(self, msg: Message) -> None:
-        if msg.type == JOB_REQUEST:
-            self._on_job_request(msg.sender)
-        elif msg.type == HEARTBEAT:
-            self._on_heartbeat(msg)
-        elif msg.type == RESULT:
-            self._on_result(msg)
-        elif msg.type == FAILURE:
-            self._on_failure(msg)
-        else:
-            raise FleetProtocolError(
-                f"coordinator cannot handle {msg.type} frames"
-            )
+    # -- coordinator handlers ----------------------------------------------
 
     def _on_job_request(self, worker_id: str) -> None:
         if self._draining:
-            self._send(DRAIN, worker_id, {"reason": self._drain_reason})
+            self._send(DRAIN, self.workers[worker_id].drain)
             return
         entry = self._next_queued()
         if entry is None:
             if worker_id not in self._idle:
                 self._idle.append(worker_id)
-            self._send(NO_MORE_JOBS, worker_id, {})
+            self._send(NO_MORE_JOBS)
             return
         key, speculative = entry
         self._dispatch(key, worker_id, speculative)
@@ -334,29 +321,17 @@ class FleetCoordinator:
         machine = self._machines[cls.representative]
         self._job_seq += 1
         job_id = f"{key[:8]}-j{self._job_seq}"
-        deliver_at = self.engine.now + self.config.dispatch_overhead
-        job = {
-            "job_id": job_id,
-            "machine_id": machine.machine_id,
-            "class_key": key,
-            "class": machine.hardware.to_dict(),
-            "seed": stable_seed(self.spec.seed, machine.machine_id),
-            "noise": self.spec.noise,
-            "options": self.spec.options,
-            "expected_seconds": self._expected_seconds(),
-            "heartbeat_seconds": self.config.heartbeat_seconds,
-            "attempt": cls.attempts,
-            "speculative": speculative,
-        }
-        self._deliver_at(
-            deliver_at,
-            Message(
-                type=JOB_DISPATCH,
-                sender=COORDINATOR,
-                recipient=worker_id,
-                time=deliver_at,
-                payload={"job": job},
-            ),
+        job = Job(
+            job_id=job_id,
+            machine=machine,
+            seed=stable_seed(self.spec.seed, machine.machine_id),
+            noise=self.spec.noise,
+            options=self.spec.options,
+            expected_seconds=self._expected_seconds(),
+        )
+        deliver_at = self.engine.now + DISPATCH_OVERHEAD
+        self._send(
+            JOB_DISPATCH, partial(self._run_job, self.workers[worker_id], job)
         )
         lease = deliver_at + self.config.lease_seconds
         cls.outstanding[job_id] = {
@@ -366,7 +341,7 @@ class FleetCoordinator:
             "speculative": speculative,
         }
         self._jobs[job_id] = key
-        self._at(lease, self._on_lease_check, job_id)
+        self._at(lease, None, partial(self._on_lease_check, job_id))
         cls.status = "running"
         self.metrics.counter("fleet.dispatches").inc()
         if speculative:
@@ -381,19 +356,15 @@ class FleetCoordinator:
             p50 = hist.percentile(0.50)
             if p50 > 0:
                 return p50
-        return self.config.default_expected_seconds
+        return DEFAULT_EXPECTED_SECONDS
 
-    def _on_heartbeat(self, msg: Message) -> None:
-        job_id = str(msg.payload["job_id"])
-        key = self._jobs.get(job_id)
-        if key is None:
-            return
-        cls = self.classes[key]
+    def _on_heartbeat(self, job_id: str) -> None:
+        cls = self.classes[self._jobs[job_id]]
         record = cls.outstanding.get(job_id)
         if record is None or cls.terminal:
             return  # a stale heartbeat from a reassigned or finished job
         record["lease"] = self.engine.now + self.config.lease_seconds
-        self._at(record["lease"], self._on_lease_check, job_id)
+        self._at(record["lease"], None, partial(self._on_lease_check, job_id))
         self._maybe_speculate(cls, record)
 
     def _maybe_speculate(self, cls: _ClassState, record: dict) -> None:
@@ -404,26 +375,22 @@ class FleetCoordinator:
             return
         p90 = hist.percentile(0.90)
         elapsed = self.engine.now - record["start"]
-        if p90 > 0 and elapsed > self.config.speculate_factor * p90:
+        if p90 > 0 and elapsed > SPECULATE_FACTOR * p90:
             cls.speculated = True
             self.metrics.counter("fleet.stragglers_detected").inc()
             self._enqueue(cls.key, speculative=True, front=True)
 
-    def _on_result(self, msg: Message) -> None:
-        job_id = str(msg.payload["job_id"])
-        machine_id = str(msg.payload["machine_id"])
-        key = self._jobs.get(job_id)
-        if key is None:
-            return
-        cls = self.classes[key]
-        record = cls.outstanding.pop(job_id, None)
+    def _on_result(self, job: Job, run: JobRun) -> None:
+        machine_id = job.machine.machine_id
+        cls = self.classes[self._jobs[job.job_id]]
+        record = cls.outstanding.pop(job.job_id, None)
         if cls.terminal or record is None:
             # The speculation race resolved, or a lease already expired
             # and the job was reassigned: first accepted RESULT won,
             # this one is evidence of a duplicate, not a second sample.
             self.metrics.counter("fleet.duplicate_results").inc()
             return
-        report = ServetReport.from_dict(msg.payload["report"])
+        report = ServetReport.from_dict(run.report)
         problems = report_problems(report)
         if problems:
             self.metrics.counter("fleet.implausible_results").inc()
@@ -431,17 +398,17 @@ class FleetCoordinator:
             cls.strikes[machine_id] = strikes
             cls.errors.append(
                 f"{machine_id}: implausible report "
-                f"(strike {strikes}/{self.config.quarantine_after}): "
+                f"(strike {strikes}/{QUARANTINE_AFTER}): "
                 + "; ".join(problems[:3])
             )
-            if strikes >= self.config.quarantine_after:
+            if strikes >= QUARANTINE_AFTER:
                 self._quarantine_machine(cls, machine_id, problems[0])
             else:
                 self._requeue(cls)
             return
         cls.status = "measured"
-        cls.report = msg.payload["report"]
-        cls.fingerprint = dict(msg.payload["fingerprint"])
+        cls.report = run.report
+        cls.fingerprint = dict(run.fingerprint)
         cls.measured_machine = machine_id
         cls.report_degraded = report.degraded
         cls.outstanding.clear()
@@ -457,29 +424,21 @@ class FleetCoordinator:
             self.store.put(fingerprint, report)
         self._class_completed(cls)
 
-    def _on_failure(self, msg: Message) -> None:
-        job_id = str(msg.payload["job_id"])
-        key = self._jobs.get(job_id)
-        if key is None:
-            return
-        cls = self.classes[key]
-        record = cls.outstanding.pop(job_id, None)
+    def _on_failure(self, job: Job, error: str) -> None:
+        cls = self.classes[self._jobs[job.job_id]]
+        record = cls.outstanding.pop(job.job_id, None)
         if cls.terminal or record is None:
             return
         self.metrics.counter("fleet.failures").inc()
         cls.attempts += 1
         cls.errors.append(
-            f"{msg.payload.get('machine_id', cls.representative)}: "
-            f"{msg.payload['error']} (attempt {cls.attempts}/"
+            f"{job.machine.machine_id}: {error} (attempt {cls.attempts}/"
             f"{self.config.max_attempts})"
         )
         self._retry_or_fail(cls)
 
     def _on_lease_check(self, job_id: str) -> None:
-        key = self._jobs.get(job_id)
-        if key is None:
-            return
-        cls = self.classes[key]
+        cls = self.classes[self._jobs[job_id]]
         record = cls.outstanding.get(job_id)
         if record is None or cls.terminal:
             return
@@ -570,7 +529,7 @@ class FleetCoordinator:
                     cls.status = "pending"
         self._queue.clear()
         while self._idle:
-            self._send(DRAIN, self._idle.popleft(), {"reason": self._drain_reason})
+            self._send(DRAIN, self.workers[self._idle.popleft()].drain)
 
     def _write_checkpoint(self) -> None:
         checkpoint = FleetCheckpoint(
@@ -625,7 +584,7 @@ class FleetCoordinator:
         previous = signal.getsignal(signal.SIGINT)
 
         def _handler(signum, frame):  # pragma: no cover - needs a real signal
-            self.request_drain("SIGINT")
+            self.request_drain()
 
         signal.signal(signal.SIGINT, _handler)
         return previous
@@ -672,16 +631,8 @@ class FleetCoordinator:
         value = self.metrics.value
         protocol = {
             "messages": {
-                msg_type: int(value("counter", "fleet.messages", type=msg_type))
-                for msg_type in (
-                    JOB_REQUEST,
-                    JOB_DISPATCH,
-                    NO_MORE_JOBS,
-                    HEARTBEAT,
-                    RESULT,
-                    FAILURE,
-                    DRAIN,
-                )
+                step: int(value("counter", "fleet.messages", type=step))
+                for step in STEPS
             },
             "dispatches": int(value("counter", "fleet.dispatches")),
             "speculative_dispatches": int(

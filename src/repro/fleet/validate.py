@@ -4,7 +4,7 @@ A fleet has machines that are not merely slow but *wrong* — failing
 DIMMs, broken clocks, firmware that lies.  Their suite runs complete,
 so retries and leases never notice; the reports themselves are the
 only evidence.  :func:`report_problems` re-uses the resilience layer's
-:class:`~repro.resilience.policy.ReadingBounds` windows to ask of a
+bandwidth and latency windows to ask of a
 finished :class:`~repro.core.report.ServetReport`: could a real
 machine have produced these numbers?
 
@@ -20,17 +20,13 @@ from __future__ import annotations
 import math
 
 from ..core.report import ServetReport
-from ..resilience.policy import ReadingBounds
+from ..resilience.policy import BANDWIDTH_BOUNDS, LATENCY_BOUNDS, ReadingBounds
 
-__all__ = ["CACHE_BYTES_BOUNDS", "BANDWIDTH_BOUNDS", "LATENCY_BOUNDS", "report_problems"]
+__all__ = ["CACHE_BYTES_BOUNDS", "report_problems"]
 
 #: Cache sizes: one cache line .. 100 GiB (generous on purpose — these
 #: windows catch broken readings, not unusual hardware).
 CACHE_BYTES_BOUNDS = ReadingBounds(32.0, 1e11)
-#: Bandwidths: 1 B/s .. 1 PB/s (matches the resilience policy default).
-BANDWIDTH_BOUNDS = ReadingBounds(1.0, 1e15)
-#: Latencies in seconds: 1 ps .. 1 hour (matches the resilience policy).
-LATENCY_BOUNDS = ReadingBounds(1e-12, 3600.0)
 
 
 def report_problems(report: ServetReport) -> list[str]:

@@ -1,14 +1,14 @@
-"""Fleet workers: the Droid side of the survey protocol.
+"""Fleet workers: the measurement hosts of a survey.
 
-A :class:`FleetWorker` holds no thread and no socket — it is a
-deterministic state machine driven by the coordinator's discrete-event
-loop.  ``on_message(msg, now)`` consumes one frame and returns the
-*future* frames the worker will emit, each tagged with its logical
-fire time: heartbeats while a job runs, then a ``RESULT`` (or nothing,
-if the worker crashed mid-job) and the next ``JOB_REQUEST``.  Because
-a worker's entire behavior is a pure function of its inputs and its
-seeded RNG stream, every survey — including every crash and every
-straggler — replays identically under the same fleet seed.
+A :class:`FleetWorker` holds no thread and no socket.  The coordinator
+calls :meth:`FleetWorker.run` when a dispatch fires on its
+discrete-event loop, and the worker answers with a :class:`JobRun`:
+the logical times of its heartbeats, of its result (or failure), and
+of its next job request.  The coordinator schedules each of those
+steps on the same loop.  Because a worker's behavior is a pure
+function of its inputs and its seeded RNG stream, every survey —
+including every crash and every straggler — replays identically under
+the same fleet seed.
 
 Fault injection lives in :class:`FleetFaultPlan`: per-dispatch crash
 probability (the worker dies mid-job and respawns later), straggler
@@ -28,24 +28,15 @@ from pathlib import Path
 
 from ..backends.simulated import SimulatedBackend
 from ..core.suite import ServetSuite
-from ..errors import FleetError, FleetProtocolError
+from ..errors import FleetError
 from ..ioutils import atomic_write_text
 from ..service.fingerprint import fingerprint_of
-from .protocol import (
-    COORDINATOR,
-    DRAIN,
-    FAILURE,
-    HEARTBEAT,
-    JOB_DISPATCH,
-    JOB_REQUEST,
-    NO_MORE_JOBS,
-    RESULT,
-    Message,
-)
-from .spec import HardwareClass, stable_seed
+from .spec import MachineSpec, stable_seed
 
-__all__ = ["FleetFaultPlan", "FleetWorker"]
+__all__ = ["HEARTBEAT_SECONDS", "FleetFaultPlan", "FleetWorker", "Job", "JobRun"]
 
+#: Logical seconds between a running job's heartbeats.
+HEARTBEAT_SECONDS = 30.0
 #: Ceiling on heartbeats per job: very long jobs stretch their
 #: heartbeat interval rather than flooding the event heap.
 _MAX_HEARTBEATS_PER_JOB = 200
@@ -118,13 +109,42 @@ class FleetFaultPlan:
         return cls.from_dict(data)
 
 
+@dataclass(frozen=True)
+class Job:
+    """One dispatch: measure ``machine`` under the survey's settings."""
+
+    job_id: str
+    machine: MachineSpec
+    seed: int
+    noise: float
+    options: dict
+    expected_seconds: float
+
+
+@dataclass(frozen=True)
+class JobRun:
+    """What a worker does with one job, on the fleet's logical clock.
+
+    ``finished_at`` is None when the worker crashed mid-job: neither a
+    report nor an error ever arrives.  Otherwise exactly one of
+    ``report`` (with its ``fingerprint``) and ``error`` is set.
+    """
+
+    heartbeats: tuple[float, ...]
+    finished_at: float | None
+    next_request_at: float
+    report: dict | None = None
+    fingerprint: dict | None = None
+    error: str | None = None
+
+
 class FleetWorker:
-    """One measurement host, driven entirely through the protocol.
+    """One measurement host.
 
     Parameters
     ----------
     worker_id:
-        Protocol address (``w0``, ``w1``, ...).
+        Name in the survey's error chains (``w0``, ``w1``, ...).
     fault_plan:
         Optional fault schedule; ``None`` means a perfectly healthy
         worker.  The worker draws crash/straggle decisions from a
@@ -148,7 +168,6 @@ class FleetWorker:
         self.fault_plan = fault_plan
         self.suite_cache = suite_cache if suite_cache is not None else {}
         self.draining = False
-        self.jobs_run = 0
         self.crashes = 0
         self._fault_rng = (
             random.Random(stable_seed(fault_plan.seed, "worker", worker_id))
@@ -156,139 +175,53 @@ class FleetWorker:
             else None
         )
 
-    # -- protocol ---------------------------------------------------------
-
-    def on_message(self, msg: Message, now: float) -> list[tuple[float, Message]]:
-        """Consume one frame; return (fire_time, frame) pairs to emit."""
-        if msg.recipient != self.worker_id:
-            raise FleetProtocolError(
-                f"worker {self.worker_id} received a frame addressed to "
-                f"{msg.recipient!r}"
-            )
-        if msg.type == JOB_DISPATCH:
-            return self._on_dispatch(msg.payload["job"], now)
-        if msg.type == NO_MORE_JOBS:
-            return []
-        if msg.type == DRAIN:
-            self.draining = True
-            return []
-        raise FleetProtocolError(
-            f"worker {self.worker_id} cannot handle {msg.type} frames"
-        )
-
-    def job_request(self, at: float) -> tuple[float, Message]:
-        """The worker's opening move (and its move after every job)."""
-        return (
-            at,
-            Message(
-                type=JOB_REQUEST,
-                sender=self.worker_id,
-                recipient=COORDINATOR,
-                time=at,
-            ),
-        )
-
-    # -- job execution ----------------------------------------------------
-
-    def _on_dispatch(self, job: dict, now: float) -> list[tuple[float, Message]]:
-        self.jobs_run += 1
-        heartbeat_seconds = float(job["heartbeat_seconds"])
-        expected = float(job["expected_seconds"])
-
+    def run(self, job: Job, now: float) -> JobRun:
+        """Take ``job`` at logical time ``now``; say what happens next."""
         crash, straggle = False, False
         if self._fault_rng is not None:
             crash = self._fault_rng.random() < self.fault_plan.crash_rate
             straggle = self._fault_rng.random() < self.fault_plan.straggler_rate
 
         if crash:
-            # The process dies mid-job: heartbeats stop, no RESULT ever
+            # The process dies mid-job: heartbeats stop, no result ever
             # arrives, and the coordinator's lease expiry does the rest.
             # The suite is deliberately *not* run — a dead worker does
             # no work, and skipping it keeps fault drills cheap.
             self.crashes += 1
-            crash_at = now + (0.2 + 0.6 * self._fault_rng.random()) * expected
-            out = self._heartbeats(job, now, crash_at, heartbeat_seconds)
-            respawn_at = crash_at + self.fault_plan.respawn_seconds
-            out.append(self.job_request(respawn_at))
-            return out
+            crash_at = now + (0.2 + 0.6 * self._fault_rng.random()) * job.expected_seconds
+            return JobRun(
+                heartbeats=_heartbeats(now, crash_at),
+                finished_at=None,
+                next_request_at=crash_at + self.fault_plan.respawn_seconds,
+            )
 
         try:
             report_dict, fingerprint, virtual_seconds = self._measure(job)
         except Exception as exc:  # surfaced to the coordinator, not raised
-            fail_at = now + 1.0
-            return [
-                (
-                    fail_at,
-                    Message(
-                        type=FAILURE,
-                        sender=self.worker_id,
-                        recipient=COORDINATOR,
-                        time=fail_at,
-                        payload={
-                            "job_id": job["job_id"],
-                            "machine_id": job["machine_id"],
-                            "error": f"{type(exc).__name__}: {exc}",
-                        },
-                    ),
-                ),
-                self.job_request(fail_at),
-            ]
+            return JobRun(
+                heartbeats=(),
+                finished_at=now + 1.0,
+                next_request_at=now + 1.0,
+                error=f"{type(exc).__name__}: {exc}",
+            )
 
         duration = max(1.0, virtual_seconds)
         if straggle:
             duration *= self.fault_plan.straggle_factor
-
-        out = self._heartbeats(job, now, now + duration, heartbeat_seconds)
         done_at = now + duration
-        out.append(
-            (
-                done_at,
-                Message(
-                    type=RESULT,
-                    sender=self.worker_id,
-                    recipient=COORDINATOR,
-                    time=done_at,
-                    payload={
-                        "job_id": job["job_id"],
-                        "machine_id": job["machine_id"],
-                        "report": report_dict,
-                        "fingerprint": fingerprint,
-                        "virtual_seconds": virtual_seconds,
-                    },
-                ),
-            )
+        return JobRun(
+            heartbeats=_heartbeats(now, done_at),
+            finished_at=done_at,
+            next_request_at=done_at,
+            report=report_dict,
+            fingerprint=fingerprint,
         )
-        out.append(self.job_request(done_at))
-        return out
 
-    def _heartbeats(
-        self, job: dict, start: float, until: float, interval: float
-    ) -> list[tuple[float, Message]]:
-        span = until - start
-        effective = max(interval, span / _MAX_HEARTBEATS_PER_JOB)
-        out: list[tuple[float, Message]] = []
-        t = start + effective
-        while t < until:
-            out.append(
-                (
-                    t,
-                    Message(
-                        type=HEARTBEAT,
-                        sender=self.worker_id,
-                        recipient=COORDINATOR,
-                        time=t,
-                        payload={
-                            "job_id": job["job_id"],
-                            "machine_id": job["machine_id"],
-                            "phase": "running",
-                        },
-                    ),
-                )
-            )
-            t += effective
-        return out
+    def drain(self) -> None:
+        """Finish the job in hand; the coordinator sends no new one."""
+        self.draining = True
 
-    def _measure(self, job: dict) -> tuple[dict, dict, float]:
+    def _measure(self, job: Job) -> tuple[dict, dict, float]:
         """Run (or recall) the suite for one machine.
 
         Returns ``(report dict, fingerprint dict, virtual seconds)``.
@@ -296,15 +229,12 @@ class FleetWorker:
         job parameters never change, so a repeat dispatch is by
         construction the same measurement.
         """
-        machine_id = str(job["machine_id"])
+        machine_id = job.machine.machine_id
         cached = self.suite_cache.get(machine_id)
         if cached is None:
-            hardware = HardwareClass.from_dict(job["class"])
-            options = dict(job["options"])
+            options = dict(job.options)
             backend = SimulatedBackend(
-                hardware.build(),
-                noise=float(job["noise"]),
-                seed=int(job["seed"]),
+                job.machine.hardware.build(), noise=job.noise, seed=job.seed
             )
             suite = ServetSuite(
                 backend,
@@ -339,3 +269,14 @@ class FleetWorker:
         for cache in report_dict.get("caches", []):
             cache["size"] = -abs(int(cache["size"]))
         report_dict["memory_reference"] = -1.0
+
+
+def _heartbeats(start: float, until: float) -> tuple[float, ...]:
+    """Heartbeat times of a job running from ``start`` to ``until``."""
+    effective = max(HEARTBEAT_SECONDS, (until - start) / _MAX_HEARTBEATS_PER_JOB)
+    out: list[float] = []
+    t = start + effective
+    while t < until:
+        out.append(t)
+        t += effective
+    return tuple(out)

@@ -45,7 +45,7 @@ def atomic_write_text(path: str | Path, text: str, durable: bool = True) -> None
     survives *power loss*: without the first fsync the rename can land
     on disk before the data (leaving a complete-looking file full of
     zeros), and without the second the rename itself can be lost.
-    Registry versions, checkpoints, and fleet shards all rely on this.
+    Registry versions and checkpoints rely on this.
     """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(

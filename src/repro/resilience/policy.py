@@ -30,6 +30,9 @@ from ..errors import ConfigurationError, MeasurementError, MeasurementTimeout
 from ..topology.machine import CorePair
 
 __all__ = [
+    "BANDWIDTH_BOUNDS",
+    "CYCLES_BOUNDS",
+    "LATENCY_BOUNDS",
     "ReadingBounds",
     "RetryPolicy",
     "SamplingPolicy",
@@ -145,18 +148,20 @@ class ReadingBounds:
         return None
 
 
+#: Cycles per access: sub-cycle and million-cycle accesses are broken.
+CYCLES_BOUNDS = ReadingBounds(1e-2, 1e6)
+#: Bytes per second: 1 B/s .. 1 PB/s.
+BANDWIDTH_BOUNDS = ReadingBounds(1.0, 1e15)
+#: Seconds: 1 ps .. 1 hour.
+LATENCY_BOUNDS = ReadingBounds(1e-12, 3600.0)
+
+
 @dataclass(frozen=True)
 class ResiliencePolicy:
     """Everything :class:`HardenedBackend` needs to harden a backend."""
 
     retry: RetryPolicy = RetryPolicy()
     sampling: SamplingPolicy = SamplingPolicy()
-    #: Cycles per access: sub-cycle and million-cycle accesses are broken.
-    cycles_bounds: ReadingBounds = ReadingBounds(1e-2, 1e6)
-    #: Bytes per second: 1 B/s .. 1 PB/s.
-    bandwidth_bounds: ReadingBounds = ReadingBounds(1.0, 1e15)
-    #: Seconds: 1 ps .. 1 hour.
-    latency_bounds: ReadingBounds = ReadingBounds(1e-12, 3600.0)
 
     @classmethod
     def default(cls) -> "ResiliencePolicy":
@@ -301,21 +306,21 @@ class HardenedBackend(Backend):
     ) -> dict[int, float]:
         return self._measure(
             "traversal_cycles",
-            self.policy.cycles_bounds,
+            CYCLES_BOUNDS,
             lambda: self.inner.traversal_cycles(arrays, stride),
         )
 
     def copy_bandwidth(self, cores: Sequence[int]) -> dict[int, float]:
         return self._measure(
             "copy_bandwidth",
-            self.policy.bandwidth_bounds,
+            BANDWIDTH_BOUNDS,
             lambda: self.inner.copy_bandwidth(cores),
         )
 
     def message_latency(self, core_a: int, core_b: int, nbytes: int) -> float:
         readings = self._measure(
             f"message_latency({core_a},{core_b})",
-            self.policy.latency_bounds,
+            LATENCY_BOUNDS,
             lambda: {"value": self.inner.message_latency(core_a, core_b, nbytes)},
         )
         return readings["value"]
@@ -328,6 +333,6 @@ class HardenedBackend(Backend):
             return {"mean": result.mean, "worst": result.worst}
 
         readings = self._measure(
-            "concurrent_message_latency", self.policy.latency_bounds, call
+            "concurrent_message_latency", LATENCY_BOUNDS, call
         )
         return ConcurrentLatency(mean=readings["mean"], worst=readings["worst"])

@@ -9,21 +9,24 @@ identically.
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
+from repro.errors import CheckpointError
 from repro.fleet import (
+    FleetCheckpoint,
     FleetConfig,
     FleetCoordinator,
     FleetFaultPlan,
     FleetReport,
-    ShardedFleetStore,
     generate_fleet,
 )
+from repro.service.registry import ReportRegistry
 
 
 def _survey(spec, tmp_path, subdir, **kwargs):
-    store = ShardedFleetStore(tmp_path / subdir, shards=4)
+    store = ReportRegistry(tmp_path / subdir)
     coordinator = FleetCoordinator(spec, store=store, **kwargs)
     return coordinator, coordinator.survey(), store
 
@@ -153,7 +156,7 @@ class TestDrainResume:
         def drain_after_two(cls):
             done.append(cls.name)
             if len(done) == 2:
-                first.request_drain("simulated interrupt")
+                first.request_drain()
 
         partial = first.survey(on_class_complete=drain_after_two)
         assert not partial.complete
@@ -172,6 +175,45 @@ class TestDrainResume:
         )
         # Only the unfinished classes were re-dispatched.
         assert resumed.protocol["dispatches"] < reference.protocol["dispatches"]
+
+    def test_interrupted_checkpoint_write_keeps_the_previous_one(
+        self, tmp_path, monkeypatch
+    ):
+        spec = generate_fleet(16, 8, seed=5, name="resumable")
+        config = FleetConfig(workers=2)
+        reference = FleetCoordinator(spec, config=config).survey()
+
+        # The second checkpoint write dies in its rename, after the
+        # temp file is written and fsync'd.
+        checkpoint = tmp_path / "fleet_checkpoint.json"
+        real_replace = os.replace
+        written: list[bytes] = []
+
+        def dying_replace(src, dst):
+            if str(dst) == str(checkpoint):
+                if written:
+                    raise OSError("killed mid-rename")
+                real_replace(src, dst)
+                written.append(checkpoint.read_bytes())
+                return
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", dying_replace)
+        with pytest.raises(CheckpointError, match="killed mid-rename"):
+            FleetCoordinator(spec, config=config, checkpoint=checkpoint).survey()
+        monkeypatch.undo()
+
+        assert checkpoint.read_bytes() == written[0]
+        assert len(FleetCheckpoint.load(checkpoint).classes) == 1
+        assert list(tmp_path.glob("*.tmp")) == []
+
+        resumed = FleetCoordinator(
+            spec, config=config, checkpoint=checkpoint
+        ).survey(resume=True)
+        assert resumed.complete
+        assert json.dumps(resumed.survey_dict(), sort_keys=True) == (
+            json.dumps(reference.survey_dict(), sort_keys=True)
+        )
 
     def test_resume_without_checkpoint_fails_loudly(self, tmp_path):
         from repro.errors import FleetError
@@ -211,7 +253,7 @@ class TestAcceptanceFleet:
             straggler_rate=0.1,
             straggle_factor=10.0,
         )
-        store = ShardedFleetStore(tmp_path / "store", shards=8)
+        store = ReportRegistry(tmp_path / "store")
         coordinator = FleetCoordinator(
             spec, store=store, fault_plan=plan,
             config=FleetConfig(workers=8),

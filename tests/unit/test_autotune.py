@@ -1,5 +1,7 @@
 """Unit tests for the autotuning consumers."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,9 @@ from repro.autotune import (
     scatter_placement,
     tile_elements,
 )
+from repro.core.report import ServetReport
 from repro.errors import ReproError
+from repro.units import KiB
 
 from .test_core_report import sample_report
 
@@ -119,6 +123,22 @@ class TestOptimizePlacement:
     def test_too_many_ranks_rejected(self):
         with pytest.raises(ReproError):
             optimize_placement(sample_report(), np.zeros((9, 9)))
+
+    def test_same_placement_on_every_call(self):
+        golden = Path(__file__).resolve().parents[1] / "golden" / "dunnington.json"
+        report = ServetReport.load(golden)
+        ring = np.zeros((6, 6))
+        for i in range(6):
+            ring[i, (i + 1) % 6] = ring[(i + 1) % 6, i] = 1.0
+        results = [
+            optimize_placement(report, ring, message_size=32 * KiB)
+            for _ in range(20)
+        ]
+        assert len({tuple(r.placement) for r in results}) == 1
+        compact = placement_cost(
+            report, compact_placement(6), ring, message_size=32 * KiB
+        )
+        assert results[0].cost <= compact
 
 
 def self_matrix():

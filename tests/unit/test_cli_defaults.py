@@ -15,7 +15,7 @@ import pytest
 from repro.backends import SimulatedBackend
 from repro.cli import _build_parser
 from repro.core import ServetSuite
-from repro.fleet import FleetConfig, ShardedFleetStore, generate_fleet
+from repro.fleet import FleetConfig, generate_fleet
 from repro.service import TuningService, run_harness
 from repro.serviced import TuningDaemon
 from repro.zoo import recover_all, recover_machine
@@ -40,9 +40,7 @@ FEEDS = {
     ("fleet generate", "seed"): [(generate_fleet, "seed")],
     ("fleet generate", "noise"): [(generate_fleet, "noise")],
     ("fleet generate", "name"): [(generate_fleet, "name")],
-    ("fleet survey", "shards"): [(ShardedFleetStore, "shards")],
     ("fleet survey", "workers"): [(FleetConfig, "workers")],
-    ("fleet resume", "shards"): [(ShardedFleetStore, "shards")],
     ("fleet resume", "workers"): [(FleetConfig, "workers")],
     ("zoo recover", "noise"): [(recover_machine, "noise")],
     ("zoo sweep", "noise"): [(recover_all, "noise")],

@@ -55,6 +55,23 @@ def test_survey_status_roundtrip(spec_path, tmp_path, capsys):
     status_out = capsys.readouterr().out
     assert "ok" in status_out
 
+    # The store is a plain registry: one version per hardware class.
+    assert main(["registry", "list", "--registry", str(store)]) == 0
+    listed = capsys.readouterr().out.splitlines()[1:]
+    assert len(listed) == 4
+    assert all(" v1 " in line for line in listed)
+
+
+def test_survey_rejects_removed_shards_flag(spec_path, tmp_path, capsys):
+    # Class reports go to one registry; the shard count is gone.
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "fleet", "survey", str(spec_path),
+            "--store", str(tmp_path / "store"), "--shards", "4",
+        ])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
 
 def test_survey_with_fault_plan(spec_path, tmp_path, capsys):
     plan_path = tmp_path / "faults.json"

@@ -97,17 +97,6 @@ class TestLayerEstimates:
         layer = sample_report().comm_layers[1]
         assert layer.estimate_latency(123456) == 5e-6
 
-    def test_slowdown_interpolation(self):
-        layer = sample_report().comm_layers[0]
-        assert layer.slowdown_at(1) == 1.0
-        assert layer.slowdown_at(2) == pytest.approx(1.5)
-        assert layer.slowdown_at(3) == pytest.approx(2.25)
-        assert layer.slowdown_at(8) == pytest.approx(6.0)  # extrapolated
-
-    def test_slowdown_without_curve_is_one(self):
-        layer = sample_report().comm_layers[1]
-        assert layer.slowdown_at(100) == 1.0
-
 
 class TestSerialization:
     def test_roundtrip_dict(self):

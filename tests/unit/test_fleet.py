@@ -1,57 +1,33 @@
-"""Unit tests for the fleet layer: protocol, spec, validation, store,
-checkpoint, and worker behavior."""
+"""Unit tests for the fleet layer: spec, validation, store, checkpoint,
+and worker behavior."""
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from repro.cli import main
 from repro.core.report import ServetReport
-from repro.errors import CheckpointError, FleetError, FleetProtocolError
+from repro.errors import CheckpointError, FleetError
 from repro.fleet import (
-    COORDINATOR,
-    DRAIN,
-    HEARTBEAT,
-    JOB_DISPATCH,
-    JOB_REQUEST,
-    NO_MORE_JOBS,
-    RESULT,
     FleetCheckpoint,
     FleetConfig,
+    FleetCoordinator,
     FleetFaultPlan,
     FleetSpec,
     FleetWorker,
     HardwareClass,
+    Job,
     MachineSpec,
-    Message,
-    ShardedFleetStore,
     generate_fleet,
     report_problems,
     stable_seed,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.fleet.worker import HEARTBEAT_SECONDS
 from repro.service.fingerprint import machine_fingerprint
-
-
-# -- protocol --------------------------------------------------------------
-
-
-def test_message_unknown_type_rejected():
-    with pytest.raises(FleetProtocolError, match="unknown message type"):
-        Message(type="GOSSIP", sender="w0", recipient=COORDINATOR)
-
-
-def test_message_missing_required_payload_rejected():
-    with pytest.raises(FleetProtocolError, match="missing required payload"):
-        Message(type=HEARTBEAT, sender="w0", recipient=COORDINATOR,
-                payload={"job_id": "j1"})
-
-
-def test_message_non_dict_payload_rejected():
-    with pytest.raises(FleetProtocolError, match="payload must be a dict"):
-        Message(type=JOB_REQUEST, sender="w0", recipient=COORDINATOR,
-                payload=["nope"])  # type: ignore[arg-type]
+from repro.service.registry import ReportRegistry
 
 
 # -- spec ------------------------------------------------------------------
@@ -187,40 +163,44 @@ def test_worker_corruption_is_caught_by_validators():
     assert report_problems(ServetReport.from_dict(data))
 
 
-# -- sharded store ---------------------------------------------------------
+# -- store ---------------------------------------------------------------
 
 
-def test_store_routes_puts_and_reads_back(tmp_path):
-    store = ShardedFleetStore(tmp_path / "store", shards=4)
-    spec = generate_fleet(2, 2, seed=2)
+def test_store_is_one_registry(tmp_path):
+    spec = generate_fleet(6, 3, seed=2)
+    store = ReportRegistry(tmp_path / "store")
+    report = FleetCoordinator(spec, store=store).survey()
+    # One digest directory per class right under the root, next to the
+    # fleet report: the layout every registry reader understands.
+    entries = store.entries()
+    assert sorted(e.digest for e in entries) == sorted(
+        p.name for p in store.root.iterdir() if p.is_dir()
+    )
+    assert len(entries) == 3
+    assert all(entry.version == 1 for entry in entries)
+    assert (store.root / "fleet_report.json").is_file()
+    stored = {store.get(e.digest).system for e in entries}
+    assert stored == {cls["name"] for cls in report.classes.values()}
+
+
+def test_status_reads_a_sharded_store(tmp_path, capsys):
+    # A store written before the survey used one registry: reports in
+    # shard-NN/ registries, the shard count in store.json, and the
+    # fleet report at the root.
+    spec = generate_fleet(2, 2, seed=2, name="old-layout")
+    report = FleetCoordinator(spec).survey()
+    root = tmp_path / "store"
     for machine in spec.machines:
         fp = machine_fingerprint(machine.hardware.build(), options=spec.options)
-        store.put(fp, _minimal_report(system=machine.hardware.name))
-        assert store.get(fp.digest).system == machine.hardware.name
-        shard_dir = tmp_path / "store" / f"shard-{store.shard_of(fp.digest):02d}"
-        assert (shard_dir / fp.digest).is_dir()
-    assert len(store.entries()) == 2
-    assert store.quarantined_counts() == {}
+        shard = int(fp.digest[:4], 16) % 4
+        ReportRegistry(root / f"shard-{shard:02d}").put(
+            fp, _minimal_report(system=machine.hardware.name)
+        )
+    (root / "store.json").write_text(json.dumps({"shards": 4}))
+    report.save(root / "fleet_report.json")
 
-
-def test_store_refuses_shard_count_change(tmp_path):
-    root = tmp_path / "store"
-    store = ShardedFleetStore(root, shards=4)
-    spec = generate_fleet(1, 1, seed=2)
-    fp = machine_fingerprint(spec.machines[0].hardware.build(),
-                             options=spec.options)
-    store.put(fp, _minimal_report())
-    with pytest.raises(FleetError, match="mis-route"):
-        ShardedFleetStore(root, shards=8)
-    # Same count reopens fine.
-    assert ShardedFleetStore(root, shards=4).get(fp.digest).system == "x"
-
-
-def test_store_rejects_bad_shard_counts(tmp_path):
-    with pytest.raises(FleetError):
-        ShardedFleetStore(tmp_path, shards=0)
-    with pytest.raises(FleetError):
-        ShardedFleetStore(tmp_path, shards=1000)
+    assert main(["fleet", "status", str(root)]) == 0
+    assert capsys.readouterr().out.strip() == report.summary().strip()
 
 
 # -- checkpoint ------------------------------------------------------------
@@ -259,70 +239,61 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
 # -- worker ----------------------------------------------------------------
 
 
-def _dispatch_for(spec: FleetSpec, machine_id: str, recipient: str = "w0") -> Message:
-    machine = spec.machine(machine_id)
-    return Message(
-        type=JOB_DISPATCH,
-        sender=COORDINATOR,
-        recipient=recipient,
-        payload={"job": {
-            "job_id": "j1",
-            "machine_id": machine_id,
-            "class_key": machine.hardware.key(),
-            "class": machine.hardware.to_dict(),
-            "seed": stable_seed(spec.seed, machine_id),
-            "noise": spec.noise,
-            "options": spec.options,
-            "expected_seconds": 600.0,
-            "heartbeat_seconds": 30.0,
-            "attempt": 0,
-            "speculative": False,
-        }},
+def _job_for(spec: FleetSpec, machine_id: str) -> Job:
+    return Job(
+        job_id="j1",
+        machine=spec.machine(machine_id),
+        seed=stable_seed(spec.seed, machine_id),
+        noise=spec.noise,
+        options=spec.options,
+        expected_seconds=600.0,
     )
 
 
 def test_worker_runs_job_and_reports(small_fleet):
-    worker = FleetWorker("w0")
-    out = worker.on_message(_dispatch_for(small_fleet, "m0000"), now=0.0)
-    types = [msg.type for _, msg in out]
-    assert types.count(RESULT) == 1
-    assert types[-1] == JOB_REQUEST
-    assert all(t in (HEARTBEAT, RESULT, JOB_REQUEST) for t in types)
-    result = next(msg for _, msg in out if msg.type == RESULT)
-    report = ServetReport.from_dict(result.payload["report"])
-    assert report_problems(report) == []
-    # Emission times are ordered and the RESULT lands after the start.
-    times = [t for t, _ in out]
-    assert times == sorted(times)
-    assert times[-1] > 0.0
+    run = FleetWorker("w0").run(_job_for(small_fleet, "m0000"), now=10.0)
+    assert run.error is None
+    assert report_problems(ServetReport.from_dict(run.report)) == []
+    assert run.fingerprint["digest"]
+    # Heartbeats tick at the heartbeat interval while the job runs, the
+    # result lands after the last one, and the next request goes out
+    # with it.
+    assert run.heartbeats
+    assert run.heartbeats[0] == pytest.approx(10.0 + HEARTBEAT_SECONDS)
+    assert list(run.heartbeats) == sorted(run.heartbeats)
+    assert run.heartbeats[-1] < run.finished_at
+    assert run.next_request_at == run.finished_at
 
 
 def test_worker_result_is_deterministic_across_retries(small_fleet):
-    first = FleetWorker("w0").on_message(
-        _dispatch_for(small_fleet, "m0000"), now=0.0
-    )
-    second = FleetWorker("w1").on_message(
-        _dispatch_for(small_fleet, "m0000", recipient="w1"), now=50.0
-    )
-    r1 = next(m for _, m in first if m.type == RESULT).payload["report"]
-    r2 = next(m for _, m in second if m.type == RESULT).payload["report"]
+    job = _job_for(small_fleet, "m0000")
+    first = FleetWorker("w0").run(job, now=0.0)
+    second = FleetWorker("w1").run(job, now=50.0)
     # Wall-clock timings differ; the measurement content must not.
-    m1 = ServetReport.from_dict(r1).measurement_dict()
-    m2 = ServetReport.from_dict(r2).measurement_dict()
+    m1 = ServetReport.from_dict(first.report).measurement_dict()
+    m2 = ServetReport.from_dict(second.report).measurement_dict()
     assert json.dumps(m1, sort_keys=True) == json.dumps(m2, sort_keys=True)
+
+
+def test_worker_failure_becomes_an_error_step(small_fleet):
+    job = replace(_job_for(small_fleet, "m0000"), options={"prune": "bogus"})
+    run = FleetWorker("w0").run(job, now=5.0)
+    assert run.report is None
+    assert run.error and "prune" in run.error
+    assert run.heartbeats == ()
+    assert run.finished_at == run.next_request_at == 6.0
 
 
 def test_crashed_worker_emits_no_result_and_respawns(small_fleet):
     plan = FleetFaultPlan(seed=0, crash_rate=1.0, respawn_seconds=100.0)
     worker = FleetWorker("w0", fault_plan=plan)
-    out = worker.on_message(_dispatch_for(small_fleet, "m0000"), now=0.0)
-    types = [msg.type for _, msg in out]
-    assert RESULT not in types
-    assert types[-1] == JOB_REQUEST  # the respawn announcement
-    respawn_at = out[-1][0]
-    heartbeat_times = [t for t, msg in out if msg.type == HEARTBEAT]
-    assert all(t < respawn_at - plan.respawn_seconds + 1e-9
-               for t in heartbeat_times)
+    run = worker.run(_job_for(small_fleet, "m0000"), now=0.0)
+    assert run.finished_at is None
+    assert run.report is None and run.error is None
+    # Heartbeats stop at the crash; the respawned worker asks for work
+    # respawn_seconds later.
+    assert all(t < run.next_request_at - plan.respawn_seconds + 1e-9
+               for t in run.heartbeats)
     assert worker.crashes == 1
 
 
@@ -330,36 +301,23 @@ def test_flaky_machine_returns_corrupt_but_cache_stays_clean(small_fleet):
     plan = FleetFaultPlan(seed=0, flaky_machines=("m0000",))
     cache: dict = {}
     worker = FleetWorker("w0", fault_plan=plan, suite_cache=cache)
-    out = worker.on_message(_dispatch_for(small_fleet, "m0000"), now=0.0)
-    result = next(msg for _, msg in out if msg.type == RESULT)
-    assert report_problems(ServetReport.from_dict(result.payload["report"]))
+    run = worker.run(_job_for(small_fleet, "m0000"), now=0.0)
+    assert report_problems(ServetReport.from_dict(run.report))
     # The memoized clean measurement must not have been corrupted.
     cached_report, _, _ = cache["m0000"]
     assert report_problems(ServetReport.from_dict(cached_report)) == []
 
 
-def test_worker_rejects_misaddressed_and_untyped_frames():
-    worker = FleetWorker("w0")
-    with pytest.raises(FleetProtocolError, match="addressed to"):
-        worker.on_message(
-            Message(type=NO_MORE_JOBS, sender=COORDINATOR, recipient="w1"),
-            now=0.0,
-        )
-    with pytest.raises(FleetProtocolError, match="cannot handle"):
-        worker.on_message(
-            Message(type=JOB_REQUEST, sender=COORDINATOR, recipient="w0"),
-            now=0.0,
-        )
-
-
-def test_drain_frame_marks_worker_draining():
-    worker = FleetWorker("w0")
-    assert worker.on_message(
-        Message(type=DRAIN, sender=COORDINATOR, recipient="w0",
-                payload={"reason": "test"}),
-        now=0.0,
-    ) == []
-    assert worker.draining
+def test_drain_frame_marks_worker_draining(small_fleet):
+    coordinator = FleetCoordinator(small_fleet, config=FleetConfig(workers=3))
+    report = coordinator.survey(
+        on_class_complete=lambda cls: coordinator.request_drain()
+    )
+    drained = [w for w in coordinator.workers.values() if w.draining]
+    # The idle worker and each worker asking for work after the drain
+    # were told to stop; each DRAIN step reached exactly one worker.
+    assert drained
+    assert report.protocol["messages"]["DRAIN"] == len(drained)
 
 
 # -- fault plan / config validation ---------------------------------------
@@ -381,26 +339,16 @@ def test_fault_plan_roundtrip_and_validation(tmp_path):
 
 
 def test_fleet_config_validation():
-    with pytest.raises(FleetError, match="exceed heartbeat"):
-        FleetConfig(lease_seconds=10.0, heartbeat_seconds=30.0)
+    with pytest.raises(FleetError, match="heartbeat interval"):
+        FleetConfig(lease_seconds=HEARTBEAT_SECONDS)
     with pytest.raises(FleetError):
         FleetConfig(workers=0)
     with pytest.raises(FleetError):
         FleetConfig(max_attempts=0)
     with pytest.raises(FleetError):
-        FleetConfig(speculate_factor=1.0)
+        FleetConfig(speculate_after=0)
 
 
 @pytest.fixture(scope="module")
 def small_fleet() -> FleetSpec:
     return generate_fleet(4, 2, seed=13, name="unit")
-
-
-def test_metrics_shared_across_store_shards(tmp_path):
-    metrics = MetricsRegistry()
-    store = ShardedFleetStore(tmp_path / "s", shards=2, metrics=metrics)
-    spec = generate_fleet(1, 1, seed=2)
-    fp = machine_fingerprint(spec.machines[0].hardware.build(),
-                             options=spec.options)
-    store.put(fp, _minimal_report())
-    assert metrics.value("counter", "fleet.store_puts") == 1
