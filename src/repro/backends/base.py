@@ -93,8 +93,8 @@ def instrument_backend(backend: Backend, tracer=None, metrics=None) -> Backend:
 
     Wraps the measurement methods so every call emits a
     ``backend.<method>`` span (when a tracer is given) and increments a
-    ``backend.calls{method=...}`` counter plus a virtual-seconds
-    histogram (when a metrics registry is given).  Works on raw
+    ``backend.calls{method=...}`` counter (when a metrics registry is
+    given).  Works on raw
     backends and on the resilience wrappers alike — the wrapper is
     installed on whatever object the suite actually calls, so retries
     inside :class:`~repro.resilience.HardenedBackend` count as one
@@ -107,46 +107,34 @@ def instrument_backend(backend: Backend, tracer=None, metrics=None) -> Backend:
     Backends exposing a ``bind_metrics(metrics)`` hook (directly or via
     a delegating resilience wrapper) are handed the registry so they
     can export internal counters — e.g. the simulated backend's
-    traversal outcome cache hits/misses.  Counter and histogram objects
-    are resolved here, once, not per call: the wrapper sits on the
-    hottest path in the suite and must not pay a registry lookup per
-    probe.
+    traversal outcome cache hits/misses.  The counters are resolved
+    here, once, not per call: the wrapper sits on the hottest path in
+    the suite and must not pay a registry lookup per probe.
     """
     if metrics is not None:
         call_counters = {
             m: metrics.counter("backend.calls", method=m)
             for m in MEASUREMENT_METHODS
         }
-        call_histograms = {
-            m: metrics.histogram("backend.call_virtual_seconds", method=m)
-            for m in MEASUREMENT_METHODS
-        }
         bind = getattr(backend, "bind_metrics", None)
         if bind is not None:
             bind(metrics)
     else:
-        call_counters = call_histograms = None
-    backend._obs_sinks = (tracer, call_counters, call_histograms)
+        call_counters = None
+    backend._obs_sinks = (tracer, call_counters)
     if getattr(backend, "_obs_instrumented", False):
         return backend
     for method_name in MEASUREMENT_METHODS:
         original = getattr(backend, method_name)
 
         def wrapper(*args, _original=original, _name=method_name, **kwargs):
-            sink_tracer, counters, histograms = backend._obs_sinks
+            sink_tracer, counters = backend._obs_sinks
             if counters is not None:
                 counters[_name].inc()
-            before = getattr(backend, "virtual_time", 0.0)
             if sink_tracer is None:
-                result = _original(*args, **kwargs)
-            else:
-                with sink_tracer.span(f"backend.{_name}"):
-                    result = _original(*args, **kwargs)
-            if histograms is not None:
-                elapsed = getattr(backend, "virtual_time", 0.0) - before
-                if elapsed > 0:
-                    histograms[_name].observe(elapsed)
-            return result
+                return _original(*args, **kwargs)
+            with sink_tracer.span(f"backend.{_name}"):
+                return _original(*args, **kwargs)
 
         setattr(backend, method_name, wrapper)
     backend._obs_instrumented = True

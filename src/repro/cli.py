@@ -351,12 +351,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="answer-cache capacity",
     )
     srv.add_argument(
-        "--ttl",
-        type=float,
-        default=_api_default(TuningService, "ttl"),
-        help="answer-cache TTL in seconds (default: no expiry)",
-    )
-    srv.add_argument(
         "--trace",
         default=None,
         metavar="FILE",
@@ -940,7 +934,6 @@ def _cmd_serve_daemon(args: argparse.Namespace) -> int:
             workers=args.workers,
             batch_max=args.batch_max,
             capacity=args.capacity,
-            ttl=args.ttl,
         )
         source = args.report
     else:
@@ -953,7 +946,6 @@ def _cmd_serve_daemon(args: argparse.Namespace) -> int:
             batch_max=args.batch_max,
             poll_interval=args.poll_interval,
             capacity=args.capacity,
-            ttl=args.ttl,
         )
         source = f"{args.registry} [{args.fingerprint}]"
     daemon.start()
@@ -993,7 +985,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = TuningService(
         report,
         capacity=args.capacity,
-        ttl=args.ttl,
         metrics=registry,
         tracer=tracer,
     )

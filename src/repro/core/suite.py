@@ -22,7 +22,7 @@ the phases that never finished.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from collections.abc import Callable, Sequence
 
@@ -31,7 +31,7 @@ from ..errors import CheckpointError, ReproError
 from ..obs.metrics import MetricsRegistry
 from ..obs.provenance import ParameterProvenance, record_provenance
 from ..obs.trace import Tracer
-from ..planner import PlanExecutor
+from ..planner import PlanExecutor, PlannerStats
 from ..resilience.checkpoint import SuiteCheckpoint, restore_rng, rng_state_of
 from ..resilience.policy import DEGRADING_INCIDENTS
 from ..units import KiB
@@ -131,9 +131,11 @@ class ServetSuite:
         phase timings still reach ``report.timings`` and the
         ``suite.phase_*`` gauges, and ``backend.calls`` still counts.
 
-    The suite's :attr:`metrics` registry is shared with its planner, so
-    the planner's probe accounting and the exported metrics document
-    agree.
+    At the end of :meth:`run` the suite writes the planner's counts
+    (``planner.*`` and ``suite.probes_issued{phase}``) and the phase
+    timings (``suite.phase_*_seconds{phase}``) into its :attr:`metrics`
+    registry from ``report.planner`` and ``report.timings``, so the
+    report and the exported metrics document agree, resumed or not.
     """
 
     def __init__(
@@ -150,13 +152,11 @@ class ServetSuite:
         self.probe_tlb = probe_tlb
         self.metrics = MetricsRegistry()
         self.tracer = tracer
-        self.planner = PlanExecutor(
-            backend, prune=prune, tracer=tracer, metrics=self.metrics
-        )
+        self.planner = PlanExecutor(backend, prune=prune, tracer=tracer)
         instrument_backend(backend, tracer=tracer, metrics=self.metrics)
         self.prune = self.planner.prune
         #: Probes issued by the planner, per phase (checkpoint-resumable
-        #: breakdown; sums to the planner's ``issued`` counter).
+        #: breakdown; sums to the planner's ``issued`` count).
         self._phase_probes: dict[str, int] = {}
         if node_cores is None:
             cluster = getattr(backend, "cluster", None)
@@ -207,12 +207,8 @@ class ServetSuite:
             planner_state = state.report.get("planner", {})
             self.planner.stats.merge(planner_state)
             for phase, count in planner_state.get("per_phase", {}).items():
-                count = int(count)
                 self._phase_probes[phase] = (
-                    self._phase_probes.get(phase, 0) + count
-                )
-                self.metrics.counter("suite.probes_issued", phase=phase).inc(
-                    count
+                    self._phase_probes.get(phase, 0) + int(count)
                 )
         else:
             report = ServetReport(
@@ -280,6 +276,7 @@ class ServetSuite:
 
         report.timings = dict(self.timings.phases)
         report.planner = self._planner_dict()
+        self._publish_metrics(report)
         self._save_checkpoint(ctx)
         return report
 
@@ -477,12 +474,6 @@ class ServetSuite:
         """
         delta = self.planner.stats.issued - issued_before
         self._phase_probes[name] = self._phase_probes.get(name, 0) + delta
-        if delta:
-            self.metrics.counter("suite.probes_issued", phase=name).inc(delta)
-        virtual, wall = self.timings.phases.get(name, (0.0, 0.0))
-        self.metrics.gauge("suite.phase_virtual_seconds", phase=name).set(virtual)
-        self.metrics.gauge("suite.phase_wall_seconds", phase=name).set(wall)
-        self.metrics.histogram("suite.phase_seconds").observe(wall)
 
     def _skip_phase(self, ctx: _RunContext, name: str, reason: str) -> None:
         if name in ctx.completed:
@@ -531,6 +522,19 @@ class ServetSuite:
         data["prune"] = self.prune
         data["per_phase"] = dict(self._phase_probes)
         return data
+
+    def _publish_metrics(self, report: ServetReport) -> None:
+        """Write the report's planner counts and phase timings into the
+        metrics registry, so a resumed run exports its restored phases
+        too."""
+        planner = report.planner
+        for f in fields(PlannerStats):
+            self.metrics.counter(f"planner.{f.name}").set(planner[f.name])
+        for phase, count in planner["per_phase"].items():
+            self.metrics.counter("suite.probes_issued", phase=phase).set(count)
+        for phase, (virtual, wall) in report.timings.items():
+            self.metrics.gauge("suite.phase_virtual_seconds", phase=phase).set(virtual)
+            self.metrics.gauge("suite.phase_wall_seconds", phase=phase).set(wall)
 
     def _load_checkpoint(
         self, path: Path | None, resume: bool

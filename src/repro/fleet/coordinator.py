@@ -85,6 +85,25 @@ DISPATCH_OVERHEAD = 1.0
 DEFAULT_EXPECTED_SECONDS = 600.0
 
 
+def _refuse_sharded_store(root: Path) -> None:
+    """Refuse a store laid out by an earlier version.
+
+    Such a store keeps its class reports in ``shard-NN/`` registries
+    with the shard count in ``store.json``.  Surveying into it would
+    add a second v1 of every class report at its root, beside shard
+    reports that ``registry list`` never sees.
+    """
+    old = sorted(p.name for p in root.glob("shard-*") if p.is_dir())
+    if (root / "store.json").exists():
+        old.append("store.json")
+    if old:
+        raise FleetError(
+            f"{root} is a sharded fleet store from an earlier version "
+            f"({', '.join(old)}); survey into a new directory "
+            "(fleet status still reads this one)"
+        )
+
+
 @dataclass(frozen=True)
 class FleetConfig:
     """What a survey's caller sets (defaults suit simulated surveys)."""
@@ -164,6 +183,8 @@ class FleetCoordinator:
         fault_plan: FleetFaultPlan | None = None,
         checkpoint: str | Path | None = None,
     ) -> None:
+        if store is not None:
+            _refuse_sharded_store(store.root)
         self.spec = spec
         self.store = store
         self.config = config if config is not None else FleetConfig()

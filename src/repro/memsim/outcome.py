@@ -35,9 +35,12 @@ Composition with the planner memo
 The :class:`~repro.planner.executor.PlanExecutor` memoizes at probe
 granularity; probes answered there never reach the backend, so they are
 invisible to this cache.  Counters therefore never double count: for a
-suite run, ``planner.cache_hits`` counts probes that skipped the
-backend and ``memsim.outcome.hits + memsim.outcome.misses`` equals the
-traversal calls that reached the engine.
+suite run, ``planner.cache_hits`` (a ``PlannerStats`` count the suite
+exports once, at the end of the run) counts probes that skipped the
+backend, and ``memsim.outcome.hits + memsim.outcome.misses`` equals the
+traversal calls that reached the engine.  Outcomes never expire (the
+cache is an :class:`~repro.lru.LRUCache` bounded by capacity only): an
+outcome is a pure function of its key.
 """
 
 from __future__ import annotations

@@ -20,7 +20,6 @@ from .plan import (
     TraversalProbe,
     probe_cores,
     probe_id,
-    probe_kind,
 )
 from .symmetry import (
     PRUNE_MODES,
@@ -39,7 +38,6 @@ __all__ = [
     "TraversalProbe",
     "probe_cores",
     "probe_id",
-    "probe_kind",
     "PRUNE_MODES",
     "PairClass",
     "TopologyClassifier",

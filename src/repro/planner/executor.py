@@ -30,12 +30,11 @@ report measurements issued versus measurements saved.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+from dataclasses import asdict, dataclass, fields
 from collections.abc import Callable, Iterable, Sequence
 
 from ..backends.base import Backend, ConcurrentLatency
 from ..errors import ConfigurationError
-from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer
 from ..topology.machine import CorePair
 from .plan import (
@@ -46,7 +45,6 @@ from .plan import (
     TraversalProbe,
     probe_cores,
     probe_id,
-    probe_kind,
 )
 from .symmetry import TopologyClassifier, classifier_for, validate_prune_mode
 
@@ -56,50 +54,31 @@ from .symmetry import TopologyClassifier, classifier_for, validate_prune_mode
 #: divergence large enough to change clustering always trips it.
 VERIFY_TOLERANCE: float = 0.05
 
+_MISSING = object()
 
+
+@dataclass
 class PlannerStats:
-    """Counters of what the executor did (and did not have to do).
+    """Counts of what the executor did (and did not have to do).
 
-    The counts live in :class:`~repro.obs.metrics.Counter` instruments
-    (names ``planner.issued`` etc.) inside a metrics registry — the
-    same registry a suite run exports with ``--metrics`` — so the
-    planner accounting in a report and the metrics document can never
-    disagree.  The attribute interface (``stats.issued += 1``) is
-    unchanged from the old dataclass.
+    Plain integers: the suite publishes them to its metrics registry
+    once per run (``planner.<name>``), from the same dict that becomes
+    ``ServetReport.planner``.
     """
 
-    #: issued — backend measurements actually performed;
-    #: cache_hits — probes answered from the memo cache;
-    #: pruned — pairwise probes answered by symmetry broadcast;
-    #: spot_checks — verify-mode extras (also counted issued);
-    #: verify_fallbacks — classes re-measured in full after divergence;
-    #: pairwise_requested / pairwise_measured — asked-for vs reached-
-    #: the-backend pairwise probes.
-    _COUNTERS = (
-        "issued",
-        "cache_hits",
-        "pruned",
-        "spot_checks",
-        "verify_fallbacks",
-        "pairwise_requested",
-        "pairwise_measured",
-    )
-
-    def __init__(self, registry: MetricsRegistry | None = None, **initial: int):
-        self.registry = registry if registry is not None else MetricsRegistry()
-        # Resolve the instruments once: the attribute interface is hit
-        # several times per probe, and a registry lookup per access is
-        # measurable at suite scale.
-        self._instruments = {
-            name: self.registry.counter(f"planner.{name}")
-            for name in self._COUNTERS
-        }
-        unknown = set(initial) - set(self._COUNTERS)
-        if unknown:
-            raise ConfigurationError(f"unknown planner counters: {sorted(unknown)}")
-        for name, value in initial.items():
-            if value:
-                self._instruments[name].inc(value)
+    #: Backend measurements actually performed.
+    issued: int = 0
+    #: Probes answered from the memo cache.
+    cache_hits: int = 0
+    #: Pairwise probes answered by symmetry broadcast.
+    pruned: int = 0
+    #: Verify-mode extras (also counted issued).
+    spot_checks: int = 0
+    #: Classes re-measured in full after divergence.
+    verify_fallbacks: int = 0
+    #: Asked-for vs reached-the-backend pairwise probes.
+    pairwise_requested: int = 0
+    pairwise_measured: int = 0
 
     @property
     def saved(self) -> int:
@@ -107,7 +86,7 @@ class PlannerStats:
         return self.cache_hits + self.pruned
 
     def as_dict(self) -> dict[str, int]:
-        data = {name: getattr(self, name) for name in self._COUNTERS}
+        data = asdict(self)
         data["saved"] = self.saved
         return data
 
@@ -115,29 +94,12 @@ class PlannerStats:
         """Add previously accumulated counters (checkpoint resume).
 
         Keys that are not counters are ignored: report dicts carry
-        ``prune`` and ``saved``, and reports written while the planner
-        still had a worker pool also carry its ``jobs`` width and
-        timeout counter.
+        ``prune``, ``saved`` and ``per_phase``, and reports written
+        while the planner still had a worker pool also carry its
+        ``jobs`` width and timeout counter.
         """
-        for name in self._COUNTERS:
-            increment = int(data.get(name, 0))
-            if increment:
-                self._instruments[name].inc(increment)
-
-
-def _stats_counter(name: str) -> property:
-    def _get(self: PlannerStats) -> int:
-        return int(self._instruments[name].value)
-
-    def _set(self: PlannerStats, value: int) -> None:
-        self._instruments[name].set(value)
-
-    return property(_get, _set)
-
-
-for _name in PlannerStats._COUNTERS:
-    setattr(PlannerStats, _name, _stats_counter(_name))
-del _name
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + int(data.get(f.name, 0)))
 
 
 class PlanExecutor:
@@ -157,9 +119,6 @@ class PlanExecutor:
     tracer:
         Emit a ``probe`` span around every measurement that reaches the
         backend (None = no tracing overhead).
-    metrics:
-        Registry backing :attr:`stats` and the per-kind probe counters;
-        a private registry is created when not given.
     """
 
     def __init__(
@@ -168,7 +127,6 @@ class PlanExecutor:
         prune: str = "off",
         classifier: TopologyClassifier | None = None,
         tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
         self.backend = backend
         self.prune = validate_prune_mode(prune)
@@ -181,12 +139,34 @@ class PlanExecutor:
                 )
         self.classifier = classifier
         self.tracer = tracer
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.stats = PlannerStats(registry=self.metrics)
+        self.stats = PlannerStats()
         self._memo: dict[Probe, object] = {}
-        self._issue_counters: dict[str, object] = {}
 
-    # -- batch execution ----------------------------------------------------
+    # -- the one probe path -------------------------------------------------
+
+    def _result(self, probe: Probe):
+        """The probe's result: memoized, or measured now and memoized.
+
+        Every probe takes this path, and it is the only place the
+        executor counts one.
+        """
+        result = self._memo.get(probe, _MISSING)
+        if result is not _MISSING:
+            self.stats.cache_hits += 1
+            return result
+        if self.tracer is None:
+            result = probe.measure(self.backend)
+        else:
+            with self.tracer.span(
+                "probe",
+                kind=probe.kind,
+                probe_id=probe_id(probe),
+                cores=list(probe_cores(probe)),
+            ):
+                result = probe.measure(self.backend)
+        self._memo[probe] = result
+        self.stats.issued += 1
+        return result
 
     def execute(self, probes: Iterable[Probe]) -> dict[Probe, object]:
         """Measure every probe not yet memoized, in order; return results.
@@ -194,56 +174,9 @@ class PlanExecutor:
         A probe already answered (earlier, or earlier in ``probes``)
         counts as a cache hit and does not reach the backend again.
         """
-        return {probe: self._memoized(probe) for probe in probes}
+        return {probe: self._result(probe) for probe in probes}
 
-    def _issue_counter(self, probe: Probe):
-        kind = probe_kind(probe)
-        counter = self._issue_counters.get(kind)
-        if counter is None:
-            counter = self.metrics.counter("planner.probes_issued", kind=kind)
-            self._issue_counters[kind] = counter
-        return counter
-
-    def _measure(self, probe: Probe):
-        self._issue_counter(probe).inc()
-        span = (
-            self.tracer.span(
-                "probe",
-                kind=probe_kind(probe),
-                probe_id=probe_id(probe),
-                cores=list(probe_cores(probe)),
-            )
-            if self.tracer is not None
-            else nullcontext()
-        )
-        with span:
-            return self._dispatch(probe)
-
-    def _dispatch(self, probe: Probe):
-        backend = self.backend
-        if isinstance(probe, TraversalProbe):
-            return backend.traversal_cycles(list(probe.arrays), probe.stride)
-        if isinstance(probe, StreamProbe):
-            return backend.copy_bandwidth(list(probe.cores))
-        if isinstance(probe, MessageProbe):
-            a, b = probe.pair
-            return backend.message_latency(a, b, probe.nbytes)
-        if isinstance(probe, ConcurrentMessageProbe):
-            return backend.concurrent_message_latency(
-                list(probe.pairs), probe.nbytes
-            )
-        raise ConfigurationError(f"unknown probe type {type(probe).__name__}")
-
-    # -- memoized single probes ---------------------------------------------
-
-    def _memoized(self, probe: Probe):
-        if probe in self._memo:
-            self.stats.cache_hits += 1
-            return self._memo[probe]
-        result = self._measure(probe)
-        self._memo[probe] = result
-        self.stats.issued += 1
-        return result
+    # -- single probes ------------------------------------------------------
 
     def traversal_cycles(
         self,
@@ -256,18 +189,18 @@ class PlanExecutor:
             stride=stride,
             sample=sample,
         )
-        return self._memoized(probe)
+        return self._result(probe)
 
     def copy_bandwidth(self, cores: Sequence[int]) -> dict[int, float]:
         probe = StreamProbe(cores=tuple(int(c) for c in cores))
-        return self._memoized(probe)
+        return self._result(probe)
 
     def message_latency(
         self, core_a: int, core_b: int, nbytes: int, sample: int = 0
     ) -> float:
         pair = (core_a, core_b) if core_a < core_b else (core_b, core_a)
         probe = MessageProbe(pair=pair, nbytes=nbytes, sample=sample)
-        return self._memoized(probe)
+        return self._result(probe)
 
     def concurrent_message_latency(
         self, pairs: Sequence[CorePair], nbytes: int
@@ -275,7 +208,7 @@ class PlanExecutor:
         probe = ConcurrentMessageProbe(
             pairs=tuple(tuple(p) for p in pairs), nbytes=nbytes
         )
-        return self._memoized(probe)
+        return self._result(probe)
 
     def traversal_reference(
         self, core: int, array_bytes: int, stride: int, samples: int = 1
@@ -319,47 +252,18 @@ class PlanExecutor:
         if samples < 1:
             raise ConfigurationError("samples must be >= 1")
         self.stats.pairwise_requested += len(pairs) * samples
+        probes = {
+            pair: [probe_factory(pair, s) for s in range(samples)] for pair in pairs
+        }
 
         if self.prune == "off" or self.classifier is None:
-            self._measure_pairs(pairs, probe_factory, samples)
-            return self._values_of(pairs, probe_factory, value, samples)
-
-        classes = self.classifier.partition(pairs)
-        probed: list[CorePair] = []
-        spot_of: dict[int, CorePair | None] = {}
-        for idx, cls in enumerate(classes):
-            probed.append(cls.representative)
-            spot = cls.spot_check if self.prune == "verify" else None
-            spot_of[idx] = spot
-            if spot is not None:
-                probed.append(spot)
-                self.stats.spot_checks += samples
-        self._measure_pairs(probed, probe_factory, samples)
-
-        for idx, cls in enumerate(classes):
-            rep = cls.representative
-            spot = spot_of[idx]
-            measured = {rep} | ({spot} if spot is not None else set())
-            if spot is not None and self._diverges(
-                value(rep, self._raws(rep, probe_factory, samples)),
-                value(spot, self._raws(spot, probe_factory, samples)),
-            ):
-                # The machine is not as symmetric as the model claims:
-                # distrust the whole class and measure it for real.
-                self.stats.verify_fallbacks += 1
-                rest = [p for p in cls.pairs if p not in measured]
-                self._measure_pairs(rest, probe_factory, samples)
-                continue
-            for member in cls.pairs:
-                if member in measured:
-                    continue
-                for s in range(samples):
-                    src = probe_factory(rep, s)
-                    dst = probe_factory(member, s)
-                    if dst not in self._memo:
-                        self._memo[dst] = _rekey(src, dst, self._memo[src])
-                        self.stats.pruned += 1
-        return self._values_of(pairs, probe_factory, value, samples)
+            results = self._measure_pairs(probes, pairs)
+        else:
+            results = self._measure_pruned(probes, pairs, value, samples)
+        return {
+            pair: value(pair, [results[probe] for probe in probes[pair]])
+            for pair in pairs
+        }
 
     def pairwise_message_latency(
         self, pairs: Sequence[CorePair], nbytes: int
@@ -376,26 +280,60 @@ class PlanExecutor:
     # -- helpers ------------------------------------------------------------
 
     def _measure_pairs(
-        self,
-        pairs: Sequence[CorePair],
-        probe_factory: Callable[[CorePair, int], Probe],
-        samples: int,
-    ) -> None:
-        probes = dict.fromkeys(
-            probe_factory(pair, s) for pair in pairs for s in range(samples)
-        )
+        self, probes: dict[CorePair, list[Probe]], pairs: Iterable[CorePair]
+    ) -> dict[Probe, object]:
+        """Measure the probes of ``pairs`` (each once); return their results."""
         before = self.stats.issued
-        self.execute(probes)
+        results = self.execute(
+            dict.fromkeys(probe for pair in pairs for probe in probes[pair])
+        )
         self.stats.pairwise_measured += self.stats.issued - before
+        return results
 
-    def _raws(self, pair, probe_factory, samples: int) -> list:
-        return [self._memo[probe_factory(pair, s)] for s in range(samples)]
+    def _measure_pruned(
+        self,
+        probes: dict[CorePair, list[Probe]],
+        pairs: list[CorePair],
+        value: Callable[[CorePair, list], float],
+        samples: int,
+    ) -> dict[Probe, object]:
+        """Measure one representative (and spot check) per class and
+        broadcast its results to the rest of the class."""
+        classes = self.classifier.partition(pairs)
+        spots = [
+            cls.spot_check if self.prune == "verify" else None for cls in classes
+        ]
+        probed: list[CorePair] = []
+        for cls, spot in zip(classes, spots):
+            probed.append(cls.representative)
+            if spot is not None:
+                probed.append(spot)
+                self.stats.spot_checks += samples
+        results = self._measure_pairs(probes, probed)
 
-    def _values_of(self, pairs, probe_factory, value, samples: int) -> dict:
-        return {
-            pair: value(pair, self._raws(pair, probe_factory, samples))
-            for pair in pairs
-        }
+        memo = self._memo
+        for cls, spot in zip(classes, spots):
+            rep = cls.representative
+            measured = {rep, spot}
+            if spot is not None and self._diverges(
+                value(rep, [results[probe] for probe in probes[rep]]),
+                value(spot, [results[probe] for probe in probes[spot]]),
+            ):
+                # The machine is not as symmetric as the model claims:
+                # distrust the whole class and measure it for real.
+                self.stats.verify_fallbacks += 1
+                rest = [p for p in cls.pairs if p not in measured]
+                results.update(self._measure_pairs(probes, rest))
+                continue
+            for member in cls.pairs:
+                if member in measured:
+                    continue
+                for src, dst in zip(probes[rep], probes[member]):
+                    if dst not in memo:
+                        memo[dst] = _rekey(src, dst, results[src])
+                        self.stats.pruned += 1
+                    results[dst] = memo[dst]
+        return results
 
     def _diverges(self, v_rep: float, v_spot: float) -> bool:
         scale = max(abs(v_rep), abs(v_spot))

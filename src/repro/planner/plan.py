@@ -12,15 +12,20 @@ the same measurement, which is exactly the memoization key.  The
 ``sample`` field distinguishes *intentional* repeats (robust-sampling
 loops) from accidental duplicates — repeats carry distinct sample
 indices and are never deduplicated against each other.
+
+Each probe class names its ``kind`` (a class variable, so it is not a
+field and leaves ``repr``, equality, hashing and :func:`probe_id`
+untouched) and knows the one backend call that measures it
+(:meth:`measure`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import ClassVar, Union
 
-from ..errors import ConfigurationError
+from ..backends.base import Backend, ConcurrentLatency
 from ..ioutils import sha256_hex
 from ..topology.machine import CorePair
 
@@ -28,6 +33,8 @@ from ..topology.machine import CorePair
 @dataclass(frozen=True)
 class TraversalProbe:
     """One (possibly concurrent) mcalibrator traversal measurement."""
+
+    kind: ClassVar[str] = "traversal"
 
     #: ``(core, array_bytes)`` per participating core, in call order.
     arrays: tuple[tuple[int, int], ...]
@@ -38,18 +45,28 @@ class TraversalProbe:
     def cores(self) -> tuple[int, ...]:
         return tuple(core for core, _ in self.arrays)
 
+    def measure(self, backend: Backend) -> dict[int, float]:
+        return backend.traversal_cycles(list(self.arrays), self.stride)
+
 
 @dataclass(frozen=True)
 class StreamProbe:
     """STREAM-copy bandwidth with ``cores`` running concurrently."""
 
+    kind: ClassVar[str] = "stream"
+
     cores: tuple[int, ...]
     sample: int = 0
+
+    def measure(self, backend: Backend) -> dict[int, float]:
+        return backend.copy_bandwidth(list(self.cores))
 
 
 @dataclass(frozen=True)
 class MessageProbe:
     """Point-to-point latency between one pinned core pair."""
+
+    kind: ClassVar[str] = "message"
 
     pair: CorePair
     nbytes: int
@@ -59,10 +76,16 @@ class MessageProbe:
     def cores(self) -> tuple[int, ...]:
         return self.pair
 
+    def measure(self, backend: Backend) -> float:
+        a, b = self.pair
+        return backend.message_latency(a, b, self.nbytes)
+
 
 @dataclass(frozen=True)
 class ConcurrentMessageProbe:
     """Per-message latency with every pair exchanging simultaneously."""
+
+    kind: ClassVar[str] = "concurrent_message"
 
     pairs: tuple[CorePair, ...]
     nbytes: int
@@ -72,24 +95,11 @@ class ConcurrentMessageProbe:
     def cores(self) -> tuple[int, ...]:
         return tuple(core for pair in self.pairs for core in pair)
 
+    def measure(self, backend: Backend) -> ConcurrentLatency:
+        return backend.concurrent_message_latency(list(self.pairs), self.nbytes)
+
 
 Probe = Union[TraversalProbe, StreamProbe, MessageProbe, ConcurrentMessageProbe]
-
-#: Probe kinds whose results are pairwise scalars or per-core dicts.
-PROBE_KINDS: dict[type, str] = {
-    TraversalProbe: "traversal",
-    StreamProbe: "stream",
-    MessageProbe: "message",
-    ConcurrentMessageProbe: "concurrent_message",
-}
-
-
-def probe_kind(probe: Probe) -> str:
-    """Short kind name of a probe (stats bucketing, error messages)."""
-    try:
-        return PROBE_KINDS[type(probe)]
-    except KeyError:
-        raise ConfigurationError(f"unknown probe type {type(probe).__name__}")
 
 
 def probe_cores(probe: Probe) -> tuple[int, ...]:
@@ -109,5 +119,5 @@ def probe_id(probe: Probe) -> str:
     every issued probe, and the repr + sha256 round trip shows up at
     suite scale.
     """
-    digest = sha256_hex(f"{probe_kind(probe)}|{probe!r}")
-    return f"{probe_kind(probe)}:{digest[:12]}"
+    digest = sha256_hex(f"{probe.kind}|{probe!r}")
+    return f"{probe.kind}:{digest[:12]}"

@@ -9,7 +9,7 @@ owns the consultation step:
 - :mod:`repro.service.registry` — versioned on-disk report store with
   atomic writes, integrity checksums and schema-migration hooks.
 - :mod:`repro.service.server` — :class:`TuningService`, a concurrent
-  in-process query layer with an LRU+TTL answer cache, per-query
+  in-process query layer with an LRU answer cache, per-query
   metrics, and a deterministic concurrent-client harness.
 - :mod:`repro.service.staleness` — diffs live against stored
   fingerprints and re-measures only the affected suite phases through

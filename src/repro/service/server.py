@@ -3,12 +3,12 @@
 LIKWID-style always-available query layer over one stored report.
 Applications ask typed, hashable :class:`Query` value objects, one
 dataclass per kind in the :data:`QUERY_KINDS` table, and the service
-answers through an LRU+TTL cache in front of the (comparatively
+answers through an LRU cache in front of the (comparatively
 expensive) autotuning helpers.  Every answer is a plain dict of JSON
 scalars, so results can be cached, compared, and shipped over any
 transport without caring about the advisor's internal dataclasses.
 
-Observability: per-query hit/miss/eviction/expiration counters and
+Observability: per-query hit/miss/eviction counters and
 latency percentiles (:meth:`TuningService.metrics`).
 
 Correctness under load is proved, not assumed: :func:`run_harness`
@@ -472,11 +472,10 @@ class TuningService:
     ----------
     report:
         The report to answer from (see :meth:`from_registry`).
-    capacity / ttl / clock:
-        Answer-cache shape (see :class:`~repro.lru.LRUCache`).  ``ttl=None``
-        disables expiry: a report is immutable, so answers only go stale
-        when the service is pointed at a new report — the TTL exists for
-        deployments that hot-swap the registry underneath.
+    capacity:
+        Answer-cache bound (see :class:`~repro.lru.LRUCache`).  Answers
+        never expire: a report is immutable, and a daemon reload builds
+        a new service, cache included, for the new report.
     metrics:
         Registry holding the service's counters and latency histogram
         (``service.queries{result=...}``, ``service.query_latency``);
@@ -495,15 +494,13 @@ class TuningService:
         self,
         report: ServetReport,
         capacity: int = ANSWER_CACHE_CAPACITY,
-        ttl: float | None = None,
-        clock: Callable[[], float] = time.monotonic,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         single_flight_cap: int = 128,
     ) -> None:
         self.report = report
         self.advisor = Advisor(report)
-        self.cache = LRUCache(capacity, ttl=ttl, clock=clock)
+        self.cache = LRUCache(capacity)
         self.metrics_registry = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer
         self._hit_counter = self.metrics_registry.counter(
@@ -568,7 +565,6 @@ class TuningService:
             "misses": misses,
             "hit_rate": hits / total if total else 0.0,
             "evictions": self.cache.evictions,
-            "expirations": self.cache.expirations,
             "cache_entries": len(self.cache),
             "latency_p50": self._latency.percentile(0.50),
             "latency_p90": self._latency.percentile(0.90),

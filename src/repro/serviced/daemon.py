@@ -167,7 +167,6 @@ class TuningDaemon:
         batch_max: int = 64,
         poll_interval: float = 0.5,
         capacity: int = ANSWER_CACHE_CAPACITY,
-        ttl: float | None = None,
         instrument: bool = True,
     ) -> None:
         if (report is None) == (registry is None):
@@ -182,7 +181,6 @@ class TuningDaemon:
         self.batch_max = batch_max
         self.poll_interval = poll_interval
         self._capacity = capacity
-        self._ttl = ttl
         self._instrument = instrument
         self.metrics = MetricsRegistry()
         self._registry = registry
@@ -230,7 +228,6 @@ class TuningDaemon:
         return TuningService(
             report,
             capacity=self._capacity,
-            ttl=self._ttl,
             metrics=self.metrics if self._instrument else None,
         )
 

@@ -68,7 +68,6 @@ def test_cached_equals_bypassed(seed):
         "hits": 0,
         "misses": len(batches),
         "evictions": 0,
-        "expirations": 0,
         "entries": len(batches),
     }
 
@@ -104,7 +103,6 @@ def test_cached_equals_bypassed_under_coloring(seed):
         "hits": 1,
         "misses": 1,
         "evictions": 0,
-        "expirations": 0,
         "entries": 1,
     }
 

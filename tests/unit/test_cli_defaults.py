@@ -30,7 +30,6 @@ FEEDS = {
     ("serve", "poll_interval"): [(TuningDaemon, "poll_interval")],
     ("serve", "fingerprint"): [(TuningDaemon, "spec")],
     ("serve", "capacity"): [(TuningDaemon, "capacity"), (TuningService, "capacity")],
-    ("serve", "ttl"): [(TuningDaemon, "ttl"), (TuningService, "ttl")],
     ("serve", "clients"): [(run_harness, "clients")],
     ("serve", "queries"): [(run_harness, "queries_per_client")],
     ("serve", "seed"): [(run_harness, "seed")],

@@ -88,6 +88,16 @@ def test_serve_from_report_file(populated, capsys):
     assert "q/s" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("listen", [[], ["--listen", "127.0.0.1:0"]])
+def test_serve_rejects_removed_ttl_flag(populated, listen, capsys):
+    # Answers never expire (a report is immutable); the TTL flag is gone.
+    _, report = populated
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "--report", str(report), *listen, "--ttl", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --ttl" in capsys.readouterr().err
+
+
 def test_query_returns_json(populated, capsys):
     registry, _ = populated
     code = main(

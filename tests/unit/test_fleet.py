@@ -183,13 +183,12 @@ def test_store_is_one_registry(tmp_path):
     assert stored == {cls["name"] for cls in report.classes.values()}
 
 
-def test_status_reads_a_sharded_store(tmp_path, capsys):
-    # A store written before the survey used one registry: reports in
-    # shard-NN/ registries, the shard count in store.json, and the
-    # fleet report at the root.
+def _sharded_store(root):
+    """A store written before the survey used one registry: reports in
+    shard-NN/ registries, the shard count in store.json, and the fleet
+    report at the root.  Returns the fleet spec and its report."""
     spec = generate_fleet(2, 2, seed=2, name="old-layout")
     report = FleetCoordinator(spec).survey()
-    root = tmp_path / "store"
     for machine in spec.machines:
         fp = machine_fingerprint(machine.hardware.build(), options=spec.options)
         shard = int(fp.digest[:4], 16) % 4
@@ -198,9 +197,36 @@ def test_status_reads_a_sharded_store(tmp_path, capsys):
         )
     (root / "store.json").write_text(json.dumps({"shards": 4}))
     report.save(root / "fleet_report.json")
+    return spec, report
 
+
+def test_status_reads_a_sharded_store(tmp_path, capsys):
+    root = tmp_path / "store"
+    _, report = _sharded_store(root)
     assert main(["fleet", "status", str(root)]) == 0
     assert capsys.readouterr().out.strip() == report.summary().strip()
+
+
+def test_survey_refuses_a_sharded_store(tmp_path, capsys):
+    root = tmp_path / "store"
+    spec, _ = _sharded_store(root)
+    spec_path = tmp_path / "fleet.json"
+    spec.save(spec_path)
+
+    def listing():
+        return {
+            str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")
+        }
+
+    before = listing()
+    assert main(["fleet", "survey", str(spec_path), "--store", str(root)]) == 1
+    err = capsys.readouterr().err
+    assert "sharded fleet store" in err and "shard-" in err and "store.json" in err
+    assert listing() == before
+    with pytest.raises(FleetError, match="sharded fleet store"):
+        FleetCoordinator(spec, store=ReportRegistry(root))
+    assert listing() == before
 
 
 # -- checkpoint ------------------------------------------------------------

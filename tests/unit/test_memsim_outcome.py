@@ -71,7 +71,6 @@ def cache_stats(hits: int, misses: int, entries: int) -> dict[str, int]:
         "hits": hits,
         "misses": misses,
         "evictions": 0,
-        "expirations": 0,
         "entries": entries,
     }
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 
@@ -21,6 +22,7 @@ from repro.planner import (
     TraversalProbe,
     classifier_for,
     probe_cores,
+    probe_id,
     validate_prune_mode,
 )
 from repro.topology.machine import all_pairs
@@ -59,6 +61,46 @@ class TestPlanRepresentation:
         b = MessageProbe(pair=(0, 1), nbytes=1024)
         assert a == b and hash(a) == hash(b)
         assert a != MessageProbe(pair=(0, 1), nbytes=1024, sample=1)
+
+    def test_kind_is_not_a_field(self):
+        # ``kind`` is a class variable: repr, equality, hashing and
+        # every probe_id are what they were before probes carried it.
+        pinned = {
+            TraversalProbe(arrays=((2, 64), (5, 64)), stride=8): (
+                "TraversalProbe(arrays=((2, 64), (5, 64)), stride=8, sample=0)",
+                "traversal:496676ff215b",
+            ),
+            StreamProbe(cores=(1, 3)): (
+                "StreamProbe(cores=(1, 3), sample=0)",
+                "stream:62fd4a60ed4a",
+            ),
+            MessageProbe(pair=(0, 4), nbytes=8): (
+                "MessageProbe(pair=(0, 4), nbytes=8, sample=0)",
+                "message:8772874db7b9",
+            ),
+            ConcurrentMessageProbe(pairs=((0, 1), (2, 3)), nbytes=8): (
+                "ConcurrentMessageProbe(pairs=((0, 1), (2, 3)), nbytes=8, sample=0)",
+                "concurrent_message:33bc94667174",
+            ),
+        }
+        for probe, (text, pid) in pinned.items():
+            assert "kind" not in {f.name for f in dataclasses.fields(probe)}
+            assert repr(probe) == text
+            assert probe_id(probe) == pid
+            assert pid.startswith(probe.kind + ":")
+
+    def test_each_probe_measures_itself(self):
+        backend = CountingBackend()
+        TraversalProbe(arrays=((2, 64), (5, 64)), stride=8).measure(backend)
+        StreamProbe(cores=(1, 3)).measure(backend)
+        MessageProbe(pair=(0, 4), nbytes=8).measure(backend)
+        ConcurrentMessageProbe(pairs=((0, 1), (2, 3)), nbytes=8).measure(backend)
+        assert backend.calls == [
+            ("traversal", ((2, 64), (5, 64)), 8),
+            ("bandwidth", (1, 3)),
+            ("latency", 0, 4, 8),
+            ("concurrent", ((0, 1), (2, 3)), 8),
+        ]
 
     def test_probe_cores(self):
         assert probe_cores(TraversalProbe(arrays=((2, 64), (5, 64)), stride=8)) == (2, 5)

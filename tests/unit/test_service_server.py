@@ -23,15 +23,7 @@ from repro.service.server import (
 )
 
 
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-
-# -- answer cache (LRU + TTL) -------------------------------------------
+# -- answer cache (LRU) --------------------------------------------------
 
 
 def test_cache_hit_miss():
@@ -54,23 +46,9 @@ def test_cache_evicts_least_recently_used():
     assert len(cache) == 2
 
 
-def test_cache_ttl_expiry_with_fake_clock():
-    clock = FakeClock()
-    cache = LRUCache(4, ttl=10.0, clock=clock)
-    cache.put("k", 1)
-    clock.now = 9.0
-    assert cache.get("k") == 1
-    clock.now = 20.1
-    assert cache.get("k") is None
-    assert cache.expirations == 1
-    assert len(cache) == 0
-
-
 def test_cache_rejects_bad_shape():
     with pytest.raises(ConfigurationError):
         LRUCache(0)
-    with pytest.raises(ConfigurationError):
-        LRUCache(4, ttl=0)
 
 
 # -- answers and metrics -------------------------------------------------
@@ -110,17 +88,6 @@ def test_metrics_count_hits_and_misses(dunnington_report):
     assert metrics["cache_entries"] == 1
     assert metrics["latency_p50"] >= 0.0
     assert metrics["latency_p99"] >= metrics["latency_p50"]
-
-
-def test_ttl_service_recomputes_after_expiry(dunnington_report):
-    clock = FakeClock()
-    service = TuningService(dunnington_report, ttl=5.0, clock=clock)
-    query = TileQuery(level=1, n_arrays=2)
-    first = service.query(query)
-    clock.now = 6.0
-    second = service.query(query)
-    assert first == second  # recomputed, not wrong
-    assert service.metrics()["misses"] == 2
 
 
 # -- bounded single-flight table ------------------------------------------
