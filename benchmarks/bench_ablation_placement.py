@@ -15,6 +15,7 @@ from repro.backends import SimulatedBackend
 from repro.core import ServetSuite
 from repro.netsim import default_comm_config
 from repro.simmpi import World
+from repro.simmpi.collectives import bcast
 from repro.topology import Cluster, dunnington
 from repro.units import KiB, format_time
 from repro.viz import ascii_table
@@ -69,7 +70,7 @@ def master_worker_program(rank):
         else:
             yield rank.send(0, MSG, tag=it)
         if it % 4 == 0:
-            yield from rank.bcast(0, MSG, tag=900_000 + it)
+            yield from bcast(rank, 0, MSG, tag=900_000 + it)
 
 
 def execute(cluster, placement, program):

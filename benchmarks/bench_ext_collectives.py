@@ -15,7 +15,7 @@ from repro.backends import SimulatedBackend
 from repro.core import ServetSuite
 from repro.netsim import default_comm_config
 from repro.simmpi import World
-from repro.simmpi.collectives import hierarchical_bcast
+from repro.simmpi.collectives import bcast, hierarchical_bcast
 from repro.topology import finis_terrae
 from repro.units import KiB, format_size, format_time
 from repro.viz import ascii_table
@@ -50,7 +50,7 @@ def test_bcast_algorithm_selection(setup, figure, benchmark):
         groups = choice.groups
 
         def flat_prog(rank, nbytes=nbytes):
-            yield from rank.bcast(0, nbytes)
+            yield from bcast(rank, 0, nbytes)
 
         def hier_prog(rank, nbytes=nbytes, groups=groups):
             yield from hierarchical_bcast(rank, 0, nbytes, groups)

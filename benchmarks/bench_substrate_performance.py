@@ -12,6 +12,7 @@ from repro.backends import SimulatedBackend
 from repro.memsim import Traversal, TraversalEngine, allocate_bandwidth
 from repro.netsim import default_comm_config
 from repro.simmpi import World, pingpong_latency
+from repro.simmpi.collectives import allgather
 from repro.topology import Cluster, dunnington, finis_terrae, finis_terrae_node
 from repro.units import KiB, MiB
 
@@ -50,7 +51,7 @@ def test_perf_des_allgather_32_ranks(benchmark):
         world = World(cluster, config, list(range(32)))
 
         def prog(rank):
-            yield from rank.allgather(4 * KiB)
+            yield from allgather(rank, 4 * KiB)
 
         world.spawn_all(prog)
         return world.run().messages

@@ -14,7 +14,7 @@ from repro import ServetSuite, SimulatedBackend, finis_terrae
 from repro.autotune import choose_bcast
 from repro.netsim import default_comm_config
 from repro.simmpi import World
-from repro.simmpi.collectives import hierarchical_bcast
+from repro.simmpi.collectives import bcast, hierarchical_bcast
 from repro.units import KiB, format_size, format_time
 from repro.viz import ascii_table
 
@@ -37,7 +37,7 @@ def main() -> None:
         groups = choice.groups
 
         def flat_prog(rank, nbytes=nbytes):
-            yield from rank.bcast(0, nbytes)
+            yield from bcast(rank, 0, nbytes)
 
         def hier_prog(rank, nbytes=nbytes, groups=groups):
             yield from hierarchical_bcast(rank, 0, nbytes, groups)

@@ -145,9 +145,10 @@ def predict_flat_bcast(
     root: int = 0,
 ) -> float:
     """Predicted completion time of the binomial-tree broadcast."""
+    from ..simmpi.collectives import bcast
 
     def program(rank):
-        yield from rank.bcast(root, nbytes)
+        yield from bcast(rank, root, nbytes)
 
     return _simulate(report, placement, program)
 

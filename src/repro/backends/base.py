@@ -88,49 +88,31 @@ MEASUREMENT_METHODS: tuple[str, ...] = (
 )
 
 
-def instrument_backend(backend: Backend, tracer=None, metrics=None) -> Backend:
+def instrument_backend(backend: Backend, tracer, calls: dict[str, int]) -> Backend:
     """Attach observability to a backend *instance* (idempotent).
 
-    Wraps the measurement methods so every call emits a
-    ``backend.<method>`` span (when a tracer is given) and increments a
-    ``backend.calls{method=...}`` counter (when a metrics registry is
-    given).  Works on raw
-    backends and on the resilience wrappers alike — the wrapper is
-    installed on whatever object the suite actually calls, so retries
-    inside :class:`~repro.resilience.HardenedBackend` count as one
-    call, matching what a phase asked for.
+    Wraps the measurement methods so every call adds one to
+    ``calls[method]`` (a plain dict keyed by every
+    :data:`MEASUREMENT_METHODS` name) and, when a tracer is given, emits
+    a ``backend.<method>`` span.  Works on raw backends and on the
+    resilience wrappers alike — the wrapper is installed on whatever
+    object the suite actually calls, so retries inside
+    :class:`~repro.resilience.HardenedBackend` count as one call,
+    matching what a phase asked for.
 
     Re-instrumenting an already-instrumented backend only swaps the
-    sinks (tracer/metrics), so a backend reused across suite runs
+    sinks (tracer and counts), so a backend reused across suite runs
     reports to the run that is currently driving it.
-
-    Backends exposing a ``bind_metrics(metrics)`` hook (directly or via
-    a delegating resilience wrapper) are handed the registry so they
-    can export internal counters — e.g. the simulated backend's
-    traversal outcome cache hits/misses.  The counters are resolved
-    here, once, not per call: the wrapper sits on the hottest path in
-    the suite and must not pay a registry lookup per probe.
     """
-    if metrics is not None:
-        call_counters = {
-            m: metrics.counter("backend.calls", method=m)
-            for m in MEASUREMENT_METHODS
-        }
-        bind = getattr(backend, "bind_metrics", None)
-        if bind is not None:
-            bind(metrics)
-    else:
-        call_counters = None
-    backend._obs_sinks = (tracer, call_counters)
+    backend._obs_sinks = (tracer, calls)
     if getattr(backend, "_obs_instrumented", False):
         return backend
     for method_name in MEASUREMENT_METHODS:
         original = getattr(backend, method_name)
 
         def wrapper(*args, _original=original, _name=method_name, **kwargs):
-            sink_tracer, counters = backend._obs_sinks
-            if counters is not None:
-                counters[_name].inc()
+            sink_tracer, counts = backend._obs_sinks
+            counts[_name] += 1
             if sink_tracer is None:
                 return _original(*args, **kwargs)
             with sink_tracer.span(f"backend.{_name}"):

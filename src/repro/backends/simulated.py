@@ -9,12 +9,13 @@ suite can report Table I-style execution times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Sequence
+from typing import ClassVar
 
 from ..errors import MeasurementError
 from ..ioutils import sha256_hex
-from ..memsim.outcome import GLOBAL_COMM_CACHE
+from ..lru import LRUCache
+from ..memsim.outcome import GLOBAL_COMM_CACHE, GLOBAL_OUTCOME_CACHE
 from ..memsim.paging import PagePolicy, RandomPaging
 from ..memsim.prefetch import PrefetchModel
 from ..memsim.stream import stream_copy_bandwidth
@@ -27,25 +28,27 @@ from ..topology.machine import Cluster, CorePair, Machine
 from .base import Backend, ConcurrentLatency
 
 
-@dataclass(frozen=True)
-class MeasurementCosts:
-    """Virtual-time cost model of one measurement of each kind.
+# -- measurement costs ---------------------------------------------------------
+#
+# Virtual seconds one measurement of each kind costs, calibrated to land
+# in the regime of the paper's Table I: each measurement pays a setup
+# overhead (process launch, pinning, MPI synchronization) plus a minimum
+# sampling duration (benchmarks repeat their kernels until timings
+# stabilize).
 
-    Calibrated to land in the regime of the paper's Table I: each
-    measurement pays a setup overhead (process launch, pinning, MPI
-    synchronization) plus a minimum sampling duration (benchmarks repeat
-    their kernels until timings stabilize).
-    """
-
-    traversal_setup: float = 0.1
-    traversal_min_sample: float = 0.4
-    traversal_rounds: int = 8
-    pair_traversal_setup: float = 0.1
-    pair_traversal_min_sample: float = 0.15
-    stream_setup: float = 0.3
-    stream_min_sample: float = 3.5
-    message_setup: float = 3.0
-    message_repetitions: int = 1000
+TRAVERSAL_SETUP: float = 0.1
+TRAVERSAL_MIN_SAMPLE: float = 0.4
+#: Rounds a traversal repeats when that takes longer than its minimum
+#: sample.
+TRAVERSAL_ROUNDS: int = 8
+#: Setup and minimum sample of two or more concurrent traversals.
+PAIR_TRAVERSAL_SETUP: float = 0.1
+PAIR_TRAVERSAL_MIN_SAMPLE: float = 0.15
+STREAM_SETUP: float = 0.3
+STREAM_MIN_SAMPLE: float = 3.5
+MESSAGE_SETUP: float = 3.0
+#: Messages per latency measurement (a ping-pong sends two each).
+MESSAGE_REPETITIONS: int = 1000
 
 
 class SimulatedBackend(Backend):
@@ -74,6 +77,14 @@ class SimulatedBackend(Backend):
         RNG seed for noise and page placement.
     """
 
+    #: The process-wide caches repeats are answered from, by the prefix
+    #: a suite reports their ``hits``/``misses`` under (see
+    #: :meth:`repro.core.suite.ServetSuite.run`).
+    result_caches: ClassVar[dict[str, LRUCache]] = {
+        "memsim.outcome": GLOBAL_OUTCOME_CACHE,
+        "simmpi.comm": GLOBAL_COMM_CACHE,
+    }
+
     def __init__(
         self,
         system: Machine | Cluster,
@@ -82,7 +93,6 @@ class SimulatedBackend(Backend):
         prefetch: PrefetchModel | None = None,
         noise: float = 0.01,
         seed: int | None = None,
-        costs: MeasurementCosts | None = None,
     ) -> None:
         if isinstance(system, Machine):
             system = Cluster(system.name, system, n_nodes=1)
@@ -101,7 +111,6 @@ class SimulatedBackend(Backend):
             raise MeasurementError("noise must be >= 0")
         self.noise = noise
         self.rng = ensure_rng(seed)
-        self.costs = costs if costs is not None else MeasurementCosts()
         self.name = system.name
         self.n_cores = system.n_cores
         self.page_size = self.machine.page_size
@@ -112,17 +121,6 @@ class SimulatedBackend(Backend):
         self._comm_token = sha256_hex(
             f"{self.cluster!r}|{self.comm_config.canonical()}"
         )
-        self._comm_hits = None
-        self._comm_misses = None
-
-    # -- outcome cache ------------------------------------------------------
-
-    def bind_metrics(self, metrics) -> None:
-        """Export cache counters through ``metrics`` (see
-        :func:`repro.backends.base.instrument_backend`)."""
-        self.engine.bind_metrics(metrics)
-        self._comm_hits = metrics.counter("simmpi.comm.hits")
-        self._comm_misses = metrics.counter("simmpi.comm.misses")
 
     # -- noise -------------------------------------------------------------
 
@@ -152,17 +150,12 @@ class SimulatedBackend(Backend):
             for core, nbytes in arrays
         ]
         result = self.engine.run(local, rng=self.rng)
-        costs = self.costs
-        setup = (
-            costs.traversal_setup if len(arrays) == 1 else costs.pair_traversal_setup
-        )
-        min_sample = (
-            costs.traversal_min_sample
-            if len(arrays) == 1
-            else costs.pair_traversal_min_sample
-        )
+        if len(arrays) == 1:
+            setup, min_sample = TRAVERSAL_SETUP, TRAVERSAL_MIN_SAMPLE
+        else:
+            setup, min_sample = PAIR_TRAVERSAL_SETUP, PAIR_TRAVERSAL_MIN_SAMPLE
         round_secs = max(result.seconds_per_round.values())
-        self.charge(setup + max(min_sample, costs.traversal_rounds * round_secs))
+        self.charge(setup + max(min_sample, TRAVERSAL_ROUNDS * round_secs))
         out: dict[int, float] = {}
         for (core, _), trav in zip(arrays, local):
             out[core] = self._noisy(result.cycles_per_access[trav.core])
@@ -182,28 +175,19 @@ class SimulatedBackend(Backend):
             return out
         local = {self.cluster.local_core(c): c for c in cores}
         bw = stream_copy_bandwidth(self.machine, list(local))
-        self.charge(self.costs.stream_setup + self.costs.stream_min_sample)
+        self.charge(STREAM_SETUP + STREAM_MIN_SAMPLE)
         return {local[lc]: self._noisy(v) for lc, v in bw.items()}
-
-    def _count_comm(self, hit: bool) -> None:
-        counter = self._comm_hits if hit else self._comm_misses
-        if counter is not None:
-            counter.inc()
 
     def message_latency(self, core_a: int, core_b: int, nbytes: int) -> float:
         key = (self._comm_token, "pingpong", core_a, core_b, nbytes)
         latency = GLOBAL_COMM_CACHE.get(key)
-        self._count_comm(latency is not None)
         if latency is None:
             latency = pingpong_latency(
                 self.cluster, self.comm_config, core_a, core_b, nbytes,
                 repetitions=4,
             )
             GLOBAL_COMM_CACHE.put(key, latency)
-        self.charge(
-            self.costs.message_setup
-            + 2 * self.costs.message_repetitions * latency
-        )
+        self.charge(MESSAGE_SETUP + 2 * MESSAGE_REPETITIONS * latency)
         return self._noisy(latency)
 
     def concurrent_message_latency(
@@ -211,7 +195,6 @@ class SimulatedBackend(Backend):
     ) -> ConcurrentLatency:
         key = (self._comm_token, "concurrent", tuple(pairs), nbytes)
         cached = GLOBAL_COMM_CACHE.get(key)
-        self._count_comm(cached is not None)
         if cached is None:
             result = concurrent_exchanges(
                 self.cluster, self.comm_config, pairs, nbytes
@@ -219,7 +202,5 @@ class SimulatedBackend(Backend):
             cached = (result.mean, result.worst)
             GLOBAL_COMM_CACHE.put(key, cached)
         mean, worst = cached
-        self.charge(
-            self.costs.message_setup + self.costs.message_repetitions * worst
-        )
+        self.charge(MESSAGE_SETUP + MESSAGE_REPETITIONS * worst)
         return ConcurrentLatency(mean=self._noisy(mean), worst=self._noisy(worst))

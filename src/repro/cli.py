@@ -894,11 +894,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                 f"L{cache.level} sharing: detected {len(got_pairs)} pairs, "
                 f"truth {len(truth_pairs)}"
             )
-    if report.comm_layers:
-        # Layer count check only makes sense for single-node reports of
-        # this machine; cluster reports carry an inter-node layer too.
-        pass
-
     if failures:
         print(f"VALIDATION FAILED for {report.system} vs {machine.name}:")
         for failure in failures:

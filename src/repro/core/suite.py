@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from collections.abc import Callable, Sequence
 
-from ..backends.base import Backend, instrument_backend
+from ..backends.base import MEASUREMENT_METHODS, Backend, instrument_backend
 from ..errors import CheckpointError, ReproError
 from ..obs.metrics import MetricsRegistry
 from ..obs.provenance import ParameterProvenance, record_provenance
@@ -131,11 +131,16 @@ class ServetSuite:
         phase timings still reach ``report.timings`` and the
         ``suite.phase_*`` gauges, and ``backend.calls`` still counts.
 
-    At the end of :meth:`run` the suite writes the planner's counts
-    (``planner.*`` and ``suite.probes_issued{phase}``) and the phase
-    timings (``suite.phase_*_seconds{phase}``) into its :attr:`metrics`
-    registry from ``report.planner`` and ``report.timings``, so the
-    report and the exported metrics document agree, resumed or not.
+    No metrics instrument is touched while the phases run: each event is
+    counted once, as a plain integer or by the cache that serves it.  At
+    the end of :meth:`run` the suite writes every metric into its
+    :attr:`metrics` registry once: the planner's counts (``planner.*``
+    and ``suite.probes_issued{phase}``) and the phase timings
+    (``suite.phase_*_seconds{phase}``) from ``report.planner`` and
+    ``report.timings``, so the report and the exported metrics document
+    agree, resumed or not; ``backend.calls{method}`` from its own call
+    counts; and the simulator caches' ``hits``/``misses`` (see
+    :meth:`run`).
     """
 
     def __init__(
@@ -153,7 +158,10 @@ class ServetSuite:
         self.metrics = MetricsRegistry()
         self.tracer = tracer
         self.planner = PlanExecutor(backend, prune=prune, tracer=tracer)
-        instrument_backend(backend, tracer=tracer, metrics=self.metrics)
+        #: Measurement calls that reached the backend, per method.
+        self._backend_calls = dict.fromkeys(MEASUREMENT_METHODS, 0)
+        instrument_backend(backend, tracer, self._backend_calls)
+        self._result_caches = getattr(backend, "result_caches", {})
         self.prune = self.planner.prune
         #: Probes issued by the planner, per phase (checkpoint-resumable
         #: breakdown; sums to the planner's ``issued`` count).
@@ -189,8 +197,20 @@ class ServetSuite:
         names a JSON file updated after every finished phase;
         ``resume=True`` restores it (verifying it belongs to this
         machine/configuration) instead of re-measuring.
+
+        A backend that answers repeats from process-wide caches names
+        them in ``result_caches`` (see
+        :attr:`repro.backends.simulated.SimulatedBackend.result_caches`).
+        Their ``stats()`` are read here and again at the end, and the
+        difference is exported as ``<cache>.hits``/``<cache>.misses``:
+        the traffic of this run as long as one suite runs at a time in
+        the process, which every driver (the CLI, the fleet event loop,
+        incremental refresh, perfbench) does.
         """
         backend = self.backend
+        cache_stats = {
+            name: cache.stats() for name, cache in self._result_caches.items()
+        }
         checkpoint_path = Path(checkpoint) if checkpoint is not None else None
         state = self._load_checkpoint(checkpoint_path, resume)
         if state is not None:
@@ -276,7 +296,7 @@ class ServetSuite:
 
         report.timings = dict(self.timings.phases)
         report.planner = self._planner_dict()
-        self._publish_metrics(report)
+        self._publish_metrics(report, cache_stats)
         self._save_checkpoint(ctx)
         return report
 
@@ -523,10 +543,23 @@ class ServetSuite:
         data["per_phase"] = dict(self._phase_probes)
         return data
 
-    def _publish_metrics(self, report: ServetReport) -> None:
-        """Write the report's planner counts and phase timings into the
-        metrics registry, so a resumed run exports its restored phases
-        too."""
+    def _publish_metrics(
+        self, report: ServetReport, cache_stats: dict[str, dict[str, int]]
+    ) -> None:
+        """Write the run's counts into the metrics registry.
+
+        The planner counts and phase timings come from the report, so a
+        resumed run exports its restored phases too; ``cache_stats``
+        holds each result cache's ``stats()`` from the start of the run.
+        """
+        for method, count in self._backend_calls.items():
+            self.metrics.counter("backend.calls", method=method).set(count)
+        for name, cache in self._result_caches.items():
+            before, after = cache_stats[name], cache.stats()
+            for outcome in ("hits", "misses"):
+                self.metrics.counter(f"{name}.{outcome}").inc(
+                    after[outcome] - before[outcome]
+                )
         planner = report.planner
         for f in fields(PlannerStats):
             self.metrics.counter(f"planner.{f.name}").set(planner[f.name])

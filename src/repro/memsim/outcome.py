@@ -34,11 +34,12 @@ Composition with the planner memo
 ---------------------------------
 The :class:`~repro.planner.executor.PlanExecutor` memoizes at probe
 granularity; probes answered there never reach the backend, so they are
-invisible to this cache.  Counters therefore never double count: for a
-suite run, ``planner.cache_hits`` (a ``PlannerStats`` count the suite
-exports once, at the end of the run) counts probes that skipped the
-backend, and ``memsim.outcome.hits + memsim.outcome.misses`` equals the
-traversal calls that reached the engine.  Outcomes never expire (the
+invisible to this cache.  Each layer counts its own events once, and the
+suite exports both at the end of a run: ``planner.cache_hits`` (a
+``PlannerStats`` count) counts probes that skipped the backend, and
+``memsim.outcome.hits + memsim.outcome.misses`` — this cache's own
+``stats()`` difference across the run — equals the traversal calls that
+reached the engine.  Outcomes never expire (the
 cache is an :class:`~repro.lru.LRUCache` bounded by capacity only): an
 outcome is a pure function of its key.
 """

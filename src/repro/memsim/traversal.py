@@ -202,20 +202,6 @@ class TraversalEngine:
                 for core in group:
                     instance_of[core] = index
             self._instance_of.append(instance_of)
-        self._hits_counter = None
-        self._misses_counter = None
-
-    def bind_metrics(self, metrics) -> None:
-        """Export cache hit/miss counts through a metrics registry.
-
-        Called by :func:`repro.backends.base.instrument_backend` (via
-        the backend's own ``bind_metrics``) so suite runs surface
-        ``memsim.outcome.hits`` / ``memsim.outcome.misses``.  The
-        counter objects are resolved once and cached — the hot path
-        must not pay a registry lookup per probe.
-        """
-        self._hits_counter = metrics.counter("memsim.outcome.hits")
-        self._misses_counter = metrics.counter("memsim.outcome.misses")
 
     def run(
         self,
@@ -269,11 +255,7 @@ class TraversalEngine:
                     # stream per traversal; replay that so cached and
                     # uncached runs leave the RNG in identical states.
                     rng.bit_generator.seed_seq.spawn(len(traversals))
-                    if self._hits_counter is not None:
-                        self._hits_counter.inc()
                     return _copy_result(cached)
-                if self._misses_counter is not None:
-                    self._misses_counter.inc()
 
         result = self._simulate(traversals, rng)
         if key is not None:

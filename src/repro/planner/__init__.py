@@ -18,7 +18,6 @@ from .plan import (
     Probe,
     StreamProbe,
     TraversalProbe,
-    probe_cores,
     probe_id,
 )
 from .symmetry import (
@@ -36,7 +35,6 @@ __all__ = [
     "Probe",
     "StreamProbe",
     "TraversalProbe",
-    "probe_cores",
     "probe_id",
     "PRUNE_MODES",
     "PairClass",

@@ -43,7 +43,6 @@ from .plan import (
     Probe,
     StreamProbe,
     TraversalProbe,
-    probe_cores,
     probe_id,
 )
 from .symmetry import TopologyClassifier, classifier_for, validate_prune_mode
@@ -161,7 +160,7 @@ class PlanExecutor:
                 "probe",
                 kind=probe.kind,
                 probe_id=probe_id(probe),
-                cores=list(probe_cores(probe)),
+                cores=list(probe.cores),
             ):
                 result = probe.measure(self.backend)
         self._memo[probe] = result
@@ -345,6 +344,6 @@ class PlanExecutor:
 def _rekey(src: Probe, dst: Probe, raw):
     """Re-key a representative's raw result onto an equivalent pair."""
     if isinstance(raw, dict):
-        mapping = dict(zip(probe_cores(src), probe_cores(dst)))
+        mapping = dict(zip(src.cores, dst.cores))
         return {mapping[core]: val for core, val in raw.items()}
     return raw

@@ -102,12 +102,6 @@ class ConcurrentMessageProbe:
 Probe = Union[TraversalProbe, StreamProbe, MessageProbe, ConcurrentMessageProbe]
 
 
-def probe_cores(probe: Probe) -> tuple[int, ...]:
-    """Every core a probe pins work to, in the probe's own order (the
-    order a pruned representative's per-core result is re-keyed by)."""
-    return probe.cores
-
-
 @lru_cache(maxsize=65536)
 def probe_id(probe: Probe) -> str:
     """Deterministic short identifier for a probe, e.g. ``message:3f2a...``.

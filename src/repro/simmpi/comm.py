@@ -197,32 +197,6 @@ class Rank:
             raise SimulationError("wait() needs a Handle from isend/irecv")
         return _WaitReq(handle)
 
-    # Collectives (generator helpers; use with ``yield from``).
-
-    def barrier(self, tag: int = 900_000):
-        """Dissemination barrier across all ranks."""
-        from .collectives import barrier
-
-        return barrier(self, tag=tag)
-
-    def bcast(self, root: int, nbytes: int, tag: int = 910_000):
-        """Binomial-tree broadcast of ``nbytes`` from ``root``."""
-        from .collectives import bcast
-
-        return bcast(self, root, nbytes, tag=tag)
-
-    def gather(self, root: int, nbytes: int, tag: int = 920_000):
-        """Flat gather of ``nbytes`` from every rank to ``root``."""
-        from .collectives import gather
-
-        return gather(self, root, nbytes, tag=tag)
-
-    def allgather(self, nbytes: int, tag: int = 930_000):
-        """Ring allgather of ``nbytes`` per rank."""
-        from .collectives import allgather
-
-        return allgather(self, nbytes, tag=tag)
-
 
 class _Proc:
     __slots__ = ("rank", "gen", "finished", "finish_time", "blocked_on", "resume")

@@ -13,7 +13,7 @@ co-runner a window of ``g`` accesses too, so
 
 where ``F_j`` is workload *j*'s footprint function (distinct lines per
 window, estimated from its own profile — see
-:meth:`~repro.workload.profile.ReuseProfile.footprint`).  The access
+:meth:`~repro.workload.ReuseProfile.footprint`).  The access
 hits the shared cache of ``C`` lines iff ``D_eff < C``; summing over
 the profile's histogram rows yields the co-run miss ratio, and a
 two-point latency model (hit vs miss cycles) turns miss ratios into

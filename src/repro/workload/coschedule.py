@@ -217,7 +217,6 @@ def co_schedule(
     instances: int | None = None,
     top: int = 5,
     model: CachePressureModel | None = None,
-    metrics=None,
 ) -> CoScheduleAdvice:
     """Rank placements of ``workloads`` on a report's sharing topology.
 
@@ -245,7 +244,7 @@ def co_schedule(
     if model is None:
         model = CachePressureModel(capacity_lines=cache.size // 64)
     parsed = [parse_workload(spec) for spec in workloads]
-    profiles = [profile_workload(w, seed=seed, metrics=metrics) for w in parsed]
+    profiles = [profile_workload(w, seed=seed) for w in parsed]
     scheduler = CoScheduler(profiles, model, instances, group_size)
     options = scheduler.rank()
     names = tuple(p.name for p in profiles)

@@ -166,34 +166,23 @@ def parse_workload(spec: str) -> Workload:
 PROFILE_CACHE = LRUCache(256)
 
 
-def profile_workload(
-    workload: Workload | str,
-    seed: int = 0,
-    metrics=None,
-) -> ReuseProfile:
+def profile_workload(workload: Workload | str, seed: int = 0) -> ReuseProfile:
     """Profile one workload's reuse-distance histogram (memoized).
 
     Profiles are immutable pure functions of ``(canonical spec, seed)``,
     so repeats are served from a process-wide cache — a service answering
     many ``co_schedule`` queries over the same workload mix profiles each
-    one exactly once.  ``metrics`` (a
-    :class:`~repro.obs.metrics.MetricsRegistry`) counts profile requests,
-    cache hits, and accesses streamed through the recorder.
+    one exactly once.  ``PROFILE_CACHE.stats()`` counts the requests
+    (``hits + misses``) and the memo hits.
     """
     if isinstance(workload, str):
         workload = parse_workload(workload)
     key = (workload.spec, int(seed))
-    if metrics is not None:
-        metrics.counter("workload.profile.requests").inc()
     cached = PROFILE_CACHE.get(key)
     if cached is not None:
-        if metrics is not None:
-            metrics.counter("workload.profile.cache_hits").inc()
         return cached
     recorder = ReuseDistanceRecorder()
     recorder.observe(workload.lines(seed))
     profile = ReuseProfile.from_recorder(recorder, workload.spec, int(seed))
-    if metrics is not None:
-        metrics.counter("workload.profile.accesses").inc(profile.accesses)
     PROFILE_CACHE.put(key, profile)
     return profile

@@ -116,7 +116,7 @@ class ReuseDistanceRecorder:
 
     ``observe`` consumes 1-D integer line-id vectors in stream order,
     each as one numpy batch; the accumulated state is read out with
-    :meth:`~repro.workload.profile.ReuseProfile.from_recorder`.
+    :meth:`~repro.workload.ReuseProfile.from_recorder`.
 
     Between calls the recorder keeps only the live lines (ascending)
     and each one's last-touch time, so memory is ``O(distinct lines +
@@ -251,7 +251,7 @@ class TraversalReuseRecorder:
     stream, and the recorder keeps one independent
     :class:`ReuseDistanceRecorder` per core (each core's stream is its
     own stack).  Afterwards :meth:`profile` turns a core's recorder
-    into a :class:`~repro.workload.profile.ReuseProfile`.
+    into a :class:`~repro.workload.ReuseProfile`.
     """
 
     def __init__(self) -> None:

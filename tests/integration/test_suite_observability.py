@@ -160,39 +160,53 @@ def test_probe_accounting_survives_checkpoint_resume(tmp_path, monkeypatch):
     assert resumed.planner["issued"] == fresh.planner["issued"]
 
 
-def test_each_probe_is_counted_once(monkeypatch):
-    """While the phases run, a probe costs one ``backend.calls`` count
-    (plus the simulator's own outcome/comm cache counts); the planner's
-    counts are written once, after the last phase."""
-    touched: Counter = Counter()
-    inc, set_ = metrics_mod.Counter.inc, metrics_mod.Counter.set
+def test_no_instrument_is_touched_while_the_phases_run(monkeypatch):
+    """Each event is counted once, where it happens: as a plain integer
+    or by the cache that serves it.  No metrics instrument is written
+    while a phase runs, and the suite writes each exported instrument
+    exactly once, after the last phase."""
+    phases: list[str] = []
+    during: Counter = Counter()
+    after: Counter = Counter()
 
-    def counted_inc(self, amount=1.0):
-        touched[self.name, self.labels] += 1
-        inc(self, amount)
+    def watch(cls, method):
+        original = getattr(cls, method)
 
-    def counted_set(self, value):
-        touched[self.name, self.labels] += 1
-        set_(self, value)
+        def watched(self, *args, **kwargs):
+            key = (self.kind, self.name, self.labels)
+            (during if phases else after)[key] += 1
+            return original(self, *args, **kwargs)
 
-    monkeypatch.setattr(metrics_mod.Counter, "inc", counted_inc)
-    monkeypatch.setattr(metrics_mod.Counter, "set", counted_set)
-    backend = SimulatedBackend(small_machine(), seed=3, noise=0.0)
-    calls = count_calls(backend)
-    report = ServetSuite(backend).run()
+        monkeypatch.setattr(cls, method, watched)
+
+    for cls, method in (
+        (metrics_mod.Counter, "inc"),
+        (metrics_mod.Counter, "set"),
+        (metrics_mod.Gauge, "set"),
+        (metrics_mod.Gauge, "add"),
+        (metrics_mod.Histogram, "observe"),
+        (metrics_mod.Histogram, "observe_many"),
+    ):
+        watch(cls, method)
+    run_phase = suite_mod.ServetSuite._run_phase
+
+    def in_phase(self, ctx, name, *args, **kwargs):
+        phases.append(name)
+        try:
+            return run_phase(self, ctx, name, *args, **kwargs)
+        finally:
+            phases.pop()
+
+    monkeypatch.setattr(suite_mod.ServetSuite, "_run_phase", in_phase)
+    suite = ServetSuite(SimulatedBackend(small_machine(), seed=3, noise=0.0))
+    report = suite.run()
     assert report.planner["issued"] > 1
 
-    for method in MEASUREMENT_METHODS:
-        assert touched.pop(("backend.calls", (("method", method),))) == calls[method]
-    simulator_caches = ("memsim.outcome.", "simmpi.comm.")
-    per_run = {
-        key: count
-        for key, count in touched.items()
-        if not key[0].startswith(simulator_caches)
-    }
-    assert set(per_run.values()) == {1}, per_run
-    assert {name for name, _ in per_run} == {"planner." + n for n in PLANNER_COUNTS} | {
-        "suite.probes_issued"
+    assert not during, dict(during)
+    exported = {(i.kind, i.name, i.labels) for i in suite.metrics.instruments()}
+    assert dict(after) == dict.fromkeys(exported, 1)
+    assert {name for _, name, _ in exported} >= {
+        "backend.calls", "memsim.outcome.hits", "simmpi.comm.misses"
     }
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.backends import SimulatedBackend
-from repro.backends.simulated import MeasurementCosts
+from repro.backends.simulated import STREAM_MIN_SAMPLE, STREAM_SETUP
 from repro.errors import MeasurementError
 from repro.memsim.paging import ContiguousPaging
 from repro.topology import dunnington, finis_terrae
@@ -82,12 +82,10 @@ class TestVirtualTimeAccounting:
         assert backend.take_virtual_time() > 0
         assert backend.virtual_time == 0.0
 
-    def test_custom_costs_respected(self):
-        costs = MeasurementCosts(stream_setup=100.0, stream_min_sample=0.0)
-        backend = SimulatedBackend(dunnington(), seed=0, costs=costs)
-        backend.take_virtual_time()
+    def test_copy_bandwidth_charges_stream_setup_and_min_sample(self):
+        backend = SimulatedBackend(dunnington(), seed=0)
         backend.copy_bandwidth([0])
-        assert backend.virtual_time == pytest.approx(100.0)
+        assert backend.virtual_time == STREAM_SETUP + STREAM_MIN_SAMPLE
 
 
 class TestMessages:

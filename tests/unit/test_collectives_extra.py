@@ -12,7 +12,13 @@ from repro.autotune.collectives import (
 )
 from repro.netsim import default_comm_config
 from repro.simmpi import World
-from repro.simmpi.collectives import alltoall, hierarchical_bcast, reduce, scatter
+from repro.simmpi.collectives import (
+    alltoall,
+    bcast,
+    hierarchical_bcast,
+    reduce,
+    scatter,
+)
 from repro.topology import Cluster, dunnington, finis_terrae
 from repro.units import KiB
 
@@ -54,7 +60,7 @@ class TestReduceScatterAlltoall:
     def test_reduce_then_bcast_composes(self):
         def prog(rank):
             yield from reduce(rank, 0, 1024)
-            yield from rank.bcast(0, 1024)
+            yield from bcast(rank, 0, 1024)
 
         result = run_world(6, prog)
         assert result.messages == 2 * 5
@@ -150,7 +156,7 @@ class TestChooseBcast:
             groups = choice.groups
 
             def flat_prog(rank, nbytes=nbytes):
-                yield from rank.bcast(0, nbytes)
+                yield from bcast(rank, 0, nbytes)
 
             def hier_prog(rank, nbytes=nbytes, groups=groups):
                 yield from hierarchical_bcast(rank, 0, nbytes, groups)

@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from repro import ServetSuite, SimulatedBackend
 from repro.errors import ConfigurationError
 from repro.lru import LRUCache
 from repro.memsim import (
@@ -17,8 +18,7 @@ from repro.memsim.outcome import DEFAULT_MAX_ENTRIES
 from repro.memsim.paging import AddressSpace, RandomPaging
 from repro.memsim.prefetch import NO_PREFETCH
 from repro.memsim.traversal import Traversal, TraversalEngine
-from repro.obs.metrics import MetricsRegistry
-from repro.topology import dempsey, dunnington
+from repro.topology import dempsey, dunnington, generic_smp
 from repro.topology.cache import Indexing
 from repro.units import KiB, MiB
 
@@ -182,16 +182,32 @@ class TestEngineCaching:
         assert cache.stats() == cache_stats(hits=1, misses=1, entries=1)
         assert first == second
 
-    def test_bind_metrics_exports_counters(self):
-        cache = outcome_cache()
-        engine = make_engine(outcome_cache=cache)
-        metrics = MetricsRegistry()
-        engine.bind_metrics(metrics)
-        travs = [Traversal(0, 64 * KiB, 64)]
-        engine.run(travs, rng=np.random.default_rng(3))
-        engine.run(travs, rng=np.random.default_rng(3))
-        assert metrics.counter("memsim.outcome.hits").value == 1
-        assert metrics.counter("memsim.outcome.misses").value == 1
+    def test_suite_exports_the_cache_traffic_of_its_run(self):
+        """A cold suite simulates every traversal that reaches the
+        engine, a warm one (same machine and seed) replays every one,
+        and every message probe is one comm-cache lookup."""
+
+        def run_suite() -> ServetSuite:
+            backend = SimulatedBackend(generic_smp(n_cores=4), seed=3, noise=0.0)
+            suite = ServetSuite(backend)
+            suite.run()
+            return suite
+
+        for cold in (True, False):
+            count = run_suite().metrics.value
+            traversals = count("counter", "backend.calls", method="traversal_cycles")
+            assert traversals > 0
+            hits = count("counter", "memsim.outcome.hits")
+            misses = count("counter", "memsim.outcome.misses")
+            assert (hits, misses) == ((0, traversals) if cold else (traversals, 0))
+            messages = sum(
+                count("counter", "backend.calls", method=method)
+                for method in ("message_latency", "concurrent_message_latency")
+            )
+            comm = count("counter", "simmpi.comm.hits") + count(
+                "counter", "simmpi.comm.misses"
+            )
+            assert comm == messages > 0
 
 
 class TestPagePlacementLifetime:

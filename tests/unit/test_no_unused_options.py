@@ -6,12 +6,15 @@ drift apart, and a second code path hides behind it.  This test parses
 the package with :mod:`ast`, collects every public function, method and
 constructor parameter that has a default, and looks for a call site
 with the same callee name in ``src/``, ``tests/``, ``benchmarks/``,
-``examples/`` or ``perfbench/`` that passes it by keyword, by position,
-or through ``*``/``**``.  A parameter no
-call site passes fails the test unless :data:`ALLOWED` names it with
-its reason.  A ``**kwargs`` forwarder passes only what its own callers
-pass it.  Dataclass fields are records' initial state, not options, and
-are not scanned.
+``examples/`` or ``perfbench/`` that passes it by keyword or by
+position (a ``*args`` call passes every positional parameter).  A
+parameter no call site passes fails the test unless :data:`ALLOWED`
+names it with its reason.  A ``**kwargs`` forwarder passes only what its
+own callers pass it, and a call that unpacks any other ``**mapping``
+passes only its explicit keywords: the scan cannot see the mapping's
+keys, and counting it as passing everything hides unused options.
+Dataclass fields are records' initial state, not options, and are not
+scanned.
 
 Run ``python tests/unit/test_no_unused_options.py`` to print the set.
 """
@@ -37,6 +40,9 @@ ALLOWED: dict[str, str] = {
     "repro.obs.metrics:Gauge.__init__(labels)": _FACTORY,
     "repro.obs.metrics:Histogram.__init__(labels)": _FACTORY,
     "repro.serviced.client:ServicedClient.__init__(timeout)": _DEPLOY,
+    "repro.simmpi.collectives:barrier(tag)": _MPI,
+    "repro.simmpi.collectives:gather(tag)": _MPI,
+    "repro.simmpi.collectives:allgather(tag)": _MPI,
     "repro.simmpi.collectives:reduce(tag)": _MPI,
     "repro.simmpi.collectives:scatter(tag)": _MPI,
     "repro.simmpi.collectives:alltoall(tag)": _MPI,
@@ -133,7 +139,7 @@ def _call_name(call: ast.Call) -> str | None:
 
 def call_sites(trees, wanted: set[str]):
     """Map each ``wanted`` callee name (and each forwarder) ->
-    ``[(n_positional, has_star, keywords, has_starstar, forwarder)]``.
+    ``[(n_positional, has_star, keywords, forwarder)]``.
 
     ``cls(...)`` inside a classmethod calls its class.  ``forwarder``
     names the enclosing function when the call passes that function's
@@ -170,7 +176,6 @@ def call_sites(trees, wanted: set[str]):
             sum(not isinstance(a, ast.Starred) for a in call.args),
             any(isinstance(a, ast.Starred) for a in call.args),
             {k.arg for k in call.keywords if k.arg is not None},
-            forwarder is None and any(k.arg is None for k in call.keywords),
             forwarder,
         ))
     return sites
@@ -179,8 +184,8 @@ def call_sites(trees, wanted: set[str]):
 def _passes_keyword(sites, callee: str, param: str, seen: frozenset = frozenset()) -> bool:
     if callee in seen:
         return False
-    for _, _, keywords, starstar, forwarder in sites.get(callee, ()):
-        if param in keywords or starstar:
+    for _, _, keywords, forwarder in sites.get(callee, ()):
+        if param in keywords:
             return True
         if forwarder is not None and _passes_keyword(sites, forwarder, param, seen | {callee}):
             return True

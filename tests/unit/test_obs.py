@@ -17,7 +17,12 @@ import json
 import numpy as np
 import pytest
 
-from repro.backends.base import Backend, ConcurrentLatency, instrument_backend
+from repro.backends.base import (
+    MEASUREMENT_METHODS,
+    Backend,
+    ConcurrentLatency,
+    instrument_backend,
+)
 from repro.core.report import ServetReport
 from repro.errors import ConfigurationError, ReproError
 from repro.obs import (
@@ -114,11 +119,13 @@ def test_spans_nest_phase_probe_backend():
     backend call off its probe: phase ⊃ probe ⊃ ``backend.*``."""
     backend = ConstantBackend()
     tracer = Tracer()
-    instrument_backend(backend, tracer=tracer)
+    calls = dict.fromkeys(MEASUREMENT_METHODS, 0)
+    instrument_backend(backend, tracer, calls)
     executor = PlanExecutor(backend, tracer=tracer)
     pairs = all_pairs(list(range(6)))
     with tracer.span("phase", phase="communication_costs") as phase_span:
         executor.pairwise_message_latency(pairs, 16 * 1024)
+    assert calls == {**dict.fromkeys(MEASUREMENT_METHODS, 0), "message_latency": len(pairs)}
     probe_spans = tracer.find("probe")
     assert len(probe_spans) == len(pairs)
     by_id = {s.span_id: s for s in tracer.spans()}

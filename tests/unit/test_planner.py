@@ -21,7 +21,6 @@ from repro.planner import (
     TopologyClassifier,
     TraversalProbe,
     classifier_for,
-    probe_cores,
     probe_id,
     validate_prune_mode,
 )
@@ -103,12 +102,12 @@ class TestPlanRepresentation:
         ]
 
     def test_probe_cores(self):
-        assert probe_cores(TraversalProbe(arrays=((2, 64), (5, 64)), stride=8)) == (2, 5)
-        assert probe_cores(StreamProbe(cores=(1, 3))) == (1, 3)
-        assert probe_cores(MessageProbe(pair=(0, 4), nbytes=8)) == (0, 4)
-        assert probe_cores(
-            ConcurrentMessageProbe(pairs=((0, 1), (2, 3)), nbytes=8)
-        ) == (0, 1, 2, 3)
+        assert TraversalProbe(arrays=((2, 64), (5, 64)), stride=8).cores == (2, 5)
+        assert StreamProbe(cores=(1, 3)).cores == (1, 3)
+        assert MessageProbe(pair=(0, 4), nbytes=8).cores == (0, 4)
+        assert ConcurrentMessageProbe(
+            pairs=((0, 1), (2, 3)), nbytes=8
+        ).cores == (0, 1, 2, 3)
 
     def test_plan_preserves_order(self):
         executor = PlanExecutor(CountingBackend())

@@ -15,6 +15,7 @@ from repro.simmpi import (
     concurrent_transfers,
     pingpong_latency,
 )
+from repro.simmpi.collectives import allgather, barrier, bcast, gather
 from repro.topology import Cluster, dunnington, finis_terrae
 from repro.units import KiB
 
@@ -236,7 +237,7 @@ class TestCollectives:
         world = World(cluster, default_comm_config(cluster), list(range(n)))
 
         def prog(rank):
-            yield from rank.barrier()
+            yield from barrier(rank)
 
         world.spawn_all(prog)
         result = world.run()
@@ -248,7 +249,7 @@ class TestCollectives:
         world = World(cluster, default_comm_config(cluster), list(range(n)))
 
         def prog(rank):
-            yield from rank.bcast(root, 4096)
+            yield from bcast(rank, root, 4096)
 
         world.spawn_all(prog)
         result = world.run()
@@ -259,7 +260,7 @@ class TestCollectives:
         world = World(cluster, default_comm_config(cluster), list(range(6)))
 
         def prog(rank):
-            yield from rank.gather(0, 1024)
+            yield from gather(rank, 0, 1024)
 
         world.spawn_all(prog)
         assert world.run().messages == 5
@@ -270,7 +271,7 @@ class TestCollectives:
         world = World(cluster, default_comm_config(cluster), list(range(n)))
 
         def prog(rank):
-            yield from rank.allgather(1024)
+            yield from allgather(rank, 1024)
 
         world.spawn_all(prog)
         assert world.run().messages == n * (n - 1)

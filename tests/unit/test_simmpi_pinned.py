@@ -26,6 +26,7 @@ from repro.simmpi import (
     concurrent_transfers,
     pingpong_latency,
 )
+from repro.simmpi import collectives
 from repro.simmpi.events import Engine
 from repro.topology import Cluster, dunnington, finis_terrae
 from repro.units import KiB
@@ -55,7 +56,7 @@ PLACES = {
 
 def _collective(name, *args):
     def program(rank):
-        yield from getattr(rank, name)(*args)
+        yield from getattr(collectives, name)(rank, *args)
 
     return program
 
