@@ -8,8 +8,7 @@ the actual access streams through ``SetAssociativeCache`` under the
 round-robin interleaving the model assumes, and the predicted ordering
 must match the simulated ordering.  The payoff being bought is also
 recorded: the advisor answers in milliseconds where the simulation
-takes seconds, and the engine's reuse-recorder hook costs nothing when
-disabled.
+takes seconds.
 
 Results land in ``BENCH_coschedule.json`` at the repository root.
 Quick mode (``REPRO_BENCH_QUICK=1``, used by CI) shrinks every stream
@@ -22,19 +21,13 @@ from __future__ import annotations
 import json
 import time
 
-import numpy as np
 import pytest
 
 from repro import ServetSuite, SimulatedBackend, dunnington
-from repro.memsim import Traversal, TraversalEngine, strided_addresses
 from repro.memsim.cache import SetAssociativeCache
-from repro.units import KiB
 from repro.viz import ascii_table
 from repro.workload import (
     CachePressureModel,
-    ReuseDistanceRecorder,
-    ReuseProfile,
-    TraversalReuseRecorder,
     co_schedule,
     parse_workload,
 )
@@ -179,62 +172,4 @@ def test_prediction_ordering_matches_simulation(report, figure):
     if BENCH_PATH.exists():
         merged = json.loads(BENCH_PATH.read_text())
     merged.update(payload)
-    BENCH_PATH.write_text(json.dumps(merged, indent=2) + "\n")
-
-
-def test_recorder_hook_overhead(figure):
-    """The engine's recorder hook must cost ~nothing when disabled.
-
-    The enabled run must also record what it was timed doing: each
-    core's per-traversal profile equals one ``observe`` of that core's
-    streams concatenated.
-    """
-    machine = dunnington()
-    traversals = [Traversal(0, 256 * KiB, 64), Traversal(1, 512 * KiB, 64)]
-    repeats = 5 if QUICK else 20
-
-    def timed(recorder):
-        engine = TraversalEngine(
-            machine, outcome_cache=None, reuse_recorder=recorder
-        )
-        t0 = time.perf_counter()
-        for _ in range(repeats):
-            result = engine.run(traversals, rng=0)
-        return time.perf_counter() - t0, result
-
-    disabled_wall, disabled = timed(None)
-    recorder = TraversalReuseRecorder()
-    enabled_wall, enabled = timed(recorder)
-    # Recording must not perturb the measurement itself.
-    assert enabled.cycles_per_access == disabled.cycles_per_access
-    line_size = machine.levels[0].spec.line_size
-    assert recorder.cores == [t.core for t in traversals]
-    for t in traversals:
-        lines = strided_addresses(t.array_bytes, t.stride) // line_size
-        one_shot = ReuseDistanceRecorder()
-        one_shot.observe(np.tile(lines, repeats))
-        name = f"core{t.core}"
-        assert recorder.profile(t.core, name) == ReuseProfile.from_recorder(
-            one_shot, name, 0
-        )
-
-    ratio = enabled_wall / max(disabled_wall, 1e-9)
-    figure(
-        "Reuse-recorder overhead",
-        ascii_table(
-            ["mode", "wall (s)", "ratio"],
-            [
-                ("recorder off", f"{disabled_wall:.4f}", "1.00"),
-                ("recorder on", f"{enabled_wall:.4f}", f"{ratio:.2f}"),
-            ],
-            title=f"TraversalEngine.run x{repeats}, dunnington, 2 cores",
-        ),
-    )
-
-    merged = {}
-    if BENCH_PATH.exists():
-        merged = json.loads(BENCH_PATH.read_text())
-    merged["recorder_disabled_wall_seconds"] = disabled_wall
-    merged["recorder_enabled_wall_seconds"] = enabled_wall
-    merged["recorder_enabled_ratio"] = ratio
     BENCH_PATH.write_text(json.dumps(merged, indent=2) + "\n")

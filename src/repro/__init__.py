@@ -43,9 +43,6 @@ from .resilience import (
     FaultInjectingBackend,
     FaultPlan,
     HardenedBackend,
-    ResiliencePolicy,
-    RetryPolicy,
-    SamplingPolicy,
     SuiteCheckpoint,
 )
 from .service import (
@@ -93,9 +90,6 @@ __all__ = [
     "FaultInjectingBackend",
     "FaultPlan",
     "HardenedBackend",
-    "ResiliencePolicy",
-    "RetryPolicy",
-    "SamplingPolicy",
     "SuiteCheckpoint",
     "MachineFingerprint",
     "ReportRegistry",

@@ -25,6 +25,9 @@ from .mapping import (
 )
 from .tiling import TilePlan, matmul_plan, matmul_tile_side, tile_elements
 
+#: Placements a co-schedule answer ranks unless asked for another count.
+COSCHEDULE_TOP: int = 3
+
 
 class Advisor:
     """Autotuning decisions backed by one Servet report."""
@@ -139,7 +142,7 @@ class Advisor:
         seed: int = 0,
         level: int | None = None,
         instances: int | None = None,
-        top: int = 5,
+        top: int = COSCHEDULE_TOP,
     ):
         """Rank placements of workloads onto the detected sharing topology.
 

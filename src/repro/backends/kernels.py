@@ -10,8 +10,8 @@ Two implementations of the mcalibrator inner loop:
   the real one, and its *relative* curve still moves with the memory
   hierarchy on large arrays.
 - :func:`gather_traverse` — a vectorized NumPy equivalent whose
-  per-access overhead is ~100x lower, used by default for the native
-  probe's shape measurements.
+  per-access overhead is ~100x lower; :class:`~repro.backends.NativeBackend`
+  measures with it.
 
 Both return seconds per access.
 """
@@ -42,7 +42,7 @@ def build_chase_array(array_bytes: int, stride: int) -> np.ndarray:
     return arr
 
 
-def pointer_chase(arr: np.ndarray, repeats: int = 1) -> float:
+def pointer_chase(arr: np.ndarray, repeats: int) -> float:
     """Seconds per access of the Fig. 1 loop over a chase array."""
     if repeats < 1:
         raise MeasurementError("repeats must be >= 1")
@@ -70,7 +70,7 @@ def pointer_chase(arr: np.ndarray, repeats: int = 1) -> float:
     return elapsed / (repeats * accesses)
 
 
-def gather_traverse(arr: np.ndarray, idx: np.ndarray, repeats: int = 1) -> float:
+def gather_traverse(arr: np.ndarray, idx: np.ndarray, repeats: int) -> float:
     """Seconds per access of a vectorized strided gather."""
     if repeats < 1:
         raise MeasurementError("repeats must be >= 1")

@@ -32,6 +32,7 @@ import numpy as np
 from ..errors import MeasurementError
 from ..topology.machine import CorePair
 from .base import Backend, ConcurrentLatency
+from .kernels import gather_traverse
 
 _NOMINAL_HZ = 1e9  # "cycles" = nanoseconds; only relative shape matters
 
@@ -42,17 +43,6 @@ def _pin(core: int) -> None:
         os.sched_setaffinity(0, {core})
     except (AttributeError, OSError):
         pass
-
-
-def _traverse_once(arr: np.ndarray, idx: np.ndarray, repeats: int) -> float:
-    """Seconds per access of a strided gather traversal."""
-    # Warm up, then measure.
-    arr[idx].sum()
-    start = time.perf_counter()
-    for _ in range(repeats):
-        arr[idx].sum()
-    elapsed = time.perf_counter() - start
-    return elapsed / (repeats * len(idx))
 
 
 def _pingpong_child(conn, core: int, nbytes: int, reps: int) -> None:
@@ -67,22 +57,19 @@ def _pingpong_child(conn, core: int, nbytes: int, reps: int) -> None:
 class NativeBackend(Backend):
     """Real measurements on the host machine (best effort).
 
-    ``kernel`` selects the traversal implementation: ``"gather"``
-    (vectorized NumPy, the default — lowest interpreter overhead) or
-    ``"chase"`` (the paper's Fig. 1 pointer-chase loop, verbatim; two
-    orders of magnitude slower per access under CPython but faithful).
+    Traversals use the vectorized gather kernel
+    (:func:`~repro.backends.kernels.gather_traverse`), whose interpreter
+    overhead per access is two orders of magnitude below the paper's
+    pointer-chase loop under CPython.
     """
 
-    def __init__(self, repeats: int = 8, kernel: str = "gather") -> None:
-        if kernel not in ("gather", "chase"):
-            raise MeasurementError(f"unknown kernel {kernel!r}")
+    def __init__(self, repeats: int = 8) -> None:
         self.name = f"native:{os.uname().nodename}" if hasattr(os, "uname") else "native"
         self.n_cores = os.cpu_count() or 1
         self.page_size = (
             os.sysconf("SC_PAGE_SIZE") if hasattr(os, "sysconf") else 4096
         )
         self.repeats = repeats
-        self.kernel = kernel
         self.virtual_time = 0.0
 
     def traversal_cycles(
@@ -95,17 +82,11 @@ class NativeBackend(Backend):
         start_wall = time.perf_counter()
 
         def one(core: int, nbytes: int) -> float:
-            from .kernels import build_chase_array, pointer_chase
-
             _pin(core)
-            if self.kernel == "chase":
-                arr = build_chase_array(nbytes, stride)
-                return pointer_chase(arr, self.repeats) * _NOMINAL_HZ
             n = max(nbytes // 8, 1)
             arr = np.zeros(n, dtype=np.int64)
             idx = np.arange(0, n, stride // 8, dtype=np.int64)
-            secs = _traverse_once(arr, idx, self.repeats)
-            return secs * _NOMINAL_HZ
+            return gather_traverse(arr, idx, self.repeats) * _NOMINAL_HZ
 
         if len(arrays) == 1:
             core, nbytes = arrays[0]

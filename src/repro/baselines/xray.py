@@ -31,7 +31,7 @@ class XRayResult:
     mcalibrator: McalibratorResult
 
 
-def xray_cache_sizes(backend: Backend, max_cache: int = MAX_CACHE) -> XRayResult:
+def xray_cache_sizes(backend: Backend) -> XRayResult:
     """Estimate every cache level positionally (the X-Ray approach).
 
     The sweep is Servet's own mcalibrator run on core 0, with its paper
@@ -40,7 +40,7 @@ def xray_cache_sizes(backend: Backend, max_cache: int = MAX_CACHE) -> XRayResult
     steepest gradient.  No probabilistic correction is applied — this
     is the baseline the paper improves on.
     """
-    mres = run_mcalibrator(backend, max_cache=max_cache)
+    mres = run_mcalibrator(backend, max_cache=MAX_CACHE)
     gradients = mres.gradients
     regions = _gradient_regions(gradients)
     if not regions:

@@ -57,9 +57,6 @@ from .resilience import (
     FaultInjectingBackend,
     FaultPlan,
     HardenedBackend,
-    ResiliencePolicy,
-    RetryPolicy,
-    SamplingPolicy,
 )
 from .netsim import default_comm_config
 from .obs import MetricsRegistry, Tracer, explain, load_jsonl, summarize
@@ -176,7 +173,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="harden measurements: retry each up to N times with "
-        "exponential backoff (charged to virtual time)",
+        "exponential backoff (charged to virtual time; "
+        f"{_api_default(HardenedBackend, 'retries')} when only --samples is given)",
     )
     run.add_argument(
         "--samples",
@@ -184,7 +182,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="K",
         help="harden measurements: combine K repeated samples with a "
-        "median (outlier rejection)",
+        "median (outlier rejection; "
+        f"{_api_default(HardenedBackend, 'samples')} when only --retries is given)",
     )
     run.add_argument(
         "--fault-plan",
@@ -741,20 +740,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.fault_plan is not None:
         backend = FaultInjectingBackend(backend, FaultPlan.load(args.fault_plan))
     if args.retries is not None or args.samples is not None:
-        default = ResiliencePolicy.default()
-        policy = ResiliencePolicy(
-            retry=(
-                RetryPolicy(max_attempts=args.retries)
-                if args.retries is not None
-                else default.retry
-            ),
-            sampling=(
-                SamplingPolicy(samples=args.samples)
-                if args.samples is not None
-                else default.sampling
-            ),
+        retries, samples = (
+            _api_default(HardenedBackend, name) if value is None else value
+            for name, value in (("retries", args.retries), ("samples", args.samples))
         )
-        backend = HardenedBackend(backend, policy)
+        backend = HardenedBackend(backend, retries=retries, samples=samples)
     if args.resume and args.checkpoint is None:
         print("error: --resume requires --checkpoint", file=sys.stderr)
         return 2

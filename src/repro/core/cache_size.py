@@ -479,28 +479,23 @@ def _refine_probabilistic(
 def detect_caches(
     backend: Backend,
     core: int = 0,
-    max_cache: int = MAX_CACHE,
     stride: int = STRIDE,
-    refine: bool = True,
 ) -> CacheDetectionResult:
     """Run mcalibrator on ``backend`` and detect levels (Fig. 4 driver).
 
-    The sweep starts at the paper's ``MIN_CACHE`` and averages
-    :data:`~repro.core.mcalibrator.SAMPLES` allocations per size.  With
-    ``refine`` (default), probabilistic estimates whose analysis window
-    contains fewer than :data:`MIN_WINDOW_POINTS` measurements are
-    re-estimated from a densified sweep of the window.
+    The sweep covers the paper's ``MIN_CACHE`` to :data:`MAX_CACHE` and
+    averages :data:`~repro.core.mcalibrator.SAMPLES` allocations per
+    size.  Probabilistic estimates whose analysis window contains fewer
+    than :data:`MIN_WINDOW_POINTS` measurements are re-estimated from a
+    densified sweep of the window.
     """
-    mres = run_mcalibrator(backend, core=core, max_cache=max_cache, stride=stride)
+    mres = run_mcalibrator(backend, core=core, max_cache=MAX_CACHE, stride=stride)
     result = detect_cache_levels(mres, backend.page_size)
-    if refine:
-        for i, est in enumerate(result.levels):
-            c_lo, c_hi = est.used_range
-            if est.method == "probabilistic" and c_hi - c_lo < MIN_WINDOW_POINTS:
-                result.levels[i] = _refine_probabilistic(
-                    backend, core, stride, est, mres
-                )
-        _merge_refined_levels(result, backend, core, stride, mres)
+    for i, est in enumerate(result.levels):
+        c_lo, c_hi = est.used_range
+        if est.method == "probabilistic" and c_hi - c_lo < MIN_WINDOW_POINTS:
+            result.levels[i] = _refine_probabilistic(backend, core, stride, est, mres)
+    _merge_refined_levels(result, backend, core, stride, mres)
     return result
 
 

@@ -30,7 +30,7 @@ from .clustering import cluster_similar
 #: Relative tolerance for "similar" latencies (Fig. 7 clustering).
 SIMILARITY_TOLERANCE: float = 0.15
 #: Message sizes characterized per layer (Fig. 10c/d sweep).
-DEFAULT_MESSAGE_SIZES: tuple[int, ...] = tuple(
+MESSAGE_SIZES: tuple[int, ...] = tuple(
     1 * KiB * 2**k for k in range(15)  # 1 KB .. 16 MB
 )
 
@@ -184,10 +184,9 @@ def detect_comm_layers(
 def characterize_layers(
     backend: Backend,
     result: CommCostsResult,
-    message_sizes: Sequence[int] = DEFAULT_MESSAGE_SIZES,
     planner: PlanExecutor | None = None,
 ) -> None:
-    """Stage 2: per-layer micro-benchmark over message sizes (in place).
+    """Stage 2: per-layer micro-benchmark over :data:`MESSAGE_SIZES` (in place).
 
     Issued through the planner so a sweep size that coincides with the
     stage-1 probe size (L1 is always in the default sweep) reuses the
@@ -198,7 +197,7 @@ def characterize_layers(
     for layer in result.layers:
         a, b = layer.representative
         curve: list[tuple[int, float, float]] = []
-        for nbytes in message_sizes:
+        for nbytes in MESSAGE_SIZES:
             latency = executor.message_latency(a, b, nbytes)
             curve.append((nbytes, latency, nbytes / latency))
         result.characterization.append(curve)
@@ -207,7 +206,6 @@ def characterize_layers(
 def layer_scalability(
     backend: Backend,
     result: CommCostsResult,
-    max_pairs: int | None = None,
     planner: PlanExecutor | None = None,
 ) -> None:
     """Stage 3: concurrent-message slowdown per layer (in place).
@@ -226,8 +224,6 @@ def layer_scalability(
     result.scalability = []
     for layer in result.layers:
         pairs = layer.disjoint_pairs()
-        if max_pairs is not None:
-            pairs = pairs[:max_pairs]
         if not pairs:
             result.scalability.append([])
             continue
@@ -253,7 +249,7 @@ def run_comm_costs(
 ) -> CommCostsResult:
     """All three stages of Section III-D in order.
 
-    Stage 2 sweeps :data:`DEFAULT_MESSAGE_SIZES`.  One planner serves
+    Stage 2 sweeps :data:`MESSAGE_SIZES`.  One planner serves
     all three stages so stage 2 and 3 reuse stage-1 measurements
     (memoized probes, pruned pairs) for free.
     """

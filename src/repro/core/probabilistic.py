@@ -167,7 +167,6 @@ def probabilistic_cache_size(
     sizes: np.ndarray,
     cycles: np.ndarray,
     page_size: int,
-    candidates: list[int] | None = None,
     size_biased: bool = True,
     affine_fit: bool = True,
 ) -> ProbabilisticEstimate:
@@ -176,8 +175,8 @@ def probabilistic_cache_size(
     ``sizes``/``cycles`` should span one rise of the cycles curve, from
     the plateau before it to the plateau after it (the Fig. 4 driver
     selects that window); MIN/MAX-based miss-rate normalization assumes
-    those plateaus are present.  Every candidate size is tried at each
-    of :data:`DEFAULT_ASSOCIATIVITIES`.
+    those plateaus are present.  Every :func:`default_candidates` size
+    is tried at each of :data:`DEFAULT_ASSOCIATIVITIES`.
 
     With ``affine_fit`` (default) the hit time and miss overhead are
     fitted per candidate by least squares instead of being read off the
@@ -204,11 +203,8 @@ def probabilistic_cache_size(
     miss_rate = np.clip((cycles - hit_time) / miss_overhead, 0.0, 1.0)
     n_pages = np.maximum(np.round(sizes / page_size), 1.0)
 
-    if candidates is None:
-        candidates = default_candidates(int(sizes.max()))
-
     divergences: list[tuple[float, int, int]] = []
-    for cache_size in candidates:
+    for cache_size in default_candidates(int(sizes.max())):
         for ways in DEFAULT_ASSOCIATIVITIES:
             color_bytes = ways * page_size
             if cache_size % color_bytes != 0:

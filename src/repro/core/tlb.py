@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..backends.base import Backend
-from ..errors import DetectionError
 from .cache_size import MIN_RISE, _extend_region, _gradient_regions
 from .mcalibrator import McalibratorResult
 
@@ -34,6 +33,9 @@ from .mcalibrator import McalibratorResult
 LINE_SIZE: int = 64
 #: Fresh allocations averaged per probed size.
 SAMPLES: int = 3
+#: Probed page counts: powers of two from ``MIN_PAGES`` to ``MAX_PAGES``.
+MIN_PAGES: int = 4
+MAX_PAGES: int = 8192
 
 
 @dataclass
@@ -53,8 +55,6 @@ def detect_tlb_entries(
     backend: Backend,
     cache_sizes: list[int],
     core: int = 0,
-    min_pages: int = 4,
-    max_pages: int = 8192,
 ) -> TLBDetection:
     """Detect the TLB entry count (None when nothing unambiguous shows).
 
@@ -67,12 +67,10 @@ def detect_tlb_entries(
         near a cache's line capacity are capacity artifacts of this
         stride and are discounted.
     """
-    if min_pages < 2 or max_pages <= min_pages:
-        raise DetectionError("invalid page probe range")
     stride = backend.page_size + LINE_SIZE
     sizes: list[int] = []
-    n = min_pages
-    while n <= max_pages:
+    n = MIN_PAGES
+    while n <= MAX_PAGES:
         sizes.append(n * stride)
         n *= 2
     cycles = [

@@ -33,18 +33,18 @@ def sha256_hex(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def atomic_write_text(path: str | Path, text: str, durable: bool = True) -> None:
+def atomic_write_text(path: str | Path, text: str) -> None:
     """Write ``text`` to ``path`` atomically (temp file + ``os.replace``).
 
     The temporary file lives in the target directory so the final
     rename stays on one filesystem; readers see either the complete old
     content or the complete new content, never a torn write.
 
-    With ``durable=True`` (the default) the temp file is fsync'd before
-    the rename and the parent directory after it, so the write also
-    survives *power loss*: without the first fsync the rename can land
-    on disk before the data (leaving a complete-looking file full of
-    zeros), and without the second the rename itself can be lost.
+    The temp file is fsync'd before the rename and the parent directory
+    after it, so the write also survives *power loss*: without the first
+    fsync the rename can land on disk before the data (leaving a
+    complete-looking file full of zeros), and without the second the
+    rename itself can be lost.
     Registry versions and checkpoints rely on this.
     """
     path = Path(path)
@@ -54,12 +54,10 @@ def atomic_write_text(path: str | Path, text: str, durable: bool = True) -> None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
-            if durable:
-                handle.flush()
-                os.fsync(handle.fileno())
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp, path)
-        if durable:
-            fsync_dir(path.parent)
+        fsync_dir(path.parent)
     except BaseException:
         try:
             os.unlink(tmp)

@@ -32,6 +32,8 @@ from ..topology.machine import Machine
 
 #: Element size of the modelled matrices (float64).
 ELEM_SIZE: int = 8
+#: Cache level the tiles target (the L2 the tiling ablation validates).
+TARGET_LEVEL: int = 2
 
 
 @dataclass
@@ -47,11 +49,9 @@ class MatmulCostEstimate:
     working_set_miss_rate: float
 
 
-def blocked_matmul_cost(
-    machine: Machine, n: int, tile: int, level: int = 2
-) -> MatmulCostEstimate:
-    """Estimate beyond-``level`` line fetches of a blocked n x n float64
-    matmul (:data:`ELEM_SIZE`-byte elements).
+def blocked_matmul_cost(machine: Machine, n: int, tile: int) -> MatmulCostEstimate:
+    """Estimate beyond-:data:`TARGET_LEVEL` line fetches of a blocked
+    n x n float64 matmul (:data:`ELEM_SIZE`-byte elements).
 
     ``tile`` is the square block side.  The model counts the element
     traffic of the blocking analysis and inflates the reuse-dependent
@@ -62,7 +62,7 @@ def blocked_matmul_cost(
     if n <= 0 or tile <= 0:
         raise ConfigurationError("n and tile must be positive")
     tile = min(tile, n)
-    cache: CacheLevel = machine.level(level)
+    cache: CacheLevel = machine.level(TARGET_LEVEL)
     spec = cache.spec
     line_elems = max(spec.line_size // ELEM_SIZE, 1)
 

@@ -169,11 +169,10 @@ class AddressSpace:
     placement per traversal is what Servet's probabilistic algorithm
     averages over, so spaces are never shared or cached.
 
-    ``validate`` controls the duplicate-frame check on the policy's
-    placement.  The built-in policies cannot produce duplicates by
-    construction (:attr:`PagePolicy.guarantees_distinct_frames`), so
-    the check defaults to running only for user-supplied policies;
-    pass ``validate=True`` to force it (debugging a policy).
+    The placement is checked for duplicate frames unless the policy
+    cannot produce them by construction
+    (:attr:`PagePolicy.guarantees_distinct_frames`, true of the
+    built-in policies).
     """
 
     def __init__(
@@ -182,7 +181,6 @@ class AddressSpace:
         policy: PagePolicy,
         array_bytes: int,
         rng: np.random.Generator,
-        validate: bool | None = None,
     ) -> None:
         if not is_power_of_two(page_size):
             raise ConfigurationError(f"page size {page_size} not a power of two")
@@ -192,9 +190,7 @@ class AddressSpace:
         self.array_bytes = array_bytes
         n_pages = -(-array_bytes // page_size)  # ceil
         self.page_table = np.asarray(policy.place(n_pages, rng), dtype=np.int64)
-        if validate is None:
-            validate = not policy.guarantees_distinct_frames
-        if validate and _has_duplicates(self.page_table):
+        if not policy.guarantees_distinct_frames and _has_duplicates(self.page_table):
             raise SimulationError("page policy produced duplicate physical pages")
 
     @property

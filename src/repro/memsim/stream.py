@@ -4,8 +4,7 @@ Servet's memory-overhead benchmark (Fig. 6) measures the bandwidth of
 copying one array into another, with both arrays too large for any
 cache, on one isolated core and then on pairs/groups of concurrent
 cores.  On the substrate that is exactly the max-min fair allocation of
-each core's streaming demand through the bandwidth-domain tree, with a
-sanity check that the arrays really exceed the largest cache.
+each core's streaming demand through the bandwidth-domain tree.
 """
 
 from __future__ import annotations
@@ -17,31 +16,17 @@ from ..topology.machine import Machine
 from .bandwidth import allocate_bandwidth
 
 
-def stream_copy_bandwidth(
-    machine: Machine,
-    cores: Sequence[int],
-    array_bytes: int | None = None,
-) -> dict[int, float]:
+def stream_copy_bandwidth(machine: Machine, cores: Sequence[int]) -> dict[int, float]:
     """Copy bandwidth (bytes/s) per core with ``cores`` running concurrently.
 
-    ``array_bytes`` defaults to four times the largest cache, matching
-    STREAM's rule that the working set must defeat every cache level.
-    Passing a cache-fitting size raises :class:`MeasurementError` — a
-    benchmark bug the real suite would silently mismeasure.
+    The arrays are taken to be four times the largest cache, STREAM's
+    rule that the working set must defeat every cache level, so the
+    bandwidth is the memory path's alone.
     """
     if not cores:
         raise MeasurementError("need at least one active core")
     if len(set(cores)) != len(cores):
         raise MeasurementError("duplicate cores in concurrent stream run")
-    largest_cache = machine.levels[-1].spec.size
-    if array_bytes is None:
-        array_bytes = 4 * largest_cache
-    # Copy reads one array and writes another: 2x array_bytes of traffic.
-    if 2 * array_bytes <= 2 * largest_cache:
-        raise MeasurementError(
-            f"stream arrays of {array_bytes} bytes fit in the "
-            f"{largest_cache}-byte last-level cache; bandwidth would be bogus"
-        )
     for core in cores:
         if not (0 <= core < machine.n_cores):
             raise MeasurementError(f"core {core} out of range for {machine.name}")

@@ -86,24 +86,13 @@ def _strided_addresses_shared(array_bytes: int, stride: int) -> np.ndarray:
     return addresses
 
 
-def _virtual_lines_shared(array_bytes: int, stride: int, line_size: int) -> np.ndarray:
-    """Read-only virtual line numbers for one geometry.
-
-    Not memoized: its callers are the memoized ``_virtual_sets_shared``
-    and the reuse recorder, and a cache here had no hits on the
-    cold and warm dunnington suites or the co-schedule.
-    """
-    lines = _strided_addresses_shared(array_bytes, stride) // line_size
-    lines.setflags(write=False)
-    return lines
-
-
 @lru_cache(maxsize=1024)
 def _virtual_sets_shared(
     array_bytes: int, stride: int, line_size: int, num_sets: int
 ) -> np.ndarray:
     """Memoized set-index vector for a virtually indexed level."""
-    sets = _virtual_lines_shared(array_bytes, stride, line_size) & (num_sets - 1)
+    lines = _strided_addresses_shared(array_bytes, stride) // line_size
+    sets = lines & (num_sets - 1)
     sets.setflags(write=False)
     return sets
 
@@ -164,13 +153,6 @@ class TraversalEngine:
         process-wide :data:`~repro.memsim.outcome.GLOBAL_OUTCOME_CACHE`;
         pass an explicit :class:`~repro.lru.LRUCache` for a private
         one, or ``None`` to bypass caching entirely (tests, baselines).
-    reuse_recorder:
-        Optional observer with a ``record(core, lines)`` method (e.g.
-        :class:`repro.workload.recorder.TraversalReuseRecorder`); every
-        ``run`` feeds it each traversal's virtual-line stream for one
-        revolution.  Off (``None``) by default — when set, ``run``
-        bypasses the outcome cache so the recorder sees every stream
-        and cached-path behaviour stays byte-identical when off.
     """
 
     def __init__(
@@ -179,7 +161,6 @@ class TraversalEngine:
         paging: PagePolicy | None = None,
         prefetch: PrefetchModel | None = None,
         outcome_cache: LRUCache | None | object = _USE_GLOBAL_CACHE,
-        reuse_recorder=None,
     ) -> None:
         self.machine = machine
         self.paging = paging if paging is not None else RandomPaging()
@@ -187,7 +168,6 @@ class TraversalEngine:
         if outcome_cache is _USE_GLOBAL_CACHE:
             outcome_cache = GLOBAL_OUTCOME_CACHE
         self.outcome_cache: LRUCache | None = outcome_cache
-        self.reuse_recorder = reuse_recorder
         # Machine identity is by value (equal machines share outcomes
         # across engine/backend instances), hashed once here instead of
         # re-deriving a deep dataclass hash on every lookup.
@@ -223,19 +203,8 @@ class TraversalEngine:
                 raise MeasurementError(f"stride must be positive, got {t.stride}")
         rng = ensure_rng(rng)
 
-        recorder = self.reuse_recorder
-        if recorder is not None:
-            line_size = self.machine.levels[0].spec.line_size
-            for t in traversals:
-                recorder.record(
-                    t.core,
-                    _virtual_lines_shared(t.array_bytes, t.stride, line_size),
-                )
-
         cache = self.outcome_cache
         key = None
-        if recorder is not None:
-            cache = None  # recorded runs must not skip the stream replay
         if cache is not None and self._paging_token is not None:
             identity = stream_identity(rng)
             if identity is not None:

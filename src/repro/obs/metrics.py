@@ -31,7 +31,7 @@ from ..ioutils import atomic_write_text
 
 #: Samples kept per histogram for the percentile estimates (newest
 #: wins).  Matches the window the tuning service has always used.
-DEFAULT_HISTOGRAM_WINDOW: int = 8192
+HISTOGRAM_WINDOW: int = 8192
 
 #: Percentiles included in histogram summaries.
 SUMMARY_PERCENTILES: tuple[float, ...] = (0.50, 0.90, 0.99)
@@ -69,7 +69,7 @@ class Counter:
 
     kind = "counter"
 
-    def __init__(self, name: str, labels: tuple[tuple[str, str], ...] = ()):
+    def __init__(self, name: str, labels: tuple[tuple[str, str], ...]):
         self.name = name
         self.labels = labels
         self._lock = threading.Lock()
@@ -101,7 +101,7 @@ class Gauge:
 
     kind = "gauge"
 
-    def __init__(self, name: str, labels: tuple[tuple[str, str], ...] = ()):
+    def __init__(self, name: str, labels: tuple[tuple[str, str], ...]):
         self.name = name
         self.labels = labels
         self._lock = threading.Lock()
@@ -127,25 +127,18 @@ class Gauge:
 class Histogram:
     """Windowed sample distribution with percentile summaries.
 
-    Keeps the newest :data:`DEFAULT_HISTOGRAM_WINDOW` observations for
+    Keeps the newest :data:`HISTOGRAM_WINDOW` observations for
     the percentile estimates while ``count``/``total`` accumulate over
     *all* observations ever made.
     """
 
     kind = "histogram"
 
-    def __init__(
-        self,
-        name: str,
-        labels: tuple[tuple[str, str], ...] = (),
-        window: int = DEFAULT_HISTOGRAM_WINDOW,
-    ):
-        if window < 1:
-            raise ConfigurationError("histogram window must be >= 1")
+    def __init__(self, name: str, labels: tuple[tuple[str, str], ...]):
         self.name = name
         self.labels = labels
         self._lock = threading.Lock()
-        self._samples: deque[float] = deque(maxlen=window)
+        self._samples: deque[float] = deque(maxlen=HISTOGRAM_WINDOW)
         self._count = 0
         self._total = 0.0
 

@@ -21,9 +21,6 @@ from .faults import FAULT_CHANNELS, FaultInjectingBackend, FaultPlan
 from .policy import (
     HardenedBackend,
     ReadingBounds,
-    ResiliencePolicy,
-    RetryPolicy,
-    SamplingPolicy,
     relative_spread,
     robust_estimate,
 )
@@ -34,9 +31,6 @@ __all__ = [
     "FaultInjectingBackend",
     "HardenedBackend",
     "ReadingBounds",
-    "ResiliencePolicy",
-    "RetryPolicy",
-    "SamplingPolicy",
     "SuiteCheckpoint",
     "relative_spread",
     "robust_estimate",

@@ -12,7 +12,7 @@ The wrapper sits *between* the suite and the real backend::
 
     backend = HardenedBackend(
         FaultInjectingBackend(SimulatedBackend(dunnington()), plan),
-        policy,
+        retries=4,
     )
 
 Every fault decision is drawn from the plan's own RNG (never the

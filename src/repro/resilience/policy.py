@@ -34,9 +34,6 @@ __all__ = [
     "CYCLES_BOUNDS",
     "LATENCY_BOUNDS",
     "ReadingBounds",
-    "RetryPolicy",
-    "SamplingPolicy",
-    "ResiliencePolicy",
     "HardenedBackend",
     "relative_spread",
     "robust_estimate",
@@ -67,51 +64,6 @@ def robust_estimate(values: Sequence[float]) -> float:
     if n % 2:
         return ordered[mid]
     return 0.5 * (ordered[mid - 1] + ordered[mid])
-
-
-# -- policy knobs ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retries with exponential backoff (virtual seconds)."""
-
-    max_attempts: int = 3
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ConfigurationError("max_attempts must be >= 1")
-        if self.backoff_base < 0 or self.backoff_factor < 1.0:
-            raise ConfigurationError("invalid backoff parameters")
-
-    def backoff(self, retry_index: int) -> float:
-        """Virtual seconds to wait before retry number ``retry_index``
-        (0-based)."""
-        return self.backoff_base * self.backoff_factor**retry_index
-
-
-@dataclass(frozen=True)
-class SamplingPolicy:
-    """Repeat-sampling with a relative-spread gate; samples combine by
-    their median (:func:`robust_estimate`)."""
-
-    #: Baseline number of validated samples per measurement.
-    samples: int = 1
-    #: Re-sample while any reading's relative spread exceeds this
-    #: (``None`` disables the gate).
-    spread_gate: float | None = 0.25
-    #: Cap on gate-triggered extra samples.
-    max_extra_samples: int = 2
-
-    def __post_init__(self) -> None:
-        if self.samples < 1:
-            raise ConfigurationError("samples must be >= 1")
-        if self.spread_gate is not None and self.spread_gate <= 0:
-            raise ConfigurationError("spread_gate must be > 0 (or None)")
-        if self.max_extra_samples < 0:
-            raise ConfigurationError("max_extra_samples must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -156,20 +108,14 @@ BANDWIDTH_BOUNDS = ReadingBounds(1.0, 1e15)
 LATENCY_BOUNDS = ReadingBounds(1e-12, 3600.0)
 
 
-@dataclass(frozen=True)
-class ResiliencePolicy:
-    """Everything :class:`HardenedBackend` needs to harden a backend."""
-
-    retry: RetryPolicy = RetryPolicy()
-    sampling: SamplingPolicy = SamplingPolicy()
-
-    @classmethod
-    def default(cls) -> "ResiliencePolicy":
-        """A sensible production policy: 3 attempts, 3-sample median."""
-        return cls(
-            retry=RetryPolicy(max_attempts=3),
-            sampling=SamplingPolicy(samples=3),
-        )
+#: Virtual seconds charged before the first retry; each further retry
+#: waits :data:`BACKOFF_FACTOR` times longer.
+BACKOFF_BASE = 0.05
+BACKOFF_FACTOR = 2.0
+#: With more than one sample, re-sample while any reading's relative
+#: spread exceeds this, up to :data:`MAX_EXTRA_SAMPLES` extra samples.
+SPREAD_GATE = 0.25
+MAX_EXTRA_SAMPLES = 2
 
 
 #: Incident counter names (all reset by ``take_incidents``).
@@ -193,14 +139,21 @@ DEGRADING_INCIDENTS: tuple[str, ...] = (
 class HardenedBackend(Backend):
     """Retry, validate, and robustly aggregate every measurement.
 
-    Wraps any backend; see the module docstring for semantics.  The
-    wrapper is transparent for healthy backends with the default
-    single-sample policy: values pass through unchanged.
+    Wraps any backend; see the module docstring for semantics.  Each
+    measurement is retried up to ``retries`` times and combines
+    ``samples`` validated samples.  The wrapper is transparent for
+    healthy backends with the default single sample: values pass
+    through unchanged.
     """
 
-    def __init__(self, inner: Backend, policy: ResiliencePolicy | None = None) -> None:
+    def __init__(self, inner: Backend, retries: int = 2, samples: int = 1) -> None:
+        if retries < 0:
+            raise ConfigurationError("retries must be >= 0")
+        if samples < 1:
+            raise ConfigurationError("samples must be >= 1")
         self.inner = inner
-        self.policy = policy if policy is not None else ResiliencePolicy()
+        self.retries = retries
+        self.samples = samples
         self.name = inner.name
         self.n_cores = inner.n_cores
         self.page_size = inner.page_size
@@ -238,13 +191,12 @@ class HardenedBackend(Backend):
         bounds: ReadingBounds,
         call: Callable[[], dict],
     ) -> dict:
-        """One validated measurement, retried per the retry policy."""
-        retry = self.policy.retry
+        """One validated measurement, retried up to ``retries`` times."""
         last_problem = "no attempt made"
-        for attempt in range(retry.max_attempts):
+        for attempt in range(self.retries + 1):
             if attempt:
                 self.incidents["retries"] += 1
-                self.inner.charge(retry.backoff(attempt - 1))
+                self.inner.charge(BACKOFF_BASE * BACKOFF_FACTOR ** (attempt - 1))
             try:
                 readings = call()
             except MeasurementTimeout as exc:
@@ -263,7 +215,7 @@ class HardenedBackend(Backend):
             last_problem = f"{problem} for {key}"
             continue
         raise MeasurementError(
-            f"{label}: no valid measurement after {retry.max_attempts} "
+            f"{label}: no valid measurement after {self.retries + 1} "
             f"attempt(s); last problem: {last_problem}"
         )
 
@@ -273,14 +225,11 @@ class HardenedBackend(Backend):
         bounds: ReadingBounds,
         call: Callable[[], dict],
     ) -> dict:
-        """Repeat ``_attempt`` per the sampling policy and aggregate."""
-        sampling = self.policy.sampling
-        batches = [self._attempt(label, bounds, call) for _ in range(sampling.samples)]
-        if sampling.spread_gate is not None and sampling.samples > 1:
+        """Repeat ``_attempt`` ``samples`` times and aggregate."""
+        batches = [self._attempt(label, bounds, call) for _ in range(self.samples)]
+        if self.samples > 1:
             extras = 0
-            while extras < sampling.max_extra_samples and self._spread_of(
-                batches
-            ) > sampling.spread_gate:
+            while extras < MAX_EXTRA_SAMPLES and self._spread_of(batches) > SPREAD_GATE:
                 self.incidents["resamples"] += 1
                 batches.append(self._attempt(label, bounds, call))
                 extras += 1

@@ -34,7 +34,6 @@ from collections.abc import Callable
 from ..core.report import ServetReport
 from ..errors import RegistryError
 from ..ioutils import atomic_write_text, canonical_json, sha256_hex
-from ..obs.metrics import MetricsRegistry
 from .fingerprint import REPORT_SCHEMA_VERSION, MachineFingerprint
 
 #: Width of the zero-padded version number in file names.
@@ -131,23 +130,11 @@ class ReportRegistry:
         Source of the human-facing ``created`` timestamps (injectable
         so tests stay deterministic).  Ordering never relies on it —
         "latest" is decided by the monotonic ``sequence`` counter.
-    metrics:
-        Metrics registry for quarantine accounting.  Every file the
-        registry quarantines increments ``registry.quarantine_events``
-        (labelled with the digest), so corruption shows up in exported
-        metrics instead of only in the ``get`` error detail.  A private
-        registry is created when not given.
     """
 
-    def __init__(
-        self,
-        root: str | Path,
-        clock: Callable[[], float] = time.time,
-        metrics: MetricsRegistry | None = None,
-    ) -> None:
+    def __init__(self, root: str | Path, clock: Callable[[], float] = time.time) -> None:
         self.root = Path(root)
         self._clock = clock
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
 
     # -- write side ---------------------------------------------------------
 
@@ -195,8 +182,10 @@ class ReportRegistry:
         """
         try:
             data = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise RegistryError(f"cannot import report {path}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise RegistryError(f"cannot import report {path}: not a JSON object")
         if "schema_version" not in data:
             data = {"schema_version": 1, "report": data}
         envelope = _migrate(data, origin=str(path))
@@ -237,25 +226,10 @@ class ReportRegistry:
         for digest in digests:
             digest_dir = self.root / digest
             for path in self._version_paths(digest_dir):
-                try:
-                    envelope = json.loads(path.read_text())
-                except (OSError, json.JSONDecodeError):
-                    continue
-                found.append(self._entry_from_envelope(digest, path, envelope))
+                envelope = self._read_object(path)
+                if envelope is not None:
+                    found.append(self._entry_from_envelope(digest, path, envelope))
         return sorted(found, key=lambda e: e.seq)
-
-    def get_entry(self, spec: str = "latest", version: int | None = None) -> RegistryEntry:
-        """The entry a spec names (newest version unless pinned)."""
-        digest = self.resolve(spec)
-        entries = self.entries(digest)
-        if version is not None:
-            for entry in entries:
-                if entry.version == version:
-                    return entry
-            raise RegistryError(f"registry has no version {version} of {digest[:12]}")
-        if not entries:
-            raise RegistryError(f"registry has no versions of {digest[:12]}")
-        return entries[-1]
 
     def get(self, spec: str = "latest", version: int | None = None) -> ServetReport:
         """Load a report (see :meth:`get_with_entry`)."""
@@ -356,12 +330,21 @@ class ReportRegistry:
 
     # -- internals ----------------------------------------------------------
 
+    @staticmethod
+    def _read_object(path: Path) -> dict | None:
+        """The JSON object a file holds; None for anything else (unreadable,
+        not JSON, or JSON that is not an object such as ``5`` or ``null``)."""
+        try:
+            data = json.loads(path.read_text())
+        except (OSError, ValueError):
+            return None
+        return data if isinstance(data, dict) else None
+
     def _load_verified(
         self, path: Path, quarantined: list[str]
     ) -> tuple[ServetReport, RegistryEntry] | None:
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+        data = self._read_object(path)
+        if data is None:
             self._quarantine(path, quarantined)
             return None
         if "schema_version" not in data:
@@ -392,18 +375,10 @@ class ReportRegistry:
         except OSError:
             return
         quarantined.append(target.name)
-        self.metrics.counter(
-            "registry.quarantine_events", digest=path.parent.name[:12]
-        ).inc()
 
     def quarantined_counts(self) -> dict[str, int]:
-        """Quarantined files on disk, per digest (empty digests omitted).
-
-        Counts what is *currently* sitting in quarantine — evidence from
-        this or any earlier process — whereas the
-        ``registry.quarantine_events`` counter counts what this registry
-        instance quarantined itself.
-        """
+        """Quarantined files on disk, per digest (empty digests omitted):
+        evidence from this or any earlier process."""
         counts: dict[str, int] = {}
         for digest_dir in self._digest_dirs():
             n = len(list(digest_dir.glob("*.quarantined")))
@@ -420,7 +395,8 @@ class ReportRegistry:
         if "schema_version" not in envelope:
             report, schema_version = envelope, 1
         else:
-            report = envelope.get("report", {})
+            report = envelope.get("report")
+            report = report if isinstance(report, dict) else {}
             schema_version = int(envelope["schema_version"])
         return RegistryEntry(
             digest=digest,

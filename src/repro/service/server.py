@@ -27,9 +27,10 @@ import time
 import typing
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 
 from ..autotune import Advisor
+from ..autotune.advisor import COSCHEDULE_TOP
 from ..core.report import ServetReport
 from ..errors import ServiceError
 from ..lru import LRUCache
@@ -106,7 +107,7 @@ class CoScheduleQuery:
     seed: int = 0
     level: int | None = None
     instances: int | None = None
-    top: int = 3
+    top: int = COSCHEDULE_TOP
 
 
 # -- the query-kind table ------------------------------------------------
@@ -400,6 +401,12 @@ def answer(advisor: Advisor, query: Query) -> dict:
     return kind_of(query).answer(advisor, query)
 
 
+#: Keys in flight that a :class:`SingleFlightTable` gives their own lock.
+SINGLE_FLIGHT_CAP: int = 128
+#: Fixed stripe locks shared by the keys beyond the cap.
+SINGLE_FLIGHT_STRIPES: int = 16
+
+
 class SingleFlightTable:
     """Bounded per-key locks serializing concurrent misses on one key.
 
@@ -410,23 +417,21 @@ class SingleFlightTable:
     This table gives each *in-flight* key its own lock and recycles
     the entry the moment its last holder releases, so memory is
     bounded by concurrent distinct misses, never by the total keys
-    ever seen.  ``cap`` is a hard ceiling against pathological
-    concurrency: once ``cap`` keys are simultaneously in flight, new
-    keys degrade to a small fixed stripe array (correct, merely
-    coarser) instead of growing the table.
+    ever seen.  :data:`SINGLE_FLIGHT_CAP` is a hard ceiling against
+    pathological concurrency: once that many keys are simultaneously in
+    flight, new keys degrade to a small fixed stripe array (correct,
+    merely coarser) instead of growing the table.
 
     ``live()``/``peak``/``fallbacks`` expose the bound for tests and
     metrics.
     """
 
-    def __init__(self, cap: int = 128, stripes: int = 16) -> None:
-        if cap < 1 or stripes < 1:
-            raise ServiceError("single-flight table needs cap >= 1, stripes >= 1")
-        self.cap = cap
+    def __init__(self) -> None:
+        self.cap = SINGLE_FLIGHT_CAP
         self._lock = threading.Lock()
         #: key -> [per-key lock, holder/waiter count]
         self._entries: dict[object, list] = {}
-        self._stripes = tuple(threading.Lock() for _ in range(stripes))
+        self._stripes = tuple(threading.Lock() for _ in range(SINGLE_FLIGHT_STRIPES))
         self.peak = 0
         self.fallbacks = 0
 
@@ -485,9 +490,6 @@ class TuningService:
         Optional span collector; when given, every :meth:`query` emits
         a ``service.query`` span tagged with the query type and
         hit/miss outcome.
-    single_flight_cap:
-        Bound on the per-key miss-lock table (see
-        :class:`SingleFlightTable`).
     """
 
     def __init__(
@@ -496,7 +498,6 @@ class TuningService:
         capacity: int = ANSWER_CACHE_CAPACITY,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
-        single_flight_cap: int = 128,
     ) -> None:
         self.report = report
         self.advisor = Advisor(report)
@@ -517,7 +518,7 @@ class TuningService:
         # computed (and counted as a miss) exactly once no matter how
         # clients interleave.  The table is bounded: entries recycle as
         # soon as their key has no holder (see SingleFlightTable).
-        self.single_flight = SingleFlightTable(cap=single_flight_cap)
+        self.single_flight = SingleFlightTable()
 
     @classmethod
     def from_registry(cls, registry) -> "TuningService":
@@ -624,7 +625,6 @@ def run_harness(
     clients: int = 8,
     queries_per_client: int = 500,
     seed: int = 1234,
-    pool: Sequence[Query] | None = None,
 ) -> HarnessResult:
     """Drive a service from concurrent clients and verify every answer.
 
@@ -636,7 +636,7 @@ def run_harness(
     """
     if clients < 1 or queries_per_client < 1:
         raise ServiceError("harness needs clients >= 1 and queries >= 1")
-    queries = list(pool) if pool is not None else default_query_pool(service.report)
+    queries = default_query_pool(service.report)
     reference_advisor = Advisor(service.report)
     reference = {q: answer(reference_advisor, q) for q in queries}
     rng = random.Random(seed)
@@ -677,7 +677,7 @@ def run_harness(
     )
 
 
-def query_from_spec(kind: str, report: ServetReport | None = None, **params) -> Query:
+def query_from_spec(kind: str, **params) -> Query:
     """Build a query from keyword parameters named after its fields."""
     return query_kind(kind).build(params)
 

@@ -70,6 +70,9 @@ from .protocol import (
 
 __all__ = ["TuningDaemon"]
 
+#: Seconds ``drain(wait=True)`` waits for the daemon to stop.
+DRAIN_TIMEOUT: float = 30.0
+
 
 class _Snapshot:
     """One immutable serving state: the service plus its provenance."""
@@ -254,11 +257,11 @@ class TuningDaemon:
         thread.start()
         self._threads.append(thread)
 
-    def drain(self, wait: bool = True, timeout: float | None = 30.0) -> None:
+    def drain(self, wait: bool = True) -> None:
         """Stop accepting, flush in-flight work, shut everything down.
 
         Idempotent; with ``wait=True`` (default) blocks until the
-        daemon has fully stopped.
+        daemon has fully stopped, for at most :data:`DRAIN_TIMEOUT`.
         """
         with self._drain_lock:
             first = not self._draining
@@ -268,7 +271,7 @@ class TuningDaemon:
                 target=self._shutdown, name="serviced-shutdown", daemon=True
             ).start()
         if wait:
-            self.wait(timeout)
+            self.wait(DRAIN_TIMEOUT)
 
     def wait(self, timeout: float | None = None) -> bool:
         """Block until the daemon has stopped (True) or timeout (False)."""

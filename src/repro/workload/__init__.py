@@ -3,8 +3,7 @@
 The pipeline, bottom to top:
 
 - :mod:`~repro.workload.recorder` — exact streaming reuse (LRU stack)
-  distances with bounded memory, plus a per-core adapter for the
-  traversal engine.
+  distances with bounded memory.
 - :mod:`~repro.workload.profile` — frozen, serializable histograms with
   the derived quantities (miss ratio at any capacity, footprint of any
   access window).
@@ -42,7 +41,6 @@ from .recorder import (
     EXACT_DISTANCES,
     SUB_BUCKETS,
     ReuseDistanceRecorder,
-    TraversalReuseRecorder,
     bucket_of,
 )
 
@@ -58,7 +56,6 @@ __all__ = [
     "ReuseBin",
     "ReuseDistanceRecorder",
     "ReuseProfile",
-    "TraversalReuseRecorder",
     "Workload",
     "WorkloadPrediction",
     "bucket_of",

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 
+from ..autotune.advisor import COSCHEDULE_TOP
 from ..errors import WorkloadError
 from .contention import CachePressureModel, CorunPrediction, predict_corun
 from .generators import parse_workload, profile_workload
@@ -215,7 +216,7 @@ def co_schedule(
     seed: int = 0,
     level: int | None = None,
     instances: int | None = None,
-    top: int = 5,
+    top: int = COSCHEDULE_TOP,
     model: CachePressureModel | None = None,
 ) -> CoScheduleAdvice:
     """Rank placements of ``workloads`` on a report's sharing topology.

@@ -241,42 +241,3 @@ class ReuseDistanceRecorder:
             (lo, c, sd, sg)
             for lo, (c, sd, sg) in sorted(self._bins.items())
         ]
-
-
-class TraversalReuseRecorder:
-    """Per-core reuse recording for :class:`~repro.memsim.traversal.TraversalEngine`.
-
-    Passed as the engine's ``reuse_recorder``; the engine calls
-    :meth:`record` with each traversal's core id and virtual-line
-    stream, and the recorder keeps one independent
-    :class:`ReuseDistanceRecorder` per core (each core's stream is its
-    own stack).  Afterwards :meth:`profile` turns a core's recorder
-    into a :class:`~repro.workload.ReuseProfile`.
-    """
-
-    def __init__(self) -> None:
-        self._per_core: dict[int, ReuseDistanceRecorder] = {}
-
-    def record(self, core: int, lines: np.ndarray | list[int]) -> None:
-        recorder = self._per_core.get(core)
-        if recorder is None:
-            recorder = self._per_core[core] = ReuseDistanceRecorder()
-        recorder.observe(lines)
-
-    @property
-    def cores(self) -> list[int]:
-        """Core ids that have recorded at least one access."""
-        return sorted(self._per_core)
-
-    def recorder(self, core: int) -> ReuseDistanceRecorder:
-        recorder = self._per_core.get(core)
-        if recorder is None:
-            raise MeasurementError(f"no accesses recorded for core {core}")
-        return recorder
-
-    def profile(self, core: int, name: str):
-        """The finished :class:`ReuseProfile` for one core's stream
-        (seed 0: a traversal stream is not drawn from an RNG)."""
-        from .profile import ReuseProfile
-
-        return ReuseProfile.from_recorder(self.recorder(core), name, 0)

@@ -15,8 +15,6 @@ from repro import (
     FaultInjectingBackend,
     FaultPlan,
     HardenedBackend,
-    ResiliencePolicy,
-    RetryPolicy,
     ServetSuite,
     SimulatedBackend,
     dunnington,
@@ -26,10 +24,10 @@ from repro.errors import ReproError
 from repro.units import KiB
 
 
-def hardened(plan: FaultPlan, attempts: int = 6) -> HardenedBackend:
+def hardened(plan: FaultPlan, retries: int = 5) -> HardenedBackend:
     return HardenedBackend(
         FaultInjectingBackend(SimulatedBackend(dunnington(), seed=42), plan),
-        ResiliencePolicy(retry=RetryPolicy(max_attempts=attempts)),
+        retries=retries,
     )
 
 
@@ -62,7 +60,7 @@ class TestPersistentFaults:
         # shared-cache and TLB phases are skipped, memory and
         # communication still run — comm probes at the 32 KiB fallback.
         plan = FaultPlan(seed=1, nan_rate=1.0, only=("traversal",))
-        report = ServetSuite(hardened(plan, attempts=2)).run(strict=False)
+        report = ServetSuite(hardened(plan, retries=1)).run(strict=False)
         assert report.phase_status["cache_size"] == "failed"
         assert report.phase_status["shared_caches"] == "skipped"
         assert report.phase_status["tlb_detection"] == "skipped"
@@ -77,7 +75,7 @@ class TestPersistentFaults:
 
     def test_partial_report_is_serializable(self, tmp_path):
         plan = FaultPlan(seed=1, nan_rate=1.0, only=("traversal",))
-        report = ServetSuite(hardened(plan, attempts=2)).run(strict=False)
+        report = ServetSuite(hardened(plan, retries=1)).run(strict=False)
         path = tmp_path / "degraded.json"
         report.save(path)
         from repro import ServetReport
@@ -89,13 +87,13 @@ class TestPersistentFaults:
     def test_strict_mode_preserves_raise_loudly(self):
         plan = FaultPlan(seed=1, nan_rate=1.0, only=("traversal",))
         with pytest.raises(ReproError):
-            ServetSuite(hardened(plan, attempts=2)).run(strict=True)
+            ServetSuite(hardened(plan, retries=1)).run(strict=True)
 
     def test_timings_cover_failed_phases_too(self):
         # A failed phase still spent virtual time before bailing; the
         # Table I accounting must include it.
         plan = FaultPlan(seed=1, nan_rate=1.0, only=("bandwidth",))
-        report = ServetSuite(hardened(plan, attempts=2)).run(strict=False)
+        report = ServetSuite(hardened(plan, retries=1)).run(strict=False)
         assert report.phase_status["memory_overhead"] == "failed"
         virtual, _ = report.timings["memory_overhead"]
         assert virtual > 0

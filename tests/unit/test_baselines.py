@@ -3,7 +3,7 @@
 import pytest
 
 from repro.backends import SimulatedBackend
-from repro.baselines import xray_cache_sizes
+from repro.baselines import xray, xray_cache_sizes
 from repro.errors import DetectionError
 from repro.memsim.paging import ColoredPaging, ContiguousPaging
 from repro.topology import dempsey, dunnington, generic_smp
@@ -39,12 +39,13 @@ class TestXRayPositional:
         result = xray_cache_sizes(backend)
         assert len(result.sizes) == 3
 
-    def test_flat_curve_raises(self):
+    def test_flat_curve_raises(self, monkeypatch):
         # Probe a range entirely inside the L1: nothing to see.
+        monkeypatch.setattr(xray, "MAX_CACHE", 256 * KiB)
         machine = generic_smp(n_cores=1, levels=[("2MB", 8, 1, 3.0)])
         backend = SimulatedBackend(machine, seed=4)
         with pytest.raises(DetectionError):
-            xray_cache_sizes(backend, max_cache=256 * KiB)
+            xray_cache_sizes(backend)
 
     def test_keeps_raw_curve_for_inspection(self):
         backend = SimulatedBackend(dempsey(), seed=4)

@@ -139,6 +139,42 @@ def test_run_with_samples_hardening(tmp_path):
     assert data["caches"]
 
 
+def test_run_retries_n_makes_n_retries(tmp_path, capsys):
+    """``--retries N`` retries a failing measurement N times: N + 1 attempts."""
+    from repro import FaultPlan
+
+    plan_path = tmp_path / "plan.json"
+    FaultPlan(seed=1, nan_rate=1.0, only=("bandwidth",)).save(plan_path)
+    argv = ["run", "--machine", "dempsey", "--fault-plan", str(plan_path)]
+    assert main([*argv, "--retries", "2"]) == 1
+    assert "no valid measurement after 3 attempt(s)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags,hardening",
+    [(["--retries", "4"], (4, 1)), (["--samples", "3"], (2, 3))],
+)
+def test_run_one_hardening_flag_takes_the_api_default_for_the_other(
+    tmp_path, monkeypatch, flags, hardening
+):
+    import functools
+
+    import repro.cli as cli
+
+    built = []
+    real = cli.HardenedBackend
+
+    @functools.wraps(real)
+    def recording(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "HardenedBackend", recording)
+    path = tmp_path / "report.json"
+    assert main(["run", "--machine", "athlon_3200", *flags, "-o", str(path)]) == 0
+    assert [(b.retries, b.samples) for b in built] == [hardening]
+
+
 def test_run_warm_matches_cold_run(tmp_path, capsys):
     cold = tmp_path / "cold.json"
     warm = tmp_path / "warm.json"

@@ -16,6 +16,7 @@ from repro.backends import SimulatedBackend
 from repro.cli import _build_parser
 from repro.core import ServetSuite
 from repro.fleet import FleetConfig, generate_fleet
+from repro.resilience import HardenedBackend
 from repro.service import TuningService, run_harness
 from repro.serviced import TuningDaemon
 from repro.zoo import recover_all, recover_machine
@@ -25,6 +26,8 @@ FEEDS = {
     ("run", "noise"): [(SimulatedBackend, "noise")],
     ("run", "seed"): [(SimulatedBackend, "seed")],
     ("run", "prune"): [(ServetSuite, "prune")],
+    ("run", "retries"): [(HardenedBackend, "retries")],
+    ("run", "samples"): [(HardenedBackend, "samples")],
     ("serve", "workers"): [(TuningDaemon, "workers")],
     ("serve", "batch_max"): [(TuningDaemon, "batch_max")],
     ("serve", "poll_interval"): [(TuningDaemon, "poll_interval")],
@@ -50,8 +53,12 @@ _SEEDED = (
     "backend's seed=None draws fresh entropy"
 )
 
+_UNHARDENED = "None runs unhardened"
+
 #: (subcommand path, flag dest) -> (flag default, why it differs).
 INTENDED = {
+    ("run", "retries"): (None, _UNHARDENED),
+    ("run", "samples"): (None, _UNHARDENED),
     ("run", "seed"): (42, _SEEDED),
     ("registry refresh", "seed"): (42, _SEEDED),
 }

@@ -10,6 +10,7 @@ from repro.core.cache_size import (
     detect_cache_levels,
     detect_caches,
 )
+from repro.core import cache_size
 from repro.core.mcalibrator import McalibratorResult
 from repro.errors import DetectionError
 from repro.memsim.paging import ColoredPaging, ContiguousPaging
@@ -106,16 +107,8 @@ class TestDetectCaches:
         assert res.sizes == [16 * KiB, 2 * MiB]
         assert res.levels[1].method.startswith("probabilistic")
 
-    def test_refinement_disabled_still_reasonable(self):
+    def test_small_max_cache_misses_l2_gracefully(self, monkeypatch):
+        monkeypatch.setattr(cache_size, "MAX_CACHE", 256 * KiB)
         backend = SimulatedBackend(dempsey(), seed=1)
-        res = detect_caches(backend, refine=False)
-        # Without densification the estimate may wobble a step, but the
-        # level structure must hold.
-        assert len(res.levels) == 2
-        assert res.levels[0].size == 16 * KiB
-        assert abs(res.levels[1].size - 2 * MiB) <= 512 * KiB
-
-    def test_small_max_cache_misses_l2_gracefully(self):
-        backend = SimulatedBackend(dempsey(), seed=1)
-        res = detect_caches(backend, max_cache=256 * KiB)
+        res = detect_caches(backend)
         assert [l.size for l in res.levels] == [16 * KiB]

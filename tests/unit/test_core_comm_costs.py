@@ -3,10 +3,10 @@
 import pytest
 
 from repro.backends import SimulatedBackend
+from repro.core import comm_costs
 from repro.core.comm_costs import (
     characterize_layers,
     detect_comm_layers,
-    layer_scalability,
     run_comm_costs,
 )
 from repro.errors import MeasurementError
@@ -83,9 +83,10 @@ class TestCharacterization:
         s_last, t_last, _ = dn_costs.characterization[0][-1]
         assert far > t_last
 
-    def test_custom_sizes(self, dn_backend):
+    def test_custom_sizes(self, dn_backend, monkeypatch):
+        monkeypatch.setattr(comm_costs, "MESSAGE_SIZES", (1024, 2048))
         costs = detect_comm_layers(dn_backend, 32 * KiB, cores=[0, 1, 12])
-        characterize_layers(dn_backend, costs, message_sizes=[1024, 2048])
+        characterize_layers(dn_backend, costs)
         assert all(len(c) == 2 for c in costs.characterization)
 
 
@@ -109,9 +110,3 @@ class TestScalability:
         for layer in dn_costs.layers:
             cores = [c for p in layer.disjoint_pairs() for c in p]
             assert len(cores) == len(set(cores))
-
-    def test_max_pairs_limits_probe(self, dn_backend):
-        costs = detect_comm_layers(dn_backend, 32 * KiB, cores=list(range(8)))
-        layer_scalability(dn_backend, costs, max_pairs=1)
-        for curve in costs.scalability:
-            assert len(curve) <= 1

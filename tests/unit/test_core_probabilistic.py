@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import probabilistic
 from repro.core.probabilistic import (
     default_candidates,
     predicted_miss_rate,
@@ -126,9 +127,10 @@ class TestProbabilisticCacheSize:
         with pytest.raises(DetectionError):
             probabilistic_cache_size(sizes, cycles, 0)
 
-    def test_explicit_candidates_restrict_search(self):
-        sizes, cycles = synth_curve(2 * MiB, 8)
-        est = probabilistic_cache_size(
-            sizes, cycles, 4 * KiB, candidates=[1 * MiB, 2 * MiB, 4 * MiB]
+    def test_explicit_candidates_restrict_search(self, monkeypatch):
+        monkeypatch.setattr(
+            probabilistic, "default_candidates", lambda _: [1 * MiB, 2 * MiB, 4 * MiB]
         )
+        sizes, cycles = synth_curve(2 * MiB, 8)
+        est = probabilistic_cache_size(sizes, cycles, 4 * KiB)
         assert est.size == 2 * MiB

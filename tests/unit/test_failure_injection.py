@@ -16,8 +16,6 @@ from repro import (
     FaultInjectingBackend,
     FaultPlan,
     HardenedBackend,
-    ResiliencePolicy,
-    RetryPolicy,
     ServetSuite,
     SimulatedBackend,
     dempsey,
@@ -129,11 +127,11 @@ class TestPartialBreakage:
 class TestScriptedFaultScenarios:
     """Scripted fault plans through FaultInjectingBackend + retry policy."""
 
-    def hardened(self, plan: FaultPlan, attempts: int = 6) -> HardenedBackend:
+    def hardened(self, plan: FaultPlan, retries: int = 5) -> HardenedBackend:
         inner = SimulatedBackend(dempsey(), seed=42)
         return HardenedBackend(
             FaultInjectingBackend(inner, plan),
-            ResiliencePolicy(retry=RetryPolicy(max_attempts=attempts)),
+            retries=retries,
         )
 
     def test_transient_nan_fault_recovered_by_retry(self):
@@ -148,18 +146,14 @@ class TestScriptedFaultScenarios:
         # Spikes pass the plausibility validators (they are finite and
         # positive), so retry alone cannot catch them: median
         # repeat-sampling votes them out instead.
-        from repro import SamplingPolicy
-
         clean = detect_caches(SimulatedBackend(dempsey(), seed=42))
         inner = SimulatedBackend(dempsey(), seed=42)
         backend = HardenedBackend(
             FaultInjectingBackend(
                 inner, FaultPlan(seed=5, spike_rate=0.03, spike_factor=80.0)
             ),
-            ResiliencePolicy(
-                retry=RetryPolicy(max_attempts=4),
-                sampling=SamplingPolicy(samples=3),
-            ),
+            retries=3,
+            samples=3,
         )
         assert detect_caches(backend).sizes == clean.sizes
 
@@ -167,7 +161,7 @@ class TestScriptedFaultScenarios:
         # A permanently dead bandwidth meter kills the memory-overhead
         # phase; the suite still delivers caches and communication.
         plan = FaultPlan(seed=1, nan_rate=1.0, only=("bandwidth",))
-        report = ServetSuite(self.hardened(plan, attempts=2)).run(strict=False)
+        report = ServetSuite(self.hardened(plan, retries=1)).run(strict=False)
         assert report.phase_status["memory_overhead"] == "failed"
         assert "memory_overhead" in report.phase_errors
         assert report.memory_levels == []
@@ -179,4 +173,4 @@ class TestScriptedFaultScenarios:
     def test_persistent_fault_still_raises_in_strict_mode(self):
         plan = FaultPlan(seed=1, nan_rate=1.0, only=("bandwidth",))
         with pytest.raises(MeasurementError):
-            ServetSuite(self.hardened(plan, attempts=2)).run(strict=True)
+            ServetSuite(self.hardened(plan, retries=1)).run(strict=True)

@@ -33,14 +33,6 @@ def test_durable_write_fsyncs_file_and_directory(tmp_path, monkeypatch):
     assert len(synced) == 2
 
 
-def test_non_durable_write_skips_fsync(tmp_path, monkeypatch):
-    synced: list[int] = []
-    monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd))
-    atomic_write_text(tmp_path / "file.json", "payload", durable=False)
-    assert synced == []
-    assert (tmp_path / "file.json").read_text() == "payload"
-
-
 def test_failed_write_cleans_up_temp_file(tmp_path, monkeypatch):
     def exploding_replace(src, dst):
         raise OSError("disk on fire")

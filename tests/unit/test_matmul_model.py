@@ -4,6 +4,7 @@ import pytest
 
 from repro.autotune.tiling import conflict_aware_tile, matmul_tile_side
 from repro.errors import ConfigurationError, ReproError
+from repro.memsim import matmul
 from repro.memsim.matmul import best_tile, blocked_matmul_cost, tile_sweep
 from repro.topology import dempsey, generic_smp
 
@@ -28,11 +29,12 @@ class TestBlockedMatmulCost:
         est = blocked_matmul_cost(machine, 2048, 512)  # 6MB >> 2MB
         assert est.working_set_miss_rate == 1.0
 
-    def test_virtually_indexed_target_has_no_conflicts_below_capacity(self):
+    def test_virtually_indexed_target_has_no_conflicts_below_capacity(self, monkeypatch):
+        monkeypatch.setattr(matmul, "TARGET_LEVEL", 1)
         machine = generic_smp(
             n_cores=1, levels=[("256KB", 8, 1, 3.0)], mem_latency=200.0
         )
-        est = blocked_matmul_cost(machine, 1024, 64, level=1)
+        est = blocked_matmul_cost(machine, 1024, 64)
         assert est.working_set_miss_rate == 0.0
 
     def test_tile_clamped_to_matrix(self):

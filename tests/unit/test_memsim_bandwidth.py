@@ -87,11 +87,6 @@ class TestStreamCopy:
         bw = stream_copy_bandwidth(ft, [0, 1])
         assert bw[0] == pytest.approx(4.6e9 / 2)
 
-    def test_rejects_cache_fitting_arrays(self):
-        ft = finis_terrae_node()
-        with pytest.raises(MeasurementError):
-            stream_copy_bandwidth(ft, [0], array_bytes=1024)
-
     def test_rejects_duplicate_cores(self):
         ft = finis_terrae_node()
         with pytest.raises(MeasurementError):

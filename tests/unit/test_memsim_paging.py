@@ -134,17 +134,10 @@ class TestDuplicateValidation:
             AddressSpace(4 * KiB, DuplicatingPolicy(), 8 * KiB, rng())
 
     def test_builtin_policies_skip_check_but_forced_check_works(self):
-        # A policy that *claims* distinctness skips validation by
-        # default; validate=True forces the check regardless.
-        AddressSpace(4 * KiB, LyingPolicy(), 8 * KiB, rng())  # no raise
-        with pytest.raises(SimulationError, match="duplicate"):
-            AddressSpace(4 * KiB, LyingPolicy(), 8 * KiB, rng(), validate=True)
-
-    def test_validate_false_disables_check(self):
-        space = AddressSpace(
-            4 * KiB, DuplicatingPolicy(), 8 * KiB, rng(), validate=False
-        )
-        assert space.n_pages == 2
+        # A policy that *claims* distinctness skips validation; running
+        # the check on its page table by hand still finds the duplicate.
+        space = AddressSpace(4 * KiB, LyingPolicy(), 8 * KiB, rng())  # no raise
+        assert _has_duplicates(space.page_table)
 
     def test_has_duplicates_dense_path(self):
         # Value range small enough to bincount.

@@ -34,6 +34,7 @@ from repro.obs import (
     record_provenance,
     summarize,
 )
+from repro.obs import metrics
 from repro.obs.metrics import Histogram, percentile
 from repro.planner import PlanExecutor
 from repro.topology.machine import all_pairs
@@ -164,8 +165,9 @@ def test_percentile_edge_cases():
         percentile([1.0], 1.5)
 
 
-def test_histogram_window_and_totals():
-    hist = Histogram("h", window=4)
+def test_histogram_window_and_totals(monkeypatch):
+    monkeypatch.setattr(metrics, "HISTOGRAM_WINDOW", 4)
+    hist = Histogram("h", ())
     for v in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0):
         hist.observe(v)
     # window keeps the newest 4 samples; count/sum accumulate over all

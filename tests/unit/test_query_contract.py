@@ -6,17 +6,21 @@ moment it is added.  For every kind:
 
 - the dataclass defaults are the generated CLI defaults and what
   ``decode_query`` fills in for a minimal wire dict;
+- every default of the ``Advisor`` method its answer calls is the
+  dataclass default of the field of that name;
 - on the dunnington golden report, the CLI in process, the CLI over
   ``--remote`` to a loopback daemon and ``TuningService.query`` give
   byte-identical canonical-JSON answers.
 """
 
 import dataclasses
+import inspect
 import json
 from pathlib import Path
 
 import pytest
 
+from repro.autotune import Advisor
 from repro.cli import _build_parser, main
 from repro.core.report import ServetReport
 from repro.ioutils import canonical_json
@@ -74,13 +78,36 @@ FULL = {
 
 KINDS = sorted(QUERY_KINDS)
 
+#: Per kind: the ``Advisor`` method its answer calls, or None when the
+#: answer reads the report directly.
+ADVISOR_METHOD = {
+    "tile": Advisor.tile_elements,
+    "matmul-tile": Advisor.matmul_tile,
+    "streaming-cores": Advisor.max_useful_streaming_cores,
+    "aggregate": Advisor.should_aggregate,
+    "bcast": Advisor.choose_bcast,
+    "latency": None,
+    "co-schedule": Advisor.co_schedule,
+}
+
 
 def wire(fields: dict) -> dict:
     return {k: list(v) if isinstance(v, tuple) else v for k, v in fields.items()}
 
 
 def test_cases_cover_the_table():
-    assert set(MINIMAL) == set(FULL) == set(QUERY_KINDS)
+    assert set(MINIMAL) == set(FULL) == set(ADVISOR_METHOD) == set(QUERY_KINDS)
+
+
+@pytest.mark.parametrize("name", [k for k in KINDS if ADVISOR_METHOD[k] is not None])
+def test_field_defaults_are_the_advisor_defaults(name):
+    fields = {f.name: f.default for f in dataclasses.fields(QUERY_KINDS[name].cls)}
+    params = inspect.signature(ADVISOR_METHOD[name]).parameters
+    defaulted = {
+        p.name: p.default for p in params.values() if p.default is not inspect.Parameter.empty
+    }
+    assert defaulted.keys() <= fields.keys()
+    assert {k: fields[k] for k in defaulted} == defaulted
 
 
 @pytest.mark.parametrize("name", KINDS)

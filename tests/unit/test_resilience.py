@@ -12,14 +12,12 @@ from repro.errors import (
     MeasurementError,
     MeasurementTimeout,
 )
+from repro.resilience import policy
 from repro.resilience import (
     FaultInjectingBackend,
     FaultPlan,
     HardenedBackend,
     ReadingBounds,
-    ResiliencePolicy,
-    RetryPolicy,
-    SamplingPolicy,
     SuiteCheckpoint,
     relative_spread,
     robust_estimate,
@@ -201,18 +199,22 @@ class TestFaultInjectingBackend:
 class TestPolicyValidation:
     def test_retry_policy_validated(self):
         with pytest.raises(ConfigurationError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(backoff_factor=0.5)
+            HardenedBackend(ScriptedBackend(), retries=-1)
+        HardenedBackend(ScriptedBackend(), retries=0)  # one attempt, no retry
 
-    def test_backoff_grows_exponentially(self):
-        policy = RetryPolicy(backoff_base=0.1, backoff_factor=2.0)
-        assert policy.backoff(0) == pytest.approx(0.1)
-        assert policy.backoff(2) == pytest.approx(0.4)
+    def test_backoff_grows_exponentially(self, monkeypatch):
+        monkeypatch.setattr(policy, "BACKOFF_BASE", 0.1)
+        inner = ScriptedBackend(
+            latency=lambda call: float("nan") if call <= 3 else 1e-6
+        )
+        backend = HardenedBackend(inner, retries=3)
+        assert backend.message_latency(0, 1, 64) == 1e-6
+        # three retries: 0.1 + 0.2 + 0.4
+        assert backend.take_virtual_time() == pytest.approx(0.7)
 
     def test_sampling_policy_validated(self):
         with pytest.raises(ConfigurationError):
-            SamplingPolicy(samples=0)
+            HardenedBackend(ScriptedBackend(), samples=0)
 
     def test_bounds_problems(self):
         bounds = ReadingBounds(lo=1.0, hi=100.0)
@@ -238,34 +240,25 @@ class TestHardenedBackend:
         inner = ScriptedBackend(
             cycles=lambda call: float("nan") if call <= 1 else 10.0
         )
-        backend = HardenedBackend(
-            inner, ResiliencePolicy(retry=RetryPolicy(max_attempts=3))
-        )
+        backend = HardenedBackend(inner, retries=2)
         assert backend.traversal_cycles([(0, 1024)], 64) == {0: 10.0}
         incidents = backend.take_incidents()
         assert incidents["retries"] == 1
         assert incidents["invalid_readings"] == 1
         assert backend.total_incidents == 0  # reset by take
 
-    def test_backoff_charged_to_virtual_time(self):
+    def test_backoff_charged_to_virtual_time(self, monkeypatch):
+        monkeypatch.setattr(policy, "BACKOFF_BASE", 0.5)
         inner = ScriptedBackend(
             latency=lambda call: float("nan") if call <= 2 else 1e-6
         )
-        backend = HardenedBackend(
-            inner,
-            ResiliencePolicy(
-                retry=RetryPolicy(max_attempts=3, backoff_base=0.5, backoff_factor=2.0)
-            ),
-        )
+        backend = HardenedBackend(inner, retries=2)
         assert backend.message_latency(0, 1, 64) == 1e-6
         # two retries: backoff 0.5 + 1.0
         assert backend.take_virtual_time() == pytest.approx(1.5)
 
     def test_persistent_fault_exhausts_retries(self):
-        backend = HardenedBackend(
-            ScriptedBackend(bandwidth=float("nan")),
-            ResiliencePolicy(retry=RetryPolicy(max_attempts=4)),
-        )
+        backend = HardenedBackend(ScriptedBackend(bandwidth=float("nan")), retries=3)
         with pytest.raises(MeasurementError, match="after 4 attempt"):
             backend.copy_bandwidth([0, 1])
         assert backend.incidents["retries"] == 3
@@ -280,31 +273,26 @@ class TestHardenedBackend:
                     raise MeasurementTimeout("hung", waited=10.0)
                 return super().copy_bandwidth(cores)
 
-        backend = HardenedBackend(
-            Hanging(), ResiliencePolicy(retry=RetryPolicy(max_attempts=2))
-        )
+        backend = HardenedBackend(Hanging(), retries=1)
         assert backend.copy_bandwidth([0]) == {0: 1e9}
         assert backend.incidents["timeouts"] == 1
 
     def test_implausible_reading_rejected(self):
         backend = HardenedBackend(
             ScriptedBackend(latency=1e9),  # a 31-year "latency"
-            ResiliencePolicy(retry=RetryPolicy(max_attempts=1)),
+            retries=0,
         )
         with pytest.raises(MeasurementError, match="implausibly large"):
             backend.message_latency(0, 1, 64)
 
-    def test_median_sampling_rejects_spike(self):
+    def test_median_sampling_rejects_spike(self, monkeypatch):
+        monkeypatch.setattr(policy, "MAX_EXTRA_SAMPLES", 0)  # no re-sampling
         inner = ScriptedBackend(
             cycles=lambda call: 500.0 if call == 2 else 10.0
         )
-        backend = HardenedBackend(
-            inner,
-            ResiliencePolicy(
-                sampling=SamplingPolicy(samples=3, spread_gate=None)
-            ),
-        )
+        backend = HardenedBackend(inner, samples=3)
         assert backend.traversal_cycles([(0, 1024)], 64) == {0: 10.0}
+        assert inner.calls == 3
 
     def test_spread_gate_triggers_resampling(self):
         # Samples 1..3 wildly spread, later ones stable: the gate should
@@ -312,14 +300,7 @@ class TestHardenedBackend:
         inner = ScriptedBackend(
             bandwidth=lambda call: {1: 1e9, 2: 5e9, 3: 1e10}.get(call, 2e9)
         )
-        backend = HardenedBackend(
-            inner,
-            ResiliencePolicy(
-                sampling=SamplingPolicy(
-                    samples=3, spread_gate=0.5, max_extra_samples=2
-                )
-            ),
-        )
+        backend = HardenedBackend(inner, samples=3)
         value = backend.copy_bandwidth([0])[0]
         assert backend.incidents["resamples"] == 2
         assert value == pytest.approx(2e9)

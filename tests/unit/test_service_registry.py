@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro import ServetSuite, SimulatedBackend, dempsey
-from repro.errors import RegistryError
+from repro.errors import RegistryError, ReproError
 from repro.service.fingerprint import REPORT_SCHEMA_VERSION, fingerprint_of
 from repro.service.registry import ReportRegistry, _migrate, report_checksum
 
@@ -59,8 +59,8 @@ def test_versions_accumulate_and_pin(registry, small_report):
     second = registry.put(fp, report)
     assert second.version == 2
     assert [e.version for e in registry.entries(fp.digest)] == [1, 2]
-    assert registry.get_entry(fp.digest).version == 2
-    assert registry.get_entry(fp.digest, version=1).version == 1
+    assert registry.get_with_entry(fp.digest)[1].version == 2
+    assert registry.get_with_entry(fp.digest, version=1)[1].version == 1
     with pytest.raises(RegistryError, match="no version 9"):
         registry.get(fp.digest, version=9)
 
@@ -125,6 +125,22 @@ def test_unparseable_file_quarantined(registry, small_report):
     assert entry.path.with_name(entry.path.name + ".quarantined").exists()
 
 
+@pytest.mark.parametrize(
+    "payload", ["5", "null", '"text"', "[1, 2]", "{}", '{"schema_version": 2, "report": 5}']
+)
+def test_json_that_is_not_a_report_is_quarantined(registry, small_report, payload):
+    report, fp = small_report
+    registry.put(fp, report)
+    entry = registry.put(fp, report)
+    entry.path.write_text(payload)
+    assert sorted(e.version for e in registry.entries(fp.digest)) in ([1], [1, 2])
+    assert registry.resolve("latest") == fp.digest
+    assert registry.get(fp.digest).measurement_dict() == report.measurement_dict()
+    assert entry.path.with_name(entry.path.name + ".quarantined").exists()
+    with pytest.raises(ReproError):  # a typed error, not a TypeError
+        registry.import_report(entry.path.with_name(entry.path.name + ".quarantined"), fp)
+
+
 def test_all_versions_corrupt_raises_listing_quarantined(registry, small_report):
     report, fp = small_report
     entry = registry.put(fp, report)
@@ -152,7 +168,7 @@ def test_gc_keeps_newest_and_sweeps_quarantine(registry, small_report):
     report, fp = small_report
     for _ in range(3):
         registry.put(fp, report)
-    middle = registry.get_entry(fp.digest, version=2)
+    middle = registry.entries(fp.digest)[1]
     middle.path.write_text("garbage")
     registry.get(fp.digest)  # quarantines v2
     removed = registry.gc(keep=1)
@@ -207,7 +223,7 @@ def test_refresh_refuses_empty_digest_dir(registry, small_report, tmp_path):
 
     report, fp = small_report
     registry.put(fp, report)
-    entry = registry.get_entry(fp.digest)
+    entry = registry.entries(fp.digest)[-1]
     entry.path.unlink()  # meta.json survives, versions are gone
     backend = SimulatedBackend(dempsey(), seed=3, noise=0.0)
     with pytest.raises(ServiceError, match="no stored versions"):
@@ -222,28 +238,6 @@ def test_fingerprint_inputs_roundtrip(registry, small_report):
     report, fp = small_report
     registry.put(fp, report)
     assert registry.fingerprint_inputs(fp.digest[:10]) == fp.inputs
-
-
-def test_quarantine_increments_metrics_counter(small_report, tmp_path):
-    from repro.obs.metrics import MetricsRegistry
-
-    metrics = MetricsRegistry()
-    registry = ReportRegistry(
-        tmp_path / "metered", clock=lambda: 1700000000.0, metrics=metrics
-    )
-    report, fp = small_report
-    registry.put(fp, report)
-    entry = registry.put(fp, report)
-    entry.path.write_text("{not json")
-    registry.get(fp.digest)  # quarantines the corrupt v2
-
-    digest12 = fp.digest[:12]
-    assert (
-        metrics.value(
-            "counter", "registry.quarantine_events", digest=digest12
-        )
-        == 1
-    )
 
 
 def test_quarantined_counts_reflect_disk_state(registry, small_report):

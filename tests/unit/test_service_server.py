@@ -7,6 +7,7 @@ import pytest
 from repro.autotune import Advisor
 from repro.errors import ConfigurationError, ReproError, ServiceError
 from repro.lru import LRUCache
+from repro.service import server
 from repro.service.server import (
     AggregationQuery,
     CommLatencyQuery,
@@ -93,8 +94,14 @@ def test_metrics_count_hits_and_misses(dunnington_report):
 # -- bounded single-flight table ------------------------------------------
 
 
-def test_single_flight_entries_recycle():
-    table = SingleFlightTable(cap=8)
+def single_flight_table(monkeypatch, cap, stripes=server.SINGLE_FLIGHT_STRIPES):
+    monkeypatch.setattr(server, "SINGLE_FLIGHT_CAP", cap)
+    monkeypatch.setattr(server, "SINGLE_FLIGHT_STRIPES", stripes)
+    return SingleFlightTable()
+
+
+def test_single_flight_entries_recycle(monkeypatch):
+    table = single_flight_table(monkeypatch, cap=8)
     with table.flight("a"):
         assert table.live() == 1
     # The entry is reclaimed the moment its last holder leaves, so a
@@ -107,13 +114,13 @@ def test_single_flight_entries_recycle():
     assert table.fallbacks == 0
 
 
-def test_single_flight_memory_stays_bounded_under_concurrency():
+def test_single_flight_memory_stays_bounded_under_concurrency(monkeypatch):
     """Regression for the bound: 16 threads x 500 distinct keys each
     must never hold more than ``cap`` live entries, spilling to the
     fixed stripe array beyond that instead of growing."""
     import threading
 
-    table = SingleFlightTable(cap=32)
+    table = single_flight_table(monkeypatch, cap=32)
     peak_violation = []
 
     def churn(base):
@@ -132,11 +139,11 @@ def test_single_flight_memory_stays_bounded_under_concurrency():
     assert table.live() == 0
 
 
-def test_single_flight_fallback_still_excludes():
+def test_single_flight_fallback_still_excludes(monkeypatch):
     # cap=1: the second concurrent key cannot get its own entry and must
     # take a stripe lock — correctness (mutual exclusion per stripe) is
     # preserved, and the spill is counted.
-    table = SingleFlightTable(cap=1)
+    table = single_flight_table(monkeypatch, cap=1)
     with table.flight("pinned"):
         with table.flight("spilled"):
             pass
@@ -144,10 +151,8 @@ def test_single_flight_fallback_still_excludes():
     assert table.live() == 0
 
 
-def test_single_flight_same_key_shares_entry():
-    import threading
-
-    table = SingleFlightTable(cap=4)
+def test_single_flight_same_key_shares_entry(monkeypatch):
+    table = single_flight_table(monkeypatch, cap=4)
     order = []
     gate = threading.Barrier(2)
 
@@ -167,20 +172,14 @@ def test_single_flight_same_key_shares_entry():
     assert table.peak == 1
 
 
-def test_service_accepts_single_flight_cap(dunnington_report):
-    service = TuningService(dunnington_report, single_flight_cap=2)
+def test_service_accepts_single_flight_cap(dunnington_report, monkeypatch):
+    monkeypatch.setattr(server, "SINGLE_FLIGHT_CAP", 2)
+    service = TuningService(dunnington_report)
     assert service.single_flight.cap == 2
     for query in default_query_pool(dunnington_report):
         service.query(query)
     assert service.single_flight.live() == 0
     assert service.single_flight.peak <= 2
-
-
-def test_single_flight_rejects_bad_shape():
-    with pytest.raises(ServiceError):
-        SingleFlightTable(cap=0)
-    with pytest.raises(ServiceError):
-        SingleFlightTable(stripes=0)
 
 
 # -- the deterministic concurrent harness --------------------------------
@@ -196,11 +195,10 @@ def test_harness_small_run_no_mismatches(dunnington_report):
 
 
 def test_harness_is_deterministic_in_shape(dunnington_report):
-    pool = default_query_pool(dunnington_report)
     a = run_harness(TuningService(dunnington_report), clients=2,
-                    queries_per_client=40, seed=9, pool=pool)
+                    queries_per_client=40, seed=9)
     b = run_harness(TuningService(dunnington_report), clients=2,
-                    queries_per_client=40, seed=9, pool=pool)
+                    queries_per_client=40, seed=9)
     # Same seed deals the same schedule, so the cache sees the same
     # distinct-key set and both runs end with identical hit counts.
     assert a.metrics["hits"] == b.metrics["hits"]
@@ -216,7 +214,7 @@ def test_harness_validates_shape(dunnington_report):
 # -- single-flight error paths -------------------------------------------
 
 
-def test_single_flight_releases_entry_when_body_raises():
+def test_single_flight_releases_entry_when_body_raises(monkeypatch):
     """An exception inside the critical section must not leak the entry.
 
     The per-key lock and its refcounted table entry are acquired before
@@ -224,7 +222,7 @@ def test_single_flight_releases_entry_when_body_raises():
     must be released — otherwise the key's entry (and eventually the
     table's cap) leaks one slot per failing query.
     """
-    table = SingleFlightTable(cap=4)
+    table = single_flight_table(monkeypatch, cap=4)
     with pytest.raises(RuntimeError, match="boom"):
         with table.flight("key"):
             raise RuntimeError("boom")
@@ -235,9 +233,9 @@ def test_single_flight_releases_entry_when_body_raises():
     assert table.live() == 0
 
 
-def test_single_flight_waiters_recover_from_leader_error():
+def test_single_flight_waiters_recover_from_leader_error(monkeypatch):
     """Racers blocked behind a failing holder run and clean up."""
-    table = SingleFlightTable(cap=4)
+    table = single_flight_table(monkeypatch, cap=4)
     outcomes: list[str] = []
     leader_in, release_leader = threading.Event(), threading.Event()
 
@@ -269,9 +267,9 @@ def test_single_flight_waiters_recover_from_leader_error():
     assert table.live() == 0
 
 
-def test_single_flight_fallback_path_releases_on_error():
+def test_single_flight_fallback_path_releases_on_error(monkeypatch):
     """Errors on the striped overflow path must release the stripe too."""
-    table = SingleFlightTable(cap=1, stripes=2)
+    table = single_flight_table(monkeypatch, cap=1, stripes=2)
     with table.flight("pinned"):  # occupies the only table slot
         with pytest.raises(ValueError):
             with table.flight("overflow"):  # degrades to a stripe
@@ -300,22 +298,21 @@ def test_service_query_error_does_not_poison_single_flight(
 # -- CLI query specs -----------------------------------------------------
 
 
-def test_query_from_spec_builds_each_kind(dunnington_report):
-    q = query_from_spec("tile", dunnington_report, level=2, n_arrays=3)
+def test_query_from_spec_builds_each_kind():
+    q = query_from_spec("tile", level=2, n_arrays=3)
     assert q == TileQuery(level=2, n_arrays=3, elem_size=8)
-    q = query_from_spec("matmul-tile", dunnington_report, level=1)
+    q = query_from_spec("matmul-tile", level=1)
     assert q == MatmulTileQuery(level=1)
-    q = query_from_spec("streaming-cores", dunnington_report)
+    q = query_from_spec("streaming-cores")
     assert q == StreamingCoresQuery()
-    q = query_from_spec("aggregate", dunnington_report, core_a=0, core_b=1)
+    q = query_from_spec("aggregate", core_a=0, core_b=1)
     assert q == AggregationQuery(0, 1, 16, 4096)
-    q = query_from_spec("latency", dunnington_report, core_a=0, core_b=2, nbytes=128)
+    q = query_from_spec("latency", core_a=0, core_b=2, nbytes=128)
     assert q == CommLatencyQuery(0, 2, 128)
-    bq = query_from_spec("bcast", dunnington_report, placement=[0, 1, 2, 3])
+    bq = query_from_spec("bcast", placement=[0, 1, 2, 3])
     assert bq.placement == (0, 1, 2, 3)
     cq = query_from_spec(
         "co-schedule",
-        dunnington_report,
         workloads=["streaming", "zipf"],
         level=2,
         top=1,
@@ -323,16 +320,16 @@ def test_query_from_spec_builds_each_kind(dunnington_report):
     assert cq == CoScheduleQuery(
         workloads=("streaming", "zipf"), level=2, top=1
     )
-    assert query_from_spec(
-        "co-schedule", dunnington_report, workloads=["streaming"]
-    ) == CoScheduleQuery(workloads=("streaming",))
+    assert query_from_spec("co-schedule", workloads=["streaming"]) == CoScheduleQuery(
+        workloads=("streaming",)
+    )
 
 
-def test_query_from_spec_rejects_unknown_kind(dunnington_report):
+def test_query_from_spec_rejects_unknown_kind():
     with pytest.raises(ServiceError, match="unknown query kind"):
-        query_from_spec("warp-factor", dunnington_report)
+        query_from_spec("warp-factor")
 
 
-def test_query_from_spec_names_missing_parameter(dunnington_report):
+def test_query_from_spec_names_missing_parameter():
     with pytest.raises(ServiceError, match="needs parameter"):
-        query_from_spec("aggregate", dunnington_report, core_a=0)
+        query_from_spec("aggregate", core_a=0)

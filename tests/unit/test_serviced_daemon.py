@@ -187,8 +187,8 @@ def test_drain_answers_inflight_then_refuses_new(dunnington_report):
 def test_drain_is_idempotent(dunnington_report):
     d = TuningDaemon(report=dunnington_report).start()
     d.drain(wait=False)
-    d.drain(wait=True, timeout=10.0)
-    d.drain(wait=True, timeout=10.0)
+    d.drain(wait=True)
+    d.drain(wait=True)
     assert d.wait(0)
 
 
@@ -377,3 +377,69 @@ def test_malformed_frame_mid_batch_leaves_no_trace(dunnington_report):
             assert len(d._threads) == threads_at_start
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("payload", ["5", "null", "{broken"])
+def test_version_corrupted_before_its_load_leaves_no_trace(
+    tmp_path, dunnington_backend, dunnington_report, payload
+):
+    """A version file corrupted between the watcher's ``latest_version``
+    probe and the load is quarantined: the daemon keeps serving the old
+    version, the watcher lives on and swaps in the next good version,
+    and no reader thread, single-flight entry or open socket is left
+    behind."""
+    from repro.core.report import ServetReport
+    from repro.service import ReportRegistry, fingerprint_of
+
+    fingerprint = fingerprint_of(dunnington_backend)
+
+    def variant(tag):
+        return ServetReport.from_dict({**dunnington_report.to_dict(), "system": tag})
+
+    registry = ReportRegistry(tmp_path / "registry")
+    registry.put(fingerprint, variant("v1"))
+    v2 = registry.root / fingerprint.digest / "v000002.json"
+    probe = registry.latest_version
+    corrupted = threading.Event()
+
+    def probe_then_corrupt(digest):
+        latest = probe(digest)
+        if latest == 2 and not corrupted.is_set():
+            v2.write_text(payload)
+            corrupted.set()
+        return latest
+
+    pool = default_query_pool(dunnington_report)
+    reference = [answer(Advisor(dunnington_report), q) for q in pool]
+    with TuningDaemon(registry=registry, workers=2, poll_interval=0.01) as d:
+        threads, fds = threading.active_count(), _open_fds()
+        threads_at_start = len(d._threads)
+        watcher = next(t for t in d._threads if t.name == "serviced-watcher")
+
+        registry.latest_version = probe_then_corrupt
+        registry.put(fingerprint, variant("v2"))
+        assert corrupted.wait(10)
+        assert _settle(lambda: v2.with_name(v2.name + ".quarantined").exists())
+        time.sleep(0.05)  # a few more polls over the quarantined version
+        assert watcher.is_alive()
+        with ServicedClient(d.host, d.port) as c:
+            assert c.ping()["version"] == 1
+            got = c.query_many(pool)
+        assert got == [(a, 1) for a in reference]
+        assert d.report.system == "v1"
+
+        # The quarantined number is free again, so the next put reuses it.
+        good = registry.put(fingerprint, variant("v3")).version
+        assert _settle(lambda: d.report.system == "v3")
+        with ServicedClient(d.host, d.port) as c:
+            got = c.query_many(pool)
+        assert got == [(a, good) for a in reference]
+
+        assert watcher.is_alive()
+        assert _settle(lambda: threading.active_count() == threads)
+        assert _settle(lambda: d._snapshot.service.single_flight.live() == 0)
+        assert _settle(lambda: _open_fds() == fds), (_open_fds(), fds)
+        with d._conns_lock:
+            assert d._conns == []
+        assert len(d._threads) == threads_at_start

@@ -4,7 +4,7 @@ import pytest
 
 from repro.backends import SimulatedBackend
 from repro.core.tlb import detect_tlb_entries
-from repro.errors import ConfigurationError, DetectionError
+from repro.errors import ConfigurationError
 from repro.memsim import TLBSpec, TraversalEngine
 from repro.memsim.prefetch import NO_PREFETCH
 from repro.topology import generic_smp
@@ -97,9 +97,3 @@ class TestDetector:
         backend = SimulatedBackend(machine, seed=7)
         result = detect_tlb_entries(backend, [32 * KiB, 2 * MiB])
         assert result.entries is None
-
-    def test_rejects_bad_range(self):
-        machine = machine_with_tlb()
-        backend = SimulatedBackend(machine, seed=7)
-        with pytest.raises(DetectionError):
-            detect_tlb_entries(backend, [32 * KiB], min_pages=8, max_pages=4)

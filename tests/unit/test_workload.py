@@ -1,107 +1,18 @@
-"""Unit tests for the workload layer: recorder hook, parsing, advisor edges."""
+"""Unit tests for the workload layer: recorder input, parsing, advisor edges."""
 
 import numpy as np
 import pytest
 
 from repro.errors import MeasurementError, WorkloadError
-from repro.lru import LRUCache
-from repro.memsim import Traversal, TraversalEngine
-from repro.memsim.traversal import _virtual_lines_shared
-from repro.topology import generic_smp
-from repro.units import KiB
 from repro.workload import (
     CachePressureModel,
     ReuseDistanceRecorder,
     ReuseProfile,
-    TraversalReuseRecorder,
     co_schedule,
     parse_workload,
     profile_workload,
 )
 from repro.workload.generators import PROFILE_CACHE
-
-
-def small_machine():
-    return generic_smp(
-        n_cores=2,
-        levels=[("32KB", 8, 1, 3.0), ("1MB", 8, 2, 20.0)],
-        mem_latency=200.0,
-    )
-
-
-# -- engine recorder hook -------------------------------------------------
-
-
-def test_recorded_run_matches_plain_run():
-    """Switching the recorder on must not perturb the measurement."""
-    machine = small_machine()
-    traversals = [Traversal(0, 64 * KiB, 64), Traversal(1, 256 * KiB, 128)]
-    plain = TraversalEngine(machine, outcome_cache=None).run(
-        traversals, rng=0
-    )
-    recorder = TraversalReuseRecorder()
-    recorded = TraversalEngine(machine, reuse_recorder=recorder).run(
-        traversals, rng=0
-    )
-    assert recorded.cycles_per_access == plain.cycles_per_access
-    assert recorded.miss_fraction == plain.miss_fraction
-
-
-def test_recorder_accumulates_per_core():
-    machine = small_machine()
-    recorder = TraversalReuseRecorder()
-    engine = TraversalEngine(machine, reuse_recorder=recorder)
-    engine.run([Traversal(0, 8 * KiB, 64)], rng=0)
-    engine.run([Traversal(0, 8 * KiB, 64), Traversal(1, 16 * KiB, 64)], rng=0)
-    assert recorder.cores == [0, 1]
-    assert recorder.recorder(0).accesses == 2 * (8 * KiB // 64)
-    assert recorder.recorder(1).accesses == 16 * KiB // 64
-    profile = recorder.profile(0, "traversal-core0")
-    assert isinstance(profile, ReuseProfile)
-    assert profile.distinct_lines == 8 * KiB // 64
-    with pytest.raises(MeasurementError, match="no accesses recorded"):
-        recorder.recorder(7)
-
-
-def test_recorded_run_bypasses_outcome_cache():
-    """Recorded runs must replay the stream, not hit the cache.
-
-    A cache hit would skip the traversal walk entirely, so the recorder
-    would silently observe nothing; the hook both skips the lookup and
-    refuses to populate the cache with recorder-tainted entries.
-    """
-    machine = small_machine()
-    cache = LRUCache(64)
-    traversals = [Traversal(0, 64 * KiB, 64)]
-    TraversalEngine(machine, outcome_cache=cache).run(traversals, rng=0)
-    assert cache.stats()["entries"] == 1
-
-    recorder = TraversalReuseRecorder()
-    engine = TraversalEngine(
-        machine, outcome_cache=cache, reuse_recorder=recorder
-    )
-    before = cache.stats()
-    engine.run(traversals, rng=0)
-    assert cache.stats() == before  # neither probed nor populated
-    assert recorder.recorder(0).accesses == 64 * KiB // 64
-
-
-def test_recording_leaves_shared_line_vectors_untouched():
-    """The engine hands the recorder memoized read-only line vectors."""
-    shared = [
-        _virtual_lines_shared(64 * KiB, 64, 64),
-        _virtual_lines_shared(256 * KiB, 128, 64),
-    ]
-    before = [v.copy() for v in shared]
-    assert not any(v.flags.writeable for v in shared)
-    recorder = TraversalReuseRecorder()
-    for _ in range(2):
-        recorder.record(0, shared[0])
-        recorder.record(1, shared[1])
-    for vector, original in zip(shared, before):
-        assert vector.tobytes() == original.tobytes()
-    assert recorder.recorder(0).accesses == 2 * len(shared[0])
-    assert recorder.recorder(1).cold == len(np.unique(shared[1]))
 
 
 # -- recorder input -------------------------------------------------------
