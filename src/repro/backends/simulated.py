@@ -115,9 +115,9 @@ class SimulatedBackend(Backend):
         self.n_cores = system.n_cores
         self.page_size = self.machine.page_size
         self.virtual_time = 0.0
-        # The communication substrate is RNG-free: a ping-pong or
-        # concurrent exchange is a pure function of this token plus the
-        # probe parameters, so repeats skip the event loop entirely.
+        # The communication substrate is RNG-free: a ping-pong (per
+        # relationship) or concurrent exchange is a pure function of this
+        # token plus the probe parameters, so repeats skip the event loop.
         self._comm_token = sha256_hex(
             f"{self.cluster!r}|{self.comm_config.canonical()}"
         )
@@ -179,7 +179,8 @@ class SimulatedBackend(Backend):
         return {local[lc]: self._noisy(v) for lc, v in bw.items()}
 
     def message_latency(self, core_a: int, core_b: int, nbytes: int) -> float:
-        key = (self._comm_token, "pingpong", core_a, core_b, nbytes)
+        relationship = self.cluster.relationship(core_a, core_b)
+        key = (self._comm_token, "pingpong", relationship, nbytes)
         latency = GLOBAL_COMM_CACHE.get(key)
         if latency is None:
             latency = pingpong_latency(

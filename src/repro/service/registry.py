@@ -156,7 +156,7 @@ class ReportRegistry:
                     indent=2,
                 ),
             )
-        version = self._latest_version_number(digest_dir) + 1
+        version = self._next_version_number(digest_dir)
         seq = self._next_seq()
         payload = report.to_dict()
         envelope = {
@@ -216,8 +216,9 @@ class ReportRegistry:
         """All stored versions (of one digest spec, or everything).
 
         Sorted by global sequence — the last element is what ``latest``
-        resolves to.  Unreadable version files are skipped here (they
-        surface, and are quarantined, on :meth:`get`).
+        resolves to.  Unreadable version files, and envelopes whose
+        version, sequence or timestamps are not numbers, are skipped
+        here (they surface, and are quarantined, on :meth:`get`).
         """
         digests = [self.resolve(spec)] if spec is not None else [
             d.name for d in self._digest_dirs()
@@ -227,8 +228,12 @@ class ReportRegistry:
             digest_dir = self.root / digest
             for path in self._version_paths(digest_dir):
                 envelope = self._read_object(path)
-                if envelope is not None:
+                if envelope is None:
+                    continue
+                try:
                     found.append(self._entry_from_envelope(digest, path, envelope))
+                except (TypeError, ValueError, OverflowError):
+                    continue
         return sorted(found, key=lambda e: e.seq)
 
     def get(self, spec: str = "latest", version: int | None = None) -> ServetReport:
@@ -427,6 +432,18 @@ class ReportRegistry:
         if not versions:
             return 0
         return int(versions[-1].stem[1:])
+
+    @staticmethod
+    def _next_version_number(digest_dir: Path) -> int:
+        """One past every version on disk, quarantined ones included, so
+        a new version never takes the name of moved-aside evidence."""
+        pattern = "v" + "[0-9]" * _VERSION_DIGITS + ".json"
+        numbers = [
+            int(path.name[1 : 1 + _VERSION_DIGITS])
+            for suffix in ("", ".quarantined")
+            for path in digest_dir.glob(pattern + suffix)
+        ]
+        return max(numbers, default=0) + 1
 
     def _next_seq(self) -> int:
         seq_path = self.root / "sequence"

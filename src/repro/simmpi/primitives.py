@@ -133,8 +133,9 @@ def concurrent_exchanges(
 
     def exchanger(rank: Rank):
         peer = rank.id ^ 1  # ranks 2i and 2i+1 are partners
-        yield rank.send(peer, nbytes, tag=rank.id)
+        request = yield rank.isend(peer, nbytes, tag=rank.id)
         yield rank.recv(peer, tag=peer)
+        yield rank.wait(request)
 
     for r in range(2 * len(pairs)):
         world.add_process(exchanger, r)

@@ -32,13 +32,12 @@ def _survey(spec, tmp_path, subdir, **kwargs):
 
 
 class TestFaultFreeSurvey:
-    def test_all_machines_ok_or_degraded_and_deduped(self, tmp_path):
+    def test_all_machines_ok_and_deduped(self, tmp_path):
         spec = generate_fleet(12, 4, seed=11, name="clean")
         coordinator, report, store = _survey(spec, tmp_path, "store")
 
         assert report.complete
-        assert set(report.counts) <= {"ok", "degraded"}
-        assert sum(report.counts.values()) == 12
+        assert report.counts == {"ok": 12}
         assert report.dedup == {
             "machines": 12,
             "classes": 4,
@@ -49,6 +48,15 @@ class TestFaultFreeSurvey:
         assert len(report.machines) == 12
         for machine in spec.machines:
             assert report.report_for(machine.machine_id) is not None
+
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_rendezvous_exchanges_leave_no_machine_degraded(self, tmp_path, seed):
+        # These fleets hold classes whose comm phase exchanges messages
+        # above the eager threshold; a blocking exchange deadlocked there.
+        spec = generate_fleet(50, 10, seed=seed)
+        coordinator, report, store = _survey(spec, tmp_path, "store")
+        assert report.complete
+        assert report.counts == {"ok": 50}
 
     def test_one_registry_version_per_class(self, tmp_path):
         spec = generate_fleet(12, 4, seed=11)

@@ -1,10 +1,15 @@
 """Unit tests for the measurement backends."""
 
+import hashlib
+import json
+
 import pytest
 
+from repro import ServetSuite
 from repro.backends import SimulatedBackend
 from repro.backends.simulated import STREAM_MIN_SAMPLE, STREAM_SETUP
 from repro.errors import MeasurementError
+from repro.memsim import GLOBAL_COMM_CACHE
 from repro.memsim.paging import ContiguousPaging
 from repro.topology import dunnington, finis_terrae
 from repro.units import KiB, MiB
@@ -101,3 +106,53 @@ class TestMessages:
             [(0, 16), (1, 17)], 16 * KiB
         )
         assert result.worst >= result.mean > 0
+
+
+def _comm_stats(backend):
+    return backend.result_caches["simmpi.comm"].stats()
+
+
+class TestCommCacheKey:
+    """A ping-pong is simulated once per (relationship, size): every
+    pair of one relationship has a bit-equal latency
+    (tests/property/test_prop_relationship_key.py)."""
+
+    def test_pairs_of_one_relationship_share_one_simulation(self):
+        GLOBAL_COMM_CACHE.clear()
+        backend = SimulatedBackend(finis_terrae(2), seed=0, noise=0.0)
+        assert backend.cluster.relationship(0, 16) == "inter-node"
+        assert backend.cluster.relationship(1, 17) == "inter-node"
+        before = _comm_stats(backend)
+        first = backend.message_latency(0, 16, 8 * KiB)
+        second = backend.message_latency(1, 17, 8 * KiB)
+        after = _comm_stats(backend)
+        assert first == second
+        assert after["misses"] - before["misses"] == 1
+        assert after["hits"] - before["hits"] == 1
+
+    def test_cold_finis_terrae8_suite_simulates_per_relationship(self):
+        GLOBAL_COMM_CACHE.clear()
+        backend = SimulatedBackend(finis_terrae(8), seed=42, noise=0.0)
+        sizes, concurrent = set(), set()
+        message_latency = backend.message_latency
+        concurrent_latency = backend.concurrent_message_latency
+
+        def record_message(core_a, core_b, nbytes):
+            sizes.add(nbytes)
+            return message_latency(core_a, core_b, nbytes)
+
+        def record_concurrent(pairs, nbytes):
+            concurrent.add((tuple(pairs), nbytes))
+            return concurrent_latency(pairs, nbytes)
+
+        backend.message_latency = record_message
+        backend.concurrent_message_latency = record_concurrent
+        suite = ServetSuite(backend)
+        report = suite.run()
+        measured = json.dumps(report.measurement_dict(), sort_keys=True, indent=2)
+        assert hashlib.sha256((measured + "\n").encode()).hexdigest() == (
+            "3b6c4527c3823fe41e882a728ab196ae1716bd55a77590df3b3709e97a0b7a85"
+        )
+        misses = suite.metrics.value("counter", "simmpi.comm.misses")
+        relationships = len(backend.cluster.relationships())
+        assert 0 < misses <= relationships * len(sizes) + len(concurrent)

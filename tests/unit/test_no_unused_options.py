@@ -61,7 +61,6 @@ ALLOWED: dict[str, str] = {
     "repro.simmpi.collectives:scatter(tag)": _MPI,
     "repro.simmpi.collectives:alltoall(tag)": _MPI,
     "repro.simmpi.collectives:hierarchical_bcast(tag)": _MPI,
-    "repro.simmpi.comm:Rank.isend(tag)": _MPI,
     "repro.topology.builders:generic_smp(page_size)": _HARDWARE,
 }
 

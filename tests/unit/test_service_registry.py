@@ -126,7 +126,16 @@ def test_unparseable_file_quarantined(registry, small_report):
 
 
 @pytest.mark.parametrize(
-    "payload", ["5", "null", '"text"', "[1, 2]", "{}", '{"schema_version": 2, "report": 5}']
+    "payload",
+    [
+        "5",
+        "null",
+        '"text"',
+        "[1, 2]",
+        "{}",
+        '{"schema_version": 2, "report": 5}',
+        '{"schema_version": 2, "version": "x", "report": {}}',
+    ],
 )
 def test_json_that_is_not_a_report_is_quarantined(registry, small_report, payload):
     report, fp = small_report
@@ -139,6 +148,26 @@ def test_json_that_is_not_a_report_is_quarantined(registry, small_report, payloa
     assert entry.path.with_name(entry.path.name + ".quarantined").exists()
     with pytest.raises(ReproError):  # a typed error, not a TypeError
         registry.import_report(entry.path.with_name(entry.path.name + ".quarantined"), fp)
+
+
+def test_put_after_quarantine_takes_a_fresh_version(registry, small_report):
+    report, fp = small_report
+    registry.put(fp, report)
+    bad = registry.put(fp, report)
+    bad.path.write_text("garbage")
+    registry.get(fp.digest)  # quarantines v2
+    entry = registry.put(fp, report)
+    assert entry.version == 3
+    # A daemon still serving the quarantined v2 sees the new version.
+    assert registry.latest_version(fp.digest) == 3
+    entry.path.write_text("{not json")
+    registry.get(fp.digest)  # quarantines v3 beside v2
+    names = sorted(p.name for p in bad.path.parent.glob("v*"))
+    assert names == [
+        "v000001.json", "v000002.json.quarantined", "v000003.json.quarantined"
+    ]
+    assert registry.quarantined_counts() == {fp.digest: 2}
+    assert registry.put(fp, report).version == 4
 
 
 def test_all_versions_corrupt_raises_listing_quarantined(registry, small_report):

@@ -8,9 +8,10 @@ compared exactly.  A change that reorders, adds or drops a single
 event, or rounds one virtual time differently, fails here; a change
 meant only to make the runtime faster must pass it untouched.
 
-The exchange program stays below the eager threshold: above it both
-blocking sends rendezvous and deadlock, a standing defect whose fix is
-expected to change that program's events.
+The exchange programs run once below the eager threshold and once above
+it.  Each rank posts a nonblocking send before its receive and then
+waits on the send, so at rendezvous sizes neither rank blocks its
+partner; the wait is one more event per rank than a blocking send.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.simmpi import (
 from repro.simmpi import collectives
 from repro.simmpi.events import Engine
 from repro.topology import Cluster, dunnington, finis_terrae
-from repro.units import KiB
+from repro.units import KiB, MiB
 
 MACHINES = {
     "dunnington": lambda: Cluster("dunnington", dunnington()),
@@ -102,6 +103,9 @@ PROGRAMS = {
     ),
     "concurrent_exchanges_eager": lambda c, k, p: concurrent_exchanges(
         c, k, p["pairs"], 8 * KiB
+    ),
+    "concurrent_exchanges_rendezvous": lambda c, k, p: concurrent_exchanges(
+        c, k, p["pairs"], 1 * MiB
     ),
     "barrier": _world_program("group", _collective("barrier")),
     "bcast": _world_program("group", _collective("bcast", 2, 48 * KiB)),
@@ -206,7 +210,7 @@ EXPECTED: dict[tuple[str, str], list[dict]] = {
     ],
     ("dunnington", "concurrent_exchanges_eager"): [
         {
-            "events": 32,
+            "events": 40,
             "finish_times": {
                 0: 2.9880000000000004e-06,
                 1: 2.86e-06,
@@ -220,6 +224,25 @@ EXPECTED: dict[tuple[str, str], list[dict]] = {
             "makespan": 1.0681454545454546e-05,
             "messages": 8,
             "bytes_sent": 65536,
+            "per_layer_messages": {"shared-l2": 2, "same-node": 4, "shared-l3": 2},
+        },
+    ],
+    ("dunnington", "concurrent_exchanges_rendezvous"): [
+        {
+            "events": 44,
+            "finish_times": {
+                0: 0.00034461400000000003,
+                1: 0.00034461400000000003,
+                2: 0.001049976,
+                3: 0.001049976,
+                4: 0.0012406261818181817,
+                5: 0.0012406261818181817,
+                6: 0.0004726592,
+                7: 0.0004726592,
+            },
+            "makespan": 0.0012406261818181817,
+            "messages": 8,
+            "bytes_sent": 8388608,
             "per_layer_messages": {"shared-l2": 2, "same-node": 4, "shared-l3": 2},
         },
     ],
@@ -360,7 +383,7 @@ EXPECTED: dict[tuple[str, str], list[dict]] = {
     ],
     ("finis_terrae2", "concurrent_exchanges_eager"): [
         {
-            "events": 32,
+            "events": 40,
             "finish_times": {
                 0: 7.427200000000001e-06,
                 1: 7.12e-06,
@@ -374,6 +397,25 @@ EXPECTED: dict[tuple[str, str], list[dict]] = {
             "makespan": 2.2201955555555556e-05,
             "messages": 8,
             "bytes_sent": 65536,
+            "per_layer_messages": {"same-cell": 2, "same-node": 2, "inter-node": 4},
+        },
+    ],
+    ("finis_terrae2", "concurrent_exchanges_rendezvous"): [
+        {
+            "events": 44,
+            "finish_times": {
+                0: 0.0006976816000000001,
+                1: 0.0006976816000000001,
+                2: 0.0006976816000000001,
+                3: 0.0006976816000000001,
+                4: 0.0014780064,
+                5: 0.0014780064,
+                6: 0.002083850311111111,
+                7: 0.002083850311111111,
+            },
+            "makespan": 0.002083850311111111,
+            "messages": 8,
+            "bytes_sent": 8388608,
             "per_layer_messages": {"same-cell": 2, "same-node": 2, "inter-node": 4},
         },
     ],
